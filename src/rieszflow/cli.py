@@ -72,16 +72,70 @@ def _fmt(v) -> str:
     return s
 
 
+MANIFEST = "manifest.json"
+
+
+def _manifest_listing(path: Path) -> set[str] | None:
+    """File names a rieszflow manifest lists, or None if ``path`` is not one."""
+    try:
+        manifest = json.loads(path.read_text())
+        names = {entry["path"] for entry in manifest["files"]}
+        if not {"experiment", "kind", "seed", "config_sha256"} <= set(manifest):
+            return None
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if not all(isinstance(n, str) and n == Path(n).name and n not in ("", ".", "..", MANIFEST)
+               for n in names):
+        return None
+    return names
+
+
 class ArtifactWriter:
-    """Accumulates run artifacts and can either finalize or roll back."""
+    """Accumulates run artifacts and can either finalize or roll back.
+
+    The output directory must be missing, empty, or hold exactly a
+    previous run's manifest and the files it lists; those are deleted
+    before this run writes, so a directory never mixes two runs.
+    Anything else is refused and left untouched.
+    """
 
     def __init__(self, out_dir: str | Path, header: list[str]):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        if not self.out_dir.is_dir():
-            raise ConfigError(f"output directory {self.out_dir} is not writable")
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}") from exc
+        self._clear_previous_run()
         self.header = header
         self.created: list[Path] = []
+
+    def _clear_previous_run(self) -> None:
+        try:
+            present = {p.name for p in self.out_dir.iterdir()}
+        except OSError as exc:
+            raise ConfigError(f"cannot list output directory {self.out_dir}: {exc}") from exc
+        if not present:
+            return
+        listed = _manifest_listing(self.out_dir / MANIFEST) if MANIFEST in present else None
+        if listed is None:
+            raise ConfigError(
+                f"output directory {self.out_dir} is not empty and holds no rieszflow "
+                f"{MANIFEST}; refusing to mix runs"
+            )
+        stale = {name for name in listed if (self.out_dir / name).is_file()}
+        stray = present - stale - {MANIFEST}
+        if stray:
+            raise ConfigError(
+                f"output directory {self.out_dir} holds files its {MANIFEST} does not list "
+                f"({', '.join(sorted(stray))}); refusing to mix runs"
+            )
+        for name in sorted(stale) + [MANIFEST]:
+            try:
+                (self.out_dir / name).unlink()
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot remove {name} of the previous run in {self.out_dir}: {exc}"
+                ) from exc
 
     def _register(self, path: Path) -> None:
         self.created.append(path)
@@ -137,7 +191,7 @@ class ArtifactWriter:
             "config_sha256": digest,
             "files": entries,
         }
-        path = self.out_dir / "manifest.json"
+        path = self.out_dir / MANIFEST
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -21,13 +21,21 @@ from .grid import (
     FieldState,
     RieszParams,
     SpectralGrid,
-    divergence,
-    frac_lambda,
-    grad_frac_lambda,
-    gradient,
-    lp_norm,
+    _require_mean_zero,
+    half_divergence,
+    half_grad_frac,
+    half_l2,
+    lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
+    spectral_inner,
+    spectral_power,
 )
-from .littlewood_paley import BesovSpec, LPPartition, besov_norm, dyadic_block, low_pass
+from .littlewood_paley import (  # noqa: F401  (besov_norm, dyadic_block: as lp_norm above)
+    BesovSpec,
+    LPPartition,
+    ShellNorms,
+    besov_norm,
+    dyadic_block,
+)
 
 __all__ = [
     "FunctionalRecord",
@@ -41,6 +49,8 @@ __all__ = [
     "fit_decay",
     "default_fit_window",
 ]
+
+_Z_SINGULAR = "the effective velocity (|nabla|^(2 s* - 2) is singular at xi = 0)"
 
 
 @dataclass(frozen=True)
@@ -64,12 +74,25 @@ class DecayFit:
     r_squared: float
 
 
+def _fields(grid: SpectralGrid, state: FieldState) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(state.a, dtype=float)
+    u = np.asarray(state.u, dtype=float)
+    if a.shape != grid.shape or u.shape != (grid.dim,) + grid.shape:
+        raise ValueError("state shapes do not match the grid")
+    return a, u
+
+
+def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: RieszParams) -> np.ndarray:
+    """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a."""
+    return u_hat + params.kappa / params.lam * half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
+
+
 def effective_velocity(grid: SpectralGrid, state: FieldState, params: RieszParams) -> np.ndarray:
     """z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a (linear in the state)."""
+    a, u = _fields(grid, state)
+    _require_mean_zero(a, _Z_SINGULAR)
     beta = params.kappa / params.lam
-    return np.asarray(state.u, dtype=float) + beta * grad_frac_lambda(
-        grid, state.a, 2.0 * params.s_star - 2.0
-    )
+    return u + beta * grid.irfft(half_grad_frac(grid, grid.rfft(a), 2.0 * params.s_star - 2.0))
 
 
 def _centered_triplet(snapshots) -> tuple[FieldState, FieldState, FieldState]:
@@ -81,14 +104,6 @@ def _centered_triplet(snapshots) -> tuple[FieldState, FieldState, FieldState]:
     return s0, s1, s2
 
 
-def _advection(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    for i in range(grid.dim):
-        gi = gradient(grid, u[i])
-        out[i] = sum(u[jax] * gi[jax] for jax in range(grid.dim))
-    return out
-
-
 def density_equation_residual(
     grid: SpectralGrid, snapshots, params: RieszParams
 ) -> float:
@@ -98,20 +113,20 @@ def density_equation_residual(
     at the middle snapshot, normalized by the largest constituent term.
     """
     s0, s1, s2 = _centered_triplet(snapshots)
+    (a0, _), (a1, u1), (a2, _) = (_fields(grid, s) for s in (s0, s1, s2))
+    _require_mean_zero(a1, _Z_SINGULAR)
     beta = params.kappa / params.lam
-    dadt = (s2.a - s0.a) / (s2.t - s0.t)
-    z = effective_velocity(grid, s1, params)
+    a_hat = grid.rfft(a1)
     terms = [
-        dadt,
-        beta * frac_lambda(grid, s1.a, 2.0 * params.s_star),
-        divergence(grid, z),
-        divergence(grid, s1.a * s1.u),
+        grid.rfft((a2 - a0) / (s2.t - s0.t)),
+        beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat,
+        half_divergence(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)),
+        half_divergence(grid, grid.rfft(a1 * u1)),
     ]
-    residual = sum(terms)
-    scale = max(lp_norm(grid, t, 2) for t in terms)
+    scale = max(half_l2(grid, t) for t in terms)
     if scale == 0.0:
         return 0.0
-    return lp_norm(grid, residual, 2) / scale
+    return half_l2(grid, sum(terms)) / scale
 
 
 def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> float:
@@ -123,24 +138,29 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     with beta = kappa/lam, normalized by ||z|| at the middle snapshot.
     """
     s0, s1, s2 = _centered_triplet(snapshots)
+    (a0, u0), (a1, u1), (a2, u2) = (_fields(grid, s) for s in (s0, s1, s2))
+    for a in (a0, a1, a2):
+        _require_mean_zero(a, _Z_SINGULAR)
     beta = params.kappa / params.lam
-    z0 = effective_velocity(grid, s0, params)
-    z1 = effective_velocity(grid, s1, params)
-    z2 = effective_velocity(grid, s2, params)
-    dzdt = (z2 - z0) / (s2.t - s0.t)
     sigma = 2.0 * params.s_star - 2.0
+    dt = s2.t - s0.t
+    a_hat, u_hat = grid.rfft(a1), grid.rfft(u1)
+    z_hat = _z_hat(grid, a_hat, u_hat, params)
+    # (u . grad) u: grad_u[i, j] = d_j u_i in one inverse transform
+    grad_u = grid.irfft(np.stack([g * u_hat for g in grid.half_grad], axis=1))
+    advection = np.sum(u1[np.newaxis] * grad_u, axis=1)
     residual = (
-        dzdt
-        + params.lam * z1
-        + beta * grad_frac_lambda(grid, divergence(grid, z1), sigma)
-        + beta**2 * grad_frac_lambda(grid, s1.a, 4.0 * params.s_star - 2.0)
-        + beta * grad_frac_lambda(grid, divergence(grid, s1.a * s1.u), sigma)
-        + _advection(grid, s1.u)
+        _z_hat(grid, grid.rfft((a2 - a0) / dt), grid.rfft((u2 - u0) / dt), params)
+        + params.lam * z_hat
+        + beta * half_grad_frac(grid, half_divergence(grid, z_hat), sigma)
+        + beta**2 * half_grad_frac(grid, a_hat, 4.0 * params.s_star - 2.0)
+        + beta * half_grad_frac(grid, half_divergence(grid, grid.rfft(a1 * u1)), sigma)
+        + grid.rfft(advection)
     )
-    denom = lp_norm(grid, z1, 2)
+    denom = half_l2(grid, z_hat)
     if denom == 0.0:
         return 0.0
-    return lp_norm(grid, residual, 2) / denom
+    return half_l2(grid, residual) / denom
 
 
 def _admissible_p(dim: int, p: float) -> bool:
@@ -167,6 +187,8 @@ def energy_functionals(
     the 2-based scale).  The dissipation counterpart shifts the
     low-frequency density index up by 2 s* and adds the full-range norm
     of da/dt = -div u - div(a u) at index d/p, evaluated spectrally.
+    Each of a, u and a u is transformed once; shell norms are shared
+    between the components that use them.
     """
     if not _admissible_p(grid.dim, p):
         warnings.warn(
@@ -175,24 +197,58 @@ def energy_functionals(
             stacklevel=2,
         )
     d = grid.dim
-    a = np.asarray(state.a, dtype=float)
-    u = np.asarray(state.u, dtype=float)
+    a, u = _fields(grid, state)
+    u_hat = grid.rfft(u)
+    a_shells = ShellNorms(partition, grid.rfft(a))
+    u_shells = ShellNorms(partition, u_hat)
     comp = {
-        "a_low": besov_norm(partition, a, BesovSpec(d / p - 1.0, p, 1, "low", j1)),
-        "u_low": besov_norm(partition, u, BesovSpec(d / p, p, 1, "low", j1)),
-        "a_high": besov_norm(partition, a, BesovSpec(d / 2.0 + 1.0, 2, 1, "high", j1)),
-        "u_high": besov_norm(partition, u, BesovSpec(d / 2.0 + 2.0 - params.s_star, 2, 1, "high", j1)),
+        "a_low": a_shells.besov(BesovSpec(d / p - 1.0, p, 1, "low", j1)),
+        "u_low": u_shells.besov(BesovSpec(d / p, p, 1, "low", j1)),
+        "a_high": a_shells.besov(BesovSpec(d / 2.0 + 1.0, 2, 1, "high", j1)),
+        "u_high": u_shells.besov(BesovSpec(d / 2.0 + 2.0 - params.s_star, 2, 1, "high", j1)),
     }
     energy = sum(comp.values())
-    dadt = -divergence(grid, u) - divergence(grid, a * u)
+    dadt_hat = -half_divergence(grid, u_hat + grid.rfft(a * u))
     dissipation = (
-        besov_norm(partition, a, BesovSpec(d / p - 1.0 + 2.0 * params.s_star, p, 1, "low", j1))
+        a_shells.besov(BesovSpec(d / p - 1.0 + 2.0 * params.s_star, p, 1, "low", j1))
         + comp["u_low"]
         + comp["a_high"]
         + comp["u_high"]
-        + besov_norm(partition, dadt, BesovSpec(d / p, p, 1, "full", j1))
+        + ShellNorms(partition, dadt_hat).besov(BesovSpec(d / p, p, 1, "full", j1))
     )
     return FunctionalRecord(t=state.t, energy=energy, dissipation=dissipation, components=comp)
+
+
+def _lyapunov_parts(
+    grid: SpectralGrid,
+    state: FieldState,
+    j: int,
+    c_tilde: float,
+    partition: LPPartition,
+    params: RieszParams,
+    j1: int,
+) -> tuple[float, float]:
+    """Quadratic part and full value L_j^2 of the block Lyapunov functional."""
+    if j < j1 - 1:
+        raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
+    if not (0 < c_tilde < 0.5):
+        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
+    partition.check_j(j)
+    a, u = _fields(grid, state)
+    a_hat = grid.rfft(a)
+    m = grid.half(partition.multiplier(j))
+    a_j = m * a_hat
+    u_j = m * grid.rfft(u)
+    k = grid.half_xi_norm
+    lam_u_hat = k * u_j
+    quad = float(np.sum(spectral_power(grid, k**params.s_star * a_j))) + float(
+        np.sum(spectral_power(grid, lam_u_hat))
+    )
+    low_a = grid.irfft(grid.half(partition.low_pass_multiplier(j - 1)) * a_hat)
+    lam_u = grid.irfft(lam_u_hat)
+    cubic = grid.cell_volume * float(np.sum(low_a * np.sum(lam_u**2, axis=0)))
+    cross = -2.0 * c_tilde * spectral_inner(grid, a_j, half_divergence(grid, u_j))
+    return quad, quad + cubic + cross
 
 
 def lyapunov_block(
@@ -211,25 +267,11 @@ def lyapunov_block(
             - 2 c_tilde int a_j div u_j dx,
 
     where a_j, u_j are the shell-j blocks and S_(j-1) is the smooth
-    projection onto shells strictly below j - 1.
+    projection onto shells strictly below j - 1.  The quadratic and
+    cross terms are Parseval sums; the cubic term takes two inverse
+    transforms.
     """
-    if j < j1 - 1:
-        raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
-    if not (0 < c_tilde < 0.5):
-        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
-    partition.check_j(j)
-    a = np.asarray(state.a, dtype=float)
-    u = np.asarray(state.u, dtype=float)
-    a_j = dyadic_block(partition, a, j)
-    u_j = dyadic_block(partition, u, j)
-    lam_a = frac_lambda(grid, a_j, params.s_star)
-    lam_u = np.stack([frac_lambda(grid, u_j[i], 1.0) for i in range(grid.dim)])
-    low_a = low_pass(partition, a, j - 1)
-    dv = grid.cell_volume
-    quad = dv * float(np.sum(lam_a**2)) + dv * float(np.sum(lam_u**2))
-    cubic = dv * float(np.sum(low_a * np.sum(lam_u**2, axis=0)))
-    cross = -2.0 * c_tilde * dv * float(np.sum(a_j * divergence(grid, u_j)))
-    return quad + cubic + cross
+    return _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)[1]
 
 
 def lyapunov_equivalence(
@@ -242,15 +284,10 @@ def lyapunov_equivalence(
     j1: int = 0,
 ) -> float:
     """Ratio of L_j^2 to its quadratic part (1 for small data and small c_tilde)."""
-    a_j = dyadic_block(partition, np.asarray(state.a, dtype=float), j)
-    u_j = dyadic_block(partition, np.asarray(state.u, dtype=float), j)
-    lam_a = frac_lambda(grid, a_j, params.s_star)
-    lam_u = np.stack([frac_lambda(grid, u_j[i], 1.0) for i in range(grid.dim)])
-    dv = grid.cell_volume
-    quad = dv * float(np.sum(lam_a**2)) + dv * float(np.sum(lam_u**2))
+    quad, total = _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)
     if quad == 0.0:
         return 1.0
-    return lyapunov_block(grid, state, j, c_tilde, partition, params, j1) / quad
+    return total / quad
 
 
 def default_fit_window(t_end: float) -> tuple[float, float]:

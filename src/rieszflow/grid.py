@@ -14,6 +14,14 @@ Conventions shared by every module in the package:
   This zeroes odd-in-xi_i symbols on the axis-i Nyquist plane, where
   they cannot be represented, and keeps real input fields real.
 * Discrete L^p norms include the cell volume: ||f||_p^p = sum |f|^p dV.
+* Diagnostics work on the real-to-complex half spectrum: ``rfftn`` over
+  the trailing ``dim`` axes keeps last-axis indices 0..N_d/2.  Half-lattice
+  arrays are the ``[..., :N_d/2 + 1]`` slices of the full-lattice ones,
+  and Parseval sums weight the interior last-axis columns by 2, the k = 0
+  and k = N_d/2 columns by 1.  A sum that never passes through an inverse
+  transform cannot rely on it to drop unrepresentable content, so the
+  half-lattice derivative symbols i xi_i are zero on their own axis-i
+  Nyquist plane, as the Hermitian projection above makes them.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "ZeroModeError",
+    "check_mode_count",
     "SpectralGrid",
     "FieldState",
     "RieszParams",
@@ -39,7 +48,12 @@ __all__ = [
     "hodge_split",
     "hodge_reconstruct",
     "lp_norm",
+    "spectral_power",
+    "spectral_inner",
     "spectral_l2",
+    "half_l2",
+    "half_divergence",
+    "half_grad_frac",
 ]
 
 #: relative tolerance used to decide whether a field counts as mean-zero
@@ -51,6 +65,12 @@ REALITY_RTOL = 1e-10
 
 class ZeroModeError(ValueError):
     """A symbol singular at xi = 0 was applied to a field with nonzero mean."""
+
+
+def check_mode_count(n: int) -> None:
+    """Raise ValueError unless ``n`` is an admissible per-axis mode count (even, >= 8)."""
+    if n < 8 or n % 2 != 0:
+        raise ValueError(f"mode count must be even and >= 8, got {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +99,15 @@ class SpectralGrid:
         Direction symbols xi_i / |xi| with the zero mode and the axis-i
         Nyquist plane set to 0, so that they are genuinely odd on the
         lattice.
+    half_xi_norm : ndarray
+        |xi| on the half lattice (a view of ``xi_norm``).
+    half_weights : ndarray
+        Parseval weights along the last half-lattice axis: 1 on the
+        k = 0 and k = N_d/2 columns, 2 in between.
+    half_grad : tuple of ndarray
+        Derivative symbols i xi_i on the half lattice, zero on the axis-i
+        Nyquist plane (the rule ``xi_unit`` follows); each varies along
+        its own axis only and broadcasts over the half lattice.
     """
 
     dim: int
@@ -92,6 +121,9 @@ class SpectralGrid:
     self_conjugate: np.ndarray = field(init=False, repr=False)
     nyquist_region: np.ndarray = field(init=False, repr=False)
     xi_unit: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    half_xi_norm: np.ndarray = field(init=False, repr=False)
+    half_weights: np.ndarray = field(init=False, repr=False)
+    half_grad: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -102,8 +134,7 @@ class SpectralGrid:
             if not (L > 0):
                 raise ValueError(f"box length must be positive, got {L}")
         for n in self.modes:
-            if n < 8 or n % 2 != 0:
-                raise ValueError(f"mode count must be even and >= 8, got {n}")
+            check_mode_count(n)
 
         axes = tuple(
             2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / L
@@ -128,18 +159,17 @@ class SpectralGrid:
             self_conj = np.logical_and.outer(sc_1d[0], sc_1d[1])
 
         # Per-axis Nyquist planes: index N_i/2 along axis i, anything on
-        # the other axes.  On such a plane the xi_i coordinate has no
-        # negation partner, so odd-in-xi_i symbols cannot be represented.
-        planes = []
+        # the other axes, as masks that broadcast over the lattice.  On
+        # such a plane the xi_i coordinate has no negation partner, so
+        # odd-in-xi_i symbols cannot be represented.
+        planes, axis_xi = [], []
         for ax, n in enumerate(self.modes):
+            sl: list = [None] * self.dim
+            sl[ax] = slice(None)
             p1d = np.zeros(n, dtype=bool)
             p1d[n // 2] = True
-            if self.dim == 1:
-                planes.append(p1d)
-            else:
-                sl: list = [None, None]
-                sl[ax] = slice(None)
-                planes.append(np.broadcast_to(p1d[tuple(sl)], self.modes).copy())
+            planes.append(p1d[tuple(sl)])
+            axis_xi.append(axes[ax][tuple(sl)])
         region = self_conj.copy()
         for p in planes:
             region |= p
@@ -149,8 +179,13 @@ class SpectralGrid:
             for ax in range(self.dim):
                 u = xi[ax] / xi_norm
                 u[xi_norm == 0] = 0.0
-                u[planes[ax]] = 0.0
+                u[np.broadcast_to(planes[ax], self.modes)] = 0.0
                 units.append(u)
+
+        nh = self.modes[-1] // 2 + 1
+        weights = np.full(nh, 2.0)
+        weights[0] = weights[-1] = 1.0
+        grads = tuple(self.half(np.where(p, 0.0, 1j * k)) for p, k in zip(planes, axis_xi))
 
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "xi", xi)
@@ -160,6 +195,9 @@ class SpectralGrid:
         object.__setattr__(self, "self_conjugate", self_conj)
         object.__setattr__(self, "nyquist_region", region)
         object.__setattr__(self, "xi_unit", tuple(units))
+        object.__setattr__(self, "half_xi_norm", self.half(xi_norm))
+        object.__setattr__(self, "half_weights", weights)
+        object.__setattr__(self, "half_grad", grads)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -180,11 +218,17 @@ class SpectralGrid:
             return (axes[0],)
         return tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(np.asarray(f))
+    def half(self, m: np.ndarray) -> np.ndarray:
+        """Half-lattice view ``m[..., :N_d/2 + 1]`` of a full-lattice array."""
+        return m[..., : self.modes[-1] // 2 + 1]
 
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fhat)
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real scalar or vector field, one transform over the trailing axes."""
+        return np.fft.rfftn(np.asarray(f, dtype=float), axes=tuple(range(-self.dim, 0)))
+
+    def irfft(self, fhat: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`rfft`; leading component axes are kept."""
+        return np.fft.irfftn(fhat, s=self.modes, axes=tuple(range(-self.dim, 0)))
 
     def min_nonzero_wavenumber(self) -> float:
         return float(min(2.0 * np.pi / L for L in self.lengths))
@@ -460,10 +504,45 @@ def lp_norm(grid: SpectralGrid, f: np.ndarray, p: float) -> float:
     return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
 
 
+def spectral_power(grid: SpectralGrid, fhat: np.ndarray) -> np.ndarray:
+    """Parseval density of a half spectrum: its sum is ||f||_2^2.
+
+    Holds the weighted |fhat|^2 times cell_volume / npoints on the half
+    lattice, summed over the leading component axes of a vector field.
+    """
+    power = fhat.real**2 + fhat.imag**2
+    if power.ndim > grid.dim:
+        power = power.reshape((-1,) + power.shape[-grid.dim:]).sum(axis=0)
+    return power * (grid.half_weights * (grid.cell_volume / grid.npoints))
+
+
+def spectral_inner(grid: SpectralGrid, fhat: np.ndarray, ghat: np.ndarray) -> float:
+    """Integral of f . g over the box from two half spectra (Parseval)."""
+    prod = (fhat.real * ghat.real + fhat.imag * ghat.imag).reshape(-1, grid.half_weights.size)
+    return grid.cell_volume / grid.npoints * float(prod.sum(axis=0) @ grid.half_weights)
+
+
+def half_l2(grid: SpectralGrid, fhat: np.ndarray) -> float:
+    """L^2 norm of a scalar or vector field from its half spectrum (Parseval)."""
+    return math.sqrt(float(np.sum(spectral_power(grid, fhat))))
+
+
 def spectral_l2(grid: SpectralGrid, f: np.ndarray) -> float:
     """L^2 norm computed on the spectral side (Parseval route)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape:
-        return float(np.sqrt(sum(spectral_l2(grid, c) ** 2 for c in f)))
-    fhat = np.fft.fftn(f)
-    return float(np.sqrt(grid.cell_volume / grid.npoints * np.sum(np.abs(fhat) ** 2)))
+    return half_l2(grid, grid.rfft(f))
+
+
+def half_divergence(grid: SpectralGrid, vhat: np.ndarray) -> np.ndarray:
+    """Half spectrum of div v from the half spectrum of v (cf. :func:`divergence`)."""
+    return sum(grid.half_grad[i] * vhat[i] for i in range(grid.dim))
+
+
+def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.ndarray:
+    """Half spectrum of grad |nabla|^sigma f (cf. :func:`grad_frac_lambda`).
+
+    The zero mode is mapped to 0, so a negative sigma needs a mean-zero f.
+    """
+    with np.errstate(divide="ignore"):
+        power = grid.half_xi_norm**sigma
+    power[grid.zero_index] = 0.0
+    return np.stack([g * power * fhat for g in grid.half_grad])

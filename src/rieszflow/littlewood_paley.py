@@ -9,7 +9,12 @@ nonzero lattice wavenumber.
 
 Hybrid low/high semi-norms split the shell index at a threshold j1:
 the low flavor sums shells j <= j1, the high flavor shells j >= j1 - 1,
-so the two flavors overlap in one shell.
+so the two flavors overlap in the two shells j1 - 1 and j1.
+
+Every public function transforms each input field once (``rfftn`` over
+the trailing axes) and forms the shell blocks as masked half spectra.
+L^2 shell norms are Parseval sums with no inverse transform; other L^p
+norms take one inverse transform per shell.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpectralGrid, frac_lambda, lp_norm
+from .grid import SpectralGrid, frac_lambda, lp_norm, spectral_power
 
 __all__ = [
     "CHI_INNER",
@@ -29,6 +34,7 @@ __all__ = [
     "LPPartition",
     "LPDecomposition",
     "BesovSpec",
+    "ShellNorms",
     "build_partition",
     "dyadic_block",
     "low_pass",
@@ -80,7 +86,8 @@ class LPPartition:
 
     ``multiplier(j)`` returns the spectral shell mask phi(|xi| / 2^j);
     ``low_pass_multiplier(j)`` returns chi(|xi| / 2^j), the projector
-    onto shells strictly below j.
+    onto shells strictly below j.  Both are cached on the full lattice;
+    ``grid.half`` of either is a view of the cached array.
     """
 
     grid: SpectralGrid
@@ -171,20 +178,14 @@ def build_partition(grid: SpectralGrid) -> LPPartition:
 def dyadic_block(partition: LPPartition, f: np.ndarray, j: int) -> np.ndarray:
     """Shell projection of a scalar or vector field onto shell j."""
     partition.check_j(j)
-    f = np.asarray(f, dtype=float)
-    if f.ndim == partition.grid.dim + 1:
-        return np.stack([dyadic_block(partition, comp, j) for comp in f])
-    m = partition.multiplier(j)
-    return np.fft.ifftn(m * np.fft.fftn(f)).real
+    grid = partition.grid
+    return grid.irfft(grid.half(partition.multiplier(j)) * grid.rfft(f))
 
 
 def low_pass(partition: LPPartition, f: np.ndarray, j: int) -> np.ndarray:
     """Smooth projection onto shells strictly below j (multiplier chi(|xi|/2^j))."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == partition.grid.dim + 1:
-        return np.stack([low_pass(partition, comp, j) for comp in f])
-    m = partition.low_pass_multiplier(j)
-    return np.fft.ifftn(m * np.fft.fftn(f)).real
+    grid = partition.grid
+    return grid.irfft(grid.half(partition.low_pass_multiplier(j)) * grid.rfft(f))
 
 
 def decompose(partition: LPPartition, f: np.ndarray) -> LPDecomposition:
@@ -195,7 +196,8 @@ def decompose(partition: LPPartition, f: np.ndarray) -> LPDecomposition:
     """
     grid = partition.grid
     f = np.asarray(f, dtype=float)
-    blocks = {j: dyadic_block(partition, f, j) for j in partition.js}
+    fhat = grid.rfft(f)
+    blocks = {j: grid.irfft(grid.half(partition.multiplier(j)) * fhat) for j in partition.js}
     fluct = f - float(np.mean(f))
     recon = np.zeros(grid.shape)
     for b in blocks.values():
@@ -226,14 +228,45 @@ def _sequence_norm(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
+class ShellNorms:
+    """Shell norms ||block_j f||_p of one field, from its half spectrum.
+
+    Norms are computed on first use and cached per (j, p).  For p = 2
+    they are Parseval sums of phi_j^2 against the spectral power; for
+    other p each shell takes one inverse transform.
+    """
+
+    def __init__(self, partition: LPPartition, fhat: np.ndarray):
+        self.partition = partition
+        self.fhat = fhat
+        self._power = None
+        self._norms: dict = {}
+
+    def norm(self, j: int, p: float) -> float:
+        key = (j, p)
+        if key not in self._norms:
+            grid = self.partition.grid
+            m = grid.half(self.partition.multiplier(j))
+            if p == 2:
+                if self._power is None:
+                    self._power = spectral_power(grid, self.fhat)
+                self._norms[key] = math.sqrt(float(np.sum(m * m * self._power)))
+            else:
+                self._norms[key] = lp_norm(grid, grid.irfft(m * self.fhat), p)
+        return self._norms[key]
+
+    def besov(self, spec: BesovSpec) -> float:
+        """Sequence norm over the spec's shells of 2^(j s) ||block_j f||_p."""
+        return _sequence_norm(
+            np.array([2.0 ** (j * spec.s) * self.norm(j, spec.p)
+                      for j in _spec_shell_range(self.partition, spec)]),
+            spec.r,
+        )
+
+
 def besov_norm(partition: LPPartition, f: np.ndarray, spec: BesovSpec) -> float:
     """Sequence norm over shells of 2^(j s) ||block_j f||_p."""
-    grid = partition.grid
-    weighted = []
-    for j in _spec_shell_range(partition, spec):
-        b = dyadic_block(partition, f, j)
-        weighted.append(2.0 ** (j * spec.s) * lp_norm(grid, b, spec.p))
-    return _sequence_norm(np.asarray(weighted), spec.r)
+    return ShellNorms(partition, partition.grid.rfft(f)).besov(spec)
 
 
 def chemin_lerner_norm(
@@ -261,10 +294,14 @@ def chemin_lerner_norm(
     if rho_exp < 1 and rho_exp != np.inf:
         raise ValueError(f"rho_exp must be >= 1 or inf, got {rho_exp}")
 
-    grid = partition.grid
+    js = _spec_shell_range(partition, spec)
+    # one transform per field; row k holds the shell norms of fields[k]
+    norms = np.array([
+        [sh.norm(j, spec.p) for j in js]
+        for sh in (ShellNorms(partition, partition.grid.rfft(f)) for f in fields)
+    ])
     weighted = []
-    for j in _spec_shell_range(partition, spec):
-        series = np.array([lp_norm(grid, dyadic_block(partition, f, j), spec.p) for f in fields])
+    for j, series in zip(js, norms.T):
         if rho_exp == np.inf:
             tnorm = float(np.max(series))
         else:
@@ -275,12 +312,13 @@ def chemin_lerner_norm(
 
 def _check_shell_support(partition: LPPartition, f: np.ndarray, j: int, what: str) -> None:
     grid = partition.grid
-    fhat = np.fft.fftn(np.asarray(f, dtype=float))
-    inside = (grid.xi_norm >= SHELL_INNER * 2.0**j) & (grid.xi_norm <= SHELL_OUTER * 2.0**j)
-    total = float(np.sum(np.abs(fhat) ** 2))
+    power = spectral_power(grid, grid.rfft(f))
+    k = grid.half_xi_norm
+    inside = (k >= SHELL_INNER * 2.0**j) & (k <= SHELL_OUTER * 2.0**j)
+    total = float(np.sum(power))
     if total == 0.0:
         raise ValueError(f"{what}: field is identically zero")
-    outside = float(np.sum(np.abs(fhat[~inside]) ** 2))
+    outside = float(np.sum(power[~inside]))
     if outside > 1e-16 * total:
         raise ValueError(
             f"{what}: spectral support leaks outside shell {j} "

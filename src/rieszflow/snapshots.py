@@ -15,16 +15,20 @@ offset      type      meaning
 
 followed by ``nfields`` arrays of float64 in C (row-major) order, each
 with prod(N_i) entries: the density fluctuation first, then the
-velocity components in axis order.
+velocity components in axis order.  The file ends with the payload;
+:func:`read_snapshot` checks the header against the file size before it
+reads the payload.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .grid import FieldState, SpectralGrid, make_grid
+from .grid import FieldState, SpectralGrid, check_mode_count, make_grid
 
 __all__ = ["MAGIC", "write_snapshot", "read_snapshot"]
 
@@ -47,22 +51,39 @@ def write_snapshot(path, grid: SpectralGrid, state: FieldState) -> None:
             fh.write(np.ascontiguousarray(u[i], dtype="<f8").tobytes())
 
 
+def _unpack(fh, fmt: str) -> tuple:
+    data = fh.read(struct.calcsize(fmt))
+    if len(data) != struct.calcsize(fmt):
+        raise ValueError("snapshot file is truncated inside its header")
+    return struct.unpack(fmt, data)
+
+
 def read_snapshot(path) -> tuple[SpectralGrid, FieldState]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"not a snapshot file (magic {magic!r})")
-        dim, nfields, t = struct.unpack("<IId", fh.read(16))
+        dim, nfields, t = _unpack(fh, "<IId")
         if dim not in (1, 2):
             raise ValueError(f"unsupported dim {dim}")
         if nfields != 1 + dim:
             raise ValueError(f"expected {1 + dim} fields for dim {dim}, found {nfields}")
-        modes = struct.unpack(f"<{dim}Q", fh.read(8 * dim))
-        lengths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        npoints = int(np.prod(modes))
+        modes = _unpack(fh, f"<{dim}Q")
+        lengths = _unpack(fh, f"<{dim}d")
+        for n in modes:
+            check_mode_count(n)
+        npoints = math.prod(modes)
+        expected = fh.tell() + 8 * nfields * npoints
+        if size < expected:
+            raise ValueError(
+                f"snapshot file is truncated: header needs {expected} bytes, file has {size}"
+            )
+        if size > expected:
+            raise ValueError(
+                f"snapshot file has {size - expected} bytes of trailing data after the payload"
+            )
         payload = np.frombuffer(fh.read(8 * nfields * npoints), dtype="<f8")
-        if payload.size != nfields * npoints:
-            raise ValueError("snapshot file is truncated")
     grid = make_grid(dim, lengths, modes)
     fields = payload.reshape(nfields, *modes)
     state = FieldState(a=fields[0].copy(), u=fields[1:].copy(), t=float(t))

@@ -319,6 +319,92 @@ class TestSimulateCommand:
         assert code == 2
 
 
+def snapshot_config(tmp_path, count, name):
+    times = ",".join(repr(0.25 * k) for k in range(count))
+    text = SIMULATE_CFG.replace("snapshot_times = 0.0,0.5,1.0", f"snapshot_times = {times}")
+    return write_cfg(tmp_path, text, name)
+
+
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestOutputDirectory:
+    """An output directory never mixes two runs."""
+
+    def test_existing_empty_directory_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG), "--out", out]) == 0
+        assert (out / "manifest.json").is_file()
+
+    def test_rerun_replaces_the_previous_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", snapshot_config(tmp_path, 5, "five.ini"),
+                        "--out", out]) == 0
+        assert (out / "snap_0004.bin").is_file()
+        assert run_cli(["simulate", "--config", snapshot_config(tmp_path, 2, "two.ini"),
+                        "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {entry["path"] for entry in manifest["files"]}
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+        assert sorted(n for n in listed if n.startswith("snap_")) == ["snap_0000.bin", "snap_0001.bin"]
+
+    @pytest.mark.parametrize("files", [
+        {"notes.txt": b"keep me\n"},
+        {"manifest.json": b"{}\n", "snap_0000.bin": b"not ours"},
+        {"manifest.json": b"not json"},
+    ])
+    def test_directory_without_our_manifest_refused(self, tmp_path, capsys, files):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, data in files.items():
+            (out / name).write_bytes(data)
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert directory_bytes(out) == files
+
+    def test_unlisted_file_beside_a_manifest_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        (out / "notes.txt").write_text("added by hand\n")
+        before = directory_bytes(out)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err and "notes.txt" in err
+        assert directory_bytes(out) == before
+
+    def test_manifest_listing_itself_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"].append({"path": "manifest.json", "bytes": 0, "sha256": ""})
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = directory_bytes(out)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert directory_bytes(out) == before
+
+    def test_previous_run_that_cannot_be_removed_is_a_config_error(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(f"cannot unlink {self}")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+
+
 class TestAnalysisCommands:
     """linear-analyze, decay-verify, lp-inspect."""
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rieszflow import (
+    BesovSpec,
     FieldState,
+    ZeroModeError,
+    apply_multiplier,
     RieszParams,
     SolverConfig,
     build_partition,
@@ -24,7 +27,7 @@ from rieszflow import (
 )
 from rieszflow.diagnostics import default_fit_window
 
-from conftest import smooth_field, smooth_vector
+from conftest import full_lattice_filter, reference_besov, smooth_field, smooth_vector
 
 
 def snapshots_around(grid, params, state, t_mid, h, dt=5e-4):
@@ -206,6 +209,165 @@ class TestLyapunovBlock:
             lyapunov_block(grid_1d, st, part.j_max - 1, 0.7, part, p)
         with pytest.raises(ValueError, match="outside resolved range"):
             lyapunov_block(grid_1d, st, part.j_max + 2, 0.2, part, p)
+
+
+# Full-lattice references: derivative operators go through apply_multiplier,
+# shell blocks through full_lattice_filter, norms through physical lp_norm.
+
+
+def ref_grad_frac(grid, f, sigma):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        symbols = [1j * grid.xi[i] * grid.xi_norm**sigma for i in range(grid.dim)]
+    return np.stack([apply_multiplier(grid, f, m) for m in symbols])
+
+
+def ref_div(grid, v):
+    return sum(apply_multiplier(grid, v[i], 1j * grid.xi[i]) for i in range(grid.dim))
+
+
+def ref_z(grid, st, params):
+    return st.u + params.kappa / params.lam * ref_grad_frac(grid, st.a, 2 * params.s_star - 2)
+
+
+def ref_density_residual(grid, snaps, params):
+    s0, s1, s2 = snaps
+    beta = params.kappa / params.lam
+    terms = [
+        (s2.a - s0.a) / (s2.t - s0.t),
+        beta * apply_multiplier(grid, s1.a, grid.xi_norm ** (2 * params.s_star)),
+        ref_div(grid, ref_z(grid, s1, params)),
+        ref_div(grid, s1.a * s1.u),
+    ]
+    return lp_norm(grid, sum(terms), 2) / max(lp_norm(grid, t, 2) for t in terms)
+
+
+def ref_z_residual(grid, snaps, params):
+    s0, s1, s2 = snaps
+    beta, sigma = params.kappa / params.lam, 2 * params.s_star - 2
+    z1 = ref_z(grid, s1, params)
+    advection = np.stack([
+        sum(s1.u[k] * apply_multiplier(grid, s1.u[i], 1j * grid.xi[k]) for k in range(grid.dim))
+        for i in range(grid.dim)
+    ])
+    residual = (
+        (ref_z(grid, s2, params) - ref_z(grid, s0, params)) / (s2.t - s0.t)
+        + params.lam * z1
+        + beta * ref_grad_frac(grid, ref_div(grid, z1), sigma)
+        + beta**2 * ref_grad_frac(grid, s1.a, 4 * params.s_star - 2)
+        + beta * ref_grad_frac(grid, ref_div(grid, s1.a * s1.u), sigma)
+        + advection
+    )
+    return lp_norm(grid, residual, 2) / lp_norm(grid, z1, 2)
+
+
+def ref_energy(grid, st, part, params, p, j1):
+    d = grid.dim
+    besov = lambda f, s, q, flavor: reference_besov(part, f, BesovSpec(s, q, 1, flavor, j1))
+    comp = {
+        "a_low": besov(st.a, d / p - 1, p, "low"),
+        "u_low": besov(st.u, d / p, p, "low"),
+        "a_high": besov(st.a, d / 2 + 1, 2, "high"),
+        "u_high": besov(st.u, d / 2 + 2 - params.s_star, 2, "high"),
+    }
+    dadt = -ref_div(grid, st.u) - ref_div(grid, st.a * st.u)
+    dissipation = (besov(st.a, d / p - 1 + 2 * params.s_star, p, "low") + comp["u_low"]
+                   + comp["a_high"] + comp["u_high"] + besov(dadt, d / p, p, "full"))
+    return sum(comp.values()), dissipation, comp
+
+
+def ref_lyapunov(grid, st, j, c_tilde, part, params):
+    dv = grid.cell_volume
+    a_j = full_lattice_filter(st.a, part.multiplier(j))
+    u_j = full_lattice_filter(st.u, part.multiplier(j))
+    lam_a = apply_multiplier(grid, a_j, grid.xi_norm**params.s_star)
+    lam_u = np.stack([apply_multiplier(grid, c, grid.xi_norm) for c in u_j])
+    low_a = full_lattice_filter(st.a, part.low_pass_multiplier(j - 1))
+    quad = dv * np.sum(lam_a**2) + dv * np.sum(lam_u**2)
+    cubic = dv * np.sum(low_a * np.sum(lam_u**2, axis=0))
+    cross = -2 * c_tilde * dv * np.sum(a_j * ref_div(grid, u_j))
+    return quad + cubic + cross, quad
+
+
+@pytest.fixture(params=[1, 2], ids=["1d", "2d"])
+def rough_case(request):
+    """Grid, parameters and three seeded standard-normal states (Nyquist content included)."""
+    grid = make_grid(dim=1, lengths=2 * np.pi, modes=64) if request.param == 1 else \
+        make_grid(dim=2, lengths=(2 * np.pi, 3 * np.pi), modes=(32, 24))
+    params = RieszParams.from_s_star(grid.dim, 0.3, lam=0.8, kappa=1.5)
+    rng = np.random.default_rng(11 * request.param)
+    states = []
+    for t in (0.0, 0.2, 0.5):
+        a = rng.standard_normal(grid.shape)
+        states.append(FieldState(a=0.1 * (a - a.mean()),
+                                 u=0.1 * rng.standard_normal((grid.dim,) + grid.shape), t=t))
+    return grid, build_partition(grid), params, states
+
+
+class TestHalfSpectrumOracle:
+    """Half-spectrum diagnostics against full-lattice references."""
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_energy_functionals(self, rough_case, p):
+        grid, part, params, states = rough_case
+        rec = energy_functionals(grid, states[1], part, params, p=p, j1=0)
+        energy, dissipation, comp = ref_energy(grid, states[1], part, params, p, 0)
+        assert rec.energy == pytest.approx(energy, rel=1e-12)
+        assert rec.dissipation == pytest.approx(dissipation, rel=1e-12)
+        for key, value in comp.items():
+            assert rec.components[key] == pytest.approx(value, rel=1e-12)
+
+    def test_lyapunov_block_and_equivalence(self, rough_case):
+        grid, part, params, states = rough_case
+        for j in range(max(-1, part.j_min), part.j_max + 1):
+            total, quad = ref_lyapunov(grid, states[1], j, 0.3, part, params)
+            assert lyapunov_block(grid, states[1], j, 0.3, part, params) == pytest.approx(total, rel=1e-12)
+            assert lyapunov_equivalence(grid, states[1], j, 0.3, part, params) == pytest.approx(
+                total / quad, rel=1e-12)
+
+    def test_residuals(self, rough_case):
+        grid, _, params, states = rough_case
+        got = density_equation_residual(grid, states, params)
+        assert abs(got - ref_density_residual(grid, states, params)) <= 1e-12
+        got = z_equation_residual(grid, states, params)
+        assert abs(got - ref_z_residual(grid, states, params)) <= 1e-12
+
+    def test_effective_velocity(self, rough_case):
+        grid, _, params, states = rough_case
+        z = effective_velocity(grid, states[1], params)
+        assert np.max(np.abs(z - ref_z(grid, states[1], params))) <= 1e-13
+
+    def test_nonzero_mean_density_raises(self, rough_case):
+        grid, _, params, states = rough_case
+        shifted = [FieldState(a=s.a + 0.5, u=s.u, t=s.t) for s in states]
+        with pytest.raises(ZeroModeError):
+            effective_velocity(grid, shifted[1], params)
+        with pytest.raises(ZeroModeError):
+            density_equation_residual(grid, shifted, params)
+        with pytest.raises(ZeroModeError):
+            z_equation_residual(grid, shifted, params)
+
+
+class TestTransformCount:
+    """Each diagnostic transforms each input field once, whatever the shell."""
+
+    def test_energy_functionals_p2(self, grid_2d, rng, fft_calls):
+        st = FieldState(a=rng.standard_normal(grid_2d.shape),
+                        u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
+        energy_functionals(grid_2d, st, build_partition(grid_2d), RieszParams(dim=2, alpha=1.0))
+        assert sum(fft_calls.values()) <= 3
+
+    def test_lyapunov_block_count_does_not_depend_on_j(self, grid_2d, rng, fft_calls):
+        part = build_partition(grid_2d)
+        params = RieszParams(dim=2, alpha=1.0)
+        st = FieldState(a=rng.standard_normal(grid_2d.shape),
+                        u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
+        counts = []
+        for j in part.js:
+            before = sum(fft_calls.values())
+            lyapunov_block(grid_2d, st, j, 0.25, part, params)
+            counts.append(sum(fft_calls.values()) - before)
+        assert fft_calls["fftn"] == fft_calls["ifftn"] == 0
+        assert len(set(counts)) == 1
 
 
 class TestDecayFit:

@@ -20,7 +20,7 @@ from rieszflow import (
     verify_wu_lower_bound,
 )
 
-from conftest import smooth_field
+from conftest import full_lattice_filter, reference_besov, sequence_norm, smooth_field
 
 
 def shell_mode(grid, j, rng):
@@ -203,6 +203,85 @@ class TestCheminLerner:
             chemin_lerner_norm(part, np.array([0.0, 1.0]), [f], 1.0, spec)
         with pytest.raises(ValueError, match="rho_exp"):
             chemin_lerner_norm(part, np.array([0.0, 1.0]), [f, f], 0.5, spec)
+
+
+@pytest.fixture(params=[1, 2], ids=["1d", "2d"])
+def lattice(request):
+    """A 1D or 2D grid, its partition, a threshold j1 inside the resolved range."""
+    grid = make_grid(dim=1, lengths=2.0 * np.pi, modes=64) if request.param == 1 else \
+        make_grid(dim=2, lengths=2.0 * np.pi, modes=32)
+    part = build_partition(grid)
+    return grid, part, (part.j_min + part.j_max) // 2
+
+
+class TestHalfSpectrumOracle:
+    """Half-spectrum blocks and norms against full-lattice references.
+
+    The fields are seeded standard-normal samples, so every mode carries
+    content, the Nyquist planes included.
+    """
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("flavor", ["full", "low", "high"])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_besov_norm(self, lattice, p, flavor, vector):
+        grid, part, j1 = lattice
+        rng = np.random.default_rng(31 + p)
+        f = rng.standard_normal(((grid.dim,) if vector else ()) + grid.shape)
+        for r in (1, 2, np.inf):
+            spec = BesovSpec(s=0.7, p=p, r=r, flavor=flavor, j1=j1)
+            assert besov_norm(part, f, spec) == pytest.approx(reference_besov(part, f, spec), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("rho", [1.0, np.inf])
+    def test_chemin_lerner_norm(self, lattice, rho, p):
+        grid, part, j1 = lattice
+        rng = np.random.default_rng(47)
+        times = np.array([0.0, 0.3, 0.5, 1.1])
+        fields = [rng.standard_normal(grid.shape) for _ in times]
+        spec = BesovSpec(s=0.5, p=p, r=1, flavor="high", j1=j1)
+        weighted = []
+        for j in part.js:
+            if j < j1 - 1:
+                continue
+            series = np.array([lp_norm(grid, full_lattice_filter(f, part.multiplier(j)), p)
+                               for f in fields])
+            tnorm = series.max() if rho == np.inf else np.trapezoid(series**rho, times) ** (1 / rho)
+            weighted.append(2.0 ** (j * spec.s) * tnorm)
+        want = sequence_norm(weighted, spec.r)
+        assert chemin_lerner_norm(part, times, fields, rho, spec) == pytest.approx(want, rel=1e-12)
+
+    def test_blocks_and_low_pass(self, lattice):
+        grid, part, _ = lattice
+        f = np.random.default_rng(5).standard_normal((grid.dim,) + grid.shape)
+        for j in part.js:
+            assert np.allclose(dyadic_block(part, f, j), full_lattice_filter(f, part.multiplier(j)),
+                               rtol=0, atol=1e-13)
+            assert np.allclose(low_pass(part, f, j), full_lattice_filter(f, part.low_pass_multiplier(j)),
+                               rtol=0, atol=1e-13)
+
+    def test_half_masks_are_views_of_the_cached_arrays(self, lattice):
+        grid, part, _ = lattice
+        j = part.j_max - 1
+        for full in (part.multiplier(j), part.low_pass_multiplier(j)):
+            half = grid.half(full)
+            assert half.base is full
+            assert half.shape == grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+
+
+class TestTransformCount:
+    """Each public norm transforms its input once."""
+
+    def test_p2_besov_of_a_vector_field_is_one_forward_transform(self, grid_2d, rng, fft_calls):
+        part = build_partition(grid_2d)
+        v = rng.standard_normal((2,) + grid_2d.shape)
+        besov_norm(part, v, BesovSpec(s=0.5, p=2, r=1))
+        assert fft_calls == {"fftn": 0, "ifftn": 0, "rfftn": 1, "irfftn": 0}
+
+    def test_p4_besov_is_one_inverse_transform_per_shell(self, grid_2d, rng, fft_calls):
+        part = build_partition(grid_2d)
+        besov_norm(part, rng.standard_normal(grid_2d.shape), BesovSpec(s=0.5, p=4, r=1))
+        assert fft_calls == {"fftn": 0, "ifftn": 0, "rfftn": 1, "irfftn": len(part.js)}
 
 
 class TestBernstein:

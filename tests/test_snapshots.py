@@ -1,5 +1,8 @@
 """Binary snapshot container round trips and validation."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,40 @@ class TestValidation:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            read_snapshot(path)
+
+    def test_trailing_byte(self, tmp_path, grid_1d, rng):
+        st = FieldState(a=smooth_field(grid_1d, rng), u=smooth_vector(grid_1d, rng), t=0.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, grid_1d, st)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 bytes of trailing data"):
+            read_snapshot(path)
+
+    def test_huge_mode_count_fails_before_allocating(self, tmp_path, grid_1d, rng):
+        st = FieldState(a=smooth_field(grid_1d, rng), u=smooth_vector(grid_1d, rng), t=0.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, grid_1d, st)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 24, 2**40)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                read_snapshot(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_odd_mode_count(self, tmp_path, grid_1d, rng):
+        st = FieldState(a=smooth_field(grid_1d, rng), u=smooth_vector(grid_1d, rng), t=0.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, grid_1d, st)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, 24, 63)
+        path.write_bytes(bytes(data)[:-16])  # payload sized for 63 points
+        with pytest.raises(ValueError, match="even and >= 8, got 63"):
             read_snapshot(path)
 
     def test_magic_constant(self):
