@@ -28,6 +28,7 @@ from .grid import (
     lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
     spectral_inner,
     spectral_power,
+    state_fields,
 )
 from .littlewood_paley import (  # noqa: F401  (besov_norm, dyadic_block: as lp_norm above)
     BesovSpec,
@@ -74,14 +75,6 @@ class DecayFit:
     r_squared: float
 
 
-def _fields(grid: SpectralGrid, state: FieldState) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(state.a, dtype=float)
-    u = np.asarray(state.u, dtype=float)
-    if a.shape != grid.shape or u.shape != (grid.dim,) + grid.shape:
-        raise ValueError("state shapes do not match the grid")
-    return a, u
-
-
 def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: RieszParams) -> np.ndarray:
     """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a."""
     return u_hat + params.kappa / params.lam * half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
@@ -89,7 +82,7 @@ def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: Rie
 
 def effective_velocity(grid: SpectralGrid, state: FieldState, params: RieszParams) -> np.ndarray:
     """z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a (linear in the state)."""
-    a, u = _fields(grid, state)
+    a, u = state_fields(grid, state)
     _require_mean_zero(a, _Z_SINGULAR)
     beta = params.kappa / params.lam
     return u + beta * grid.irfft(half_grad_frac(grid, grid.rfft(a), 2.0 * params.s_star - 2.0))
@@ -113,7 +106,7 @@ def density_equation_residual(
     at the middle snapshot, normalized by the largest constituent term.
     """
     s0, s1, s2 = _centered_triplet(snapshots)
-    (a0, _), (a1, u1), (a2, _) = (_fields(grid, s) for s in (s0, s1, s2))
+    (a0, _), (a1, u1), (a2, _) = (state_fields(grid, s) for s in (s0, s1, s2))
     _require_mean_zero(a1, _Z_SINGULAR)
     beta = params.kappa / params.lam
     a_hat = grid.rfft(a1)
@@ -138,7 +131,7 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     with beta = kappa/lam, normalized by ||z|| at the middle snapshot.
     """
     s0, s1, s2 = _centered_triplet(snapshots)
-    (a0, u0), (a1, u1), (a2, u2) = (_fields(grid, s) for s in (s0, s1, s2))
+    (a0, u0), (a1, u1), (a2, u2) = (state_fields(grid, s) for s in (s0, s1, s2))
     for a in (a0, a1, a2):
         _require_mean_zero(a, _Z_SINGULAR)
     beta = params.kappa / params.lam
@@ -197,7 +190,7 @@ def energy_functionals(
             stacklevel=2,
         )
     d = grid.dim
-    a, u = _fields(grid, state)
+    a, u = state_fields(grid, state)
     u_hat = grid.rfft(u)
     a_shells = ShellNorms(partition, grid.rfft(a))
     u_shells = ShellNorms(partition, u_hat)
@@ -234,7 +227,7 @@ def _lyapunov_parts(
     if not (0 < c_tilde < 0.5):
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     partition.check_j(j)
-    a, u = _fields(grid, state)
+    a, u = state_fields(grid, state)
     a_hat = grid.rfft(a)
     m = grid.half(partition.multiplier(j))
     a_j = m * a_hat

@@ -5,19 +5,21 @@ Conventions shared by every module in the package:
 * On axis i with N_i modes and box length L_i the wavenumber lattice is
   xi_k = 2*pi*k/L_i for integer k in [-N_i/2, N_i/2).  The lattice is
   symmetric about zero except for the unpaired Nyquist mode k = -N_i/2.
-* Multipliers act as f -> ifft(m(xi) * fft(f)).  The zero mode carries
-  the spatial mean.  A symbol that is singular at xi = 0 may only be
-  applied to a mean-zero field; the zero mode is then mapped to 0.
-* On the Nyquist region (lattice points with an unpaired Nyquist
-  coordinate, plus the self-conjugate points) multiplier symbols are
-  projected onto their Hermitian part, m -> (m(xi) + conj(m(-xi)))/2.
-  This zeroes odd-in-xi_i symbols on the axis-i Nyquist plane, where
-  they cannot be represented, and keeps real input fields real.
+* Fields are real, so every operator works on the real-to-complex half
+  spectrum: ``rfftn`` over the trailing ``dim`` axes keeps last-axis
+  indices 0..N_d/2.  Half-lattice arrays are the ``[..., :N_d/2 + 1]``
+  slices of the full-lattice ones.  Multipliers act as
+  f -> irfftn(m(xi) * rfftn(f)).  The zero mode carries the spatial mean.
+  A symbol that is singular at xi = 0 may only be applied to a mean-zero
+  field; the zero mode is then mapped to 0.
+* A multiplier symbol must be Hermitian, m(-xi) = conj(m(xi)), off the
+  Nyquist region (lattice points with an unpaired Nyquist coordinate,
+  plus the self-conjugate points); this is checked on the symbol itself.
+  On the Nyquist region symbols are projected onto their Hermitian part,
+  m -> (m(xi) + conj(m(-xi)))/2.  This zeroes odd-in-xi_i symbols on the
+  axis-i Nyquist plane, where they cannot be represented.
 * Discrete L^p norms include the cell volume: ||f||_p^p = sum |f|^p dV.
-* Diagnostics work on the real-to-complex half spectrum: ``rfftn`` over
-  the trailing ``dim`` axes keeps last-axis indices 0..N_d/2.  Half-lattice
-  arrays are the ``[..., :N_d/2 + 1]`` slices of the full-lattice ones,
-  and Parseval sums weight the interior last-axis columns by 2, the k = 0
+* Parseval sums weight the interior last-axis columns by 2, the k = 0
   and k = N_d/2 columns by 1.  A sum that never passes through an inverse
   transform cannot rely on it to drop unrepresentable content, so the
   half-lattice derivative symbols i xi_i are zero on their own axis-i
@@ -54,12 +56,14 @@ __all__ = [
     "half_l2",
     "half_divergence",
     "half_grad_frac",
+    "half_compressible",
+    "state_fields",
 ]
 
 #: relative tolerance used to decide whether a field counts as mean-zero
 MEAN_ZERO_RTOL = 1e-10
 
-#: tolerance on the imaginary part left over after an inverse transform
+#: relative tolerance on the Hermitian symmetry m(-xi) = conj(m(xi)) of a symbol
 REALITY_RTOL = 1e-10
 
 
@@ -147,22 +151,13 @@ class SpectralGrid:
             xi = (gx, gy)
         xi_norm = np.sqrt(sum(c * c for c in xi))
 
-        sc_1d = []
-        for n in self.modes:
-            b = np.zeros(n, dtype=bool)
-            b[0] = True
-            b[n // 2] = True
-            sc_1d.append(b)
-        if self.dim == 1:
-            self_conj = sc_1d[0]
-        else:
-            self_conj = np.logical_and.outer(sc_1d[0], sc_1d[1])
-
         # Per-axis Nyquist planes: index N_i/2 along axis i, anything on
         # the other axes, as masks that broadcast over the lattice.  On
         # such a plane the xi_i coordinate has no negation partner, so
-        # odd-in-xi_i symbols cannot be represented.
+        # odd-in-xi_i symbols cannot be represented.  Self-conjugate
+        # points have index 0 or N_i/2 on every axis.
         planes, axis_xi = [], []
+        self_conj = np.ones(self.modes, dtype=bool)
         for ax, n in enumerate(self.modes):
             sl: list = [None] * self.dim
             sl[ax] = slice(None)
@@ -170,6 +165,7 @@ class SpectralGrid:
             p1d[n // 2] = True
             planes.append(p1d[tuple(sl)])
             axis_xi.append(axes[ax][tuple(sl)])
+            self_conj &= (p1d | (axes[ax] == 0))[tuple(sl)]
         region = self_conj.copy()
         for p in planes:
             region |= p
@@ -332,6 +328,29 @@ def _require_mean_zero(field: np.ndarray, what: str) -> None:
         )
 
 
+def _scalar_field(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
+    return f
+
+
+def _vector_field(grid: SpectralGrid, v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.dim,) + grid.shape:
+        raise ValueError("vector field must have shape (dim, *grid.shape)")
+    return v
+
+
+def state_fields(grid: SpectralGrid, state: FieldState) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, u)`` of a state as float arrays, checked against the grid's shapes."""
+    a = np.asarray(state.a, dtype=float)
+    u = np.asarray(state.u, dtype=float)
+    if a.shape != grid.shape or u.shape != (grid.dim,) + grid.shape:
+        raise ValueError("state shapes do not match the grid")
+    return a, u
+
+
 def _evaluate_symbol(grid: SpectralGrid, symbol) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = symbol(*grid.xi) if callable(symbol) else symbol
@@ -350,20 +369,20 @@ def _negate_lattice(m: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(grid: SpectralGrid, field: np.ndarray, symbol) -> np.ndarray:
-    """Apply a Fourier multiplier to a real scalar field.
+    """Apply a Fourier multiplier to a real scalar field: irfftn(m * rfftn(f)).
 
     ``symbol`` is either an ndarray over the wavenumber lattice or a
     callable invoked with one wavenumber-component mesh per axis.  A
     non-finite symbol value at xi = 0 is allowed only for mean-zero
     fields and is replaced by 0; non-finite values elsewhere are an
-    error.  On the Nyquist region (planes with an unpaired Nyquist
-    coordinate, plus self-conjugate points) the symbol is projected
-    onto its Hermitian part, which zeroes odd symbols such as i*xi_1
-    on the k_1 = N_1/2 plane and keeps real input fields real.
+    error.  Off the Nyquist region the symbol must be Hermitian,
+    m(-xi) = conj(m(xi)) to ``REALITY_RTOL`` relative to max |m|, whatever
+    the field's content.  On the Nyquist region (planes with an unpaired
+    Nyquist coordinate, plus self-conjugate points) the symbol is
+    projected onto its Hermitian part, which zeroes odd symbols such as
+    i*xi_1 on the k_1 = N_1/2 plane.
     """
-    field = np.asarray(field, dtype=float)
-    if field.shape != grid.shape:
-        raise ValueError(f"field shape {field.shape} does not match grid shape {grid.shape}")
+    field = _scalar_field(grid, field)
     m = _evaluate_symbol(grid, symbol)
 
     zero = grid.zero_index
@@ -373,17 +392,12 @@ def apply_multiplier(grid: SpectralGrid, field: np.ndarray, symbol) -> np.ndarra
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("multiplier symbol is non-finite away from the zero mode")
 
+    mirror = np.conj(_negate_lattice(m))
     ny = grid.nyquist_region
-    herm = 0.5 * (m + np.conj(_negate_lattice(m)))
-    m[ny] = herm[ny]
-
-    out = np.fft.ifftn(m * np.fft.fftn(field))
-    scale = float(np.max(np.abs(out)))
-    if scale > 0 and float(np.max(np.abs(out.imag))) > REALITY_RTOL * scale:
-        raise ValueError(
-            "multiplier output has a large imaginary part; the symbol is not Hermitian"
-        )
-    return np.ascontiguousarray(out.real)
+    if float(np.max(np.abs(m - mirror)[~ny])) > REALITY_RTOL * float(np.max(np.abs(m))):
+        raise ValueError("multiplier symbol is not Hermitian: m(-xi) != conj(m(xi)) off the Nyquist region")
+    m[ny] = 0.5 * (m[ny] + mirror[ny])
+    return grid.irfft(grid.half(m) * grid.rfft(field))
 
 
 def frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarray:
@@ -403,15 +417,14 @@ def frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarr
 
 
 def grad_frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarray:
-    """Gradient composed with |nabla|^sigma: component i has symbol i xi_i |xi|^sigma."""
-    field = np.asarray(field, dtype=float)
-    comps = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = grid.xi_norm**sigma
-        symbols = [1j * grid.xi[i] * power for i in range(grid.dim)]
-    for i in range(grid.dim):
-        comps.append(apply_multiplier(grid, field, symbols[i]))
-    return np.stack(comps)
+    """Gradient composed with |nabla|^sigma: component i has symbol i xi_i |xi|^sigma.
+
+    A negative sigma is singular at xi = 0 and requires a mean-zero field.
+    """
+    field = _scalar_field(grid, field)
+    if sigma < 0:
+        _require_mean_zero(field, "a multiplier singular at xi = 0")
+    return grid.irfft(half_grad_frac(grid, grid.rfft(field), sigma))
 
 
 def riesz_force(grid: SpectralGrid, a: np.ndarray, params: RieszParams) -> np.ndarray:
@@ -425,27 +438,20 @@ def riesz_force(grid: SpectralGrid, a: np.ndarray, params: RieszParams) -> np.nd
 
 
 def gradient(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    return np.stack([apply_multiplier(grid, f, 1j * grid.xi[i]) for i in range(grid.dim)])
+    return grad_frac_lambda(grid, f, 0.0)
 
 
 def divergence(grid: SpectralGrid, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.dim,) + grid.shape:
-        raise ValueError("vector field must have shape (dim, *grid.shape)")
-    out = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        out += apply_multiplier(grid, v[i], 1j * grid.xi[i])
-    return out
+    return grid.irfft(half_divergence(grid, grid.rfft(_vector_field(grid, v))))
 
 
 def curl(grid: SpectralGrid, v: np.ndarray) -> np.ndarray:
     """Scalar curl d1 v2 - d2 v1 for d = 2; identically zero for d = 1."""
-    v = np.asarray(v, dtype=float)
+    v = _vector_field(grid, v)
     if grid.dim == 1:
         return np.zeros(grid.shape)
-    return apply_multiplier(grid, v[1], 1j * grid.xi[0]) - apply_multiplier(
-        grid, v[0], 1j * grid.xi[1]
-    )
+    v_hat = grid.rfft(v)
+    return grid.irfft(grid.half_grad[0] * v_hat[1] - grid.half_grad[1] * v_hat[0])
 
 
 def hodge_split(grid: SpectralGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,33 +462,27 @@ def hodge_split(grid: SpectralGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     symbols xi_i/|xi| vanish on their own Nyquist plane, so velocity
     content there is assigned to neither scalar.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.dim,) + grid.shape:
-        raise ValueError("vector field must have shape (dim, *grid.shape)")
+    u = _vector_field(grid, u)
     for i in range(grid.dim):
         _require_mean_zero(u[i], "the Hodge split (|nabla|^(-1) is singular at xi = 0)")
-    units = grid.xi_unit
-    u_hat = [np.fft.fftn(u[i]) for i in range(grid.dim)]
-    m_hat = 1j * sum(units[i] * u_hat[i] for i in range(grid.dim))
-    m = np.fft.ifftn(m_hat).real
+    u_hat = grid.rfft(u)
+    m = grid.irfft(half_compressible(grid, u_hat))
     if grid.dim == 1:
-        omega = np.zeros(grid.shape)
-    else:
-        w_hat = 1j * (units[0] * u_hat[1] - units[1] * u_hat[0])
-        omega = np.fft.ifftn(w_hat).real
-    return m, omega
+        return m, np.zeros(grid.shape)
+    n0, n1 = (grid.half(c) for c in grid.xi_unit)
+    return m, grid.irfft(1j * (n0 * u_hat[1] - n1 * u_hat[0]))
 
 
 def hodge_reconstruct(grid: SpectralGrid, m: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hodge_split`: u = -|nabla|^(-1) grad m + rotational part."""
-    units = grid.xi_unit
-    m_hat = np.fft.fftn(np.asarray(m, dtype=float))
-    comps = [-1j * units[i] * m_hat for i in range(grid.dim)]
+    units = [grid.half(c) for c in grid.xi_unit]
+    m_hat = grid.rfft(_scalar_field(grid, m))
+    comps = [-1j * n * m_hat for n in units]
     if grid.dim == 2:
-        w_hat = np.fft.fftn(np.asarray(omega, dtype=float))
+        w_hat = grid.rfft(_scalar_field(grid, omega))
         comps[0] = comps[0] + 1j * units[1] * w_hat
         comps[1] = comps[1] - 1j * units[0] * w_hat
-    return np.stack([np.fft.ifftn(c).real for c in comps])
+    return grid.irfft(np.stack(comps))
 
 
 def _pointwise_magnitude(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
@@ -546,3 +546,8 @@ def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.nda
         power = grid.half_xi_norm**sigma
     power[grid.zero_index] = 0.0
     return np.stack([g * power * fhat for g in grid.half_grad])
+
+
+def half_compressible(grid: SpectralGrid, uhat: np.ndarray) -> np.ndarray:
+    """Half spectrum of the compressible scalar |nabla|^(-1) div u: i sum_i (xi_i/|xi|) u_i."""
+    return 1j * sum(grid.half(grid.xi_unit[i]) * uhat[i] for i in range(grid.dim))

@@ -22,24 +22,26 @@ reads the payload.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
 
 import numpy as np
 
-from .grid import FieldState, SpectralGrid, check_mode_count, make_grid
+from .grid import FieldState, SpectralGrid, check_mode_count, make_grid, state_fields
 
 __all__ = ["MAGIC", "write_snapshot", "read_snapshot"]
 
 MAGIC = b"SPECFLD1"
 
+# Consecutive reads of one run's snapshots share their header, so they
+# share one grid; a single entry keeps the memory bounded.
+_grid_for_header = functools.lru_cache(maxsize=1)(make_grid)
+
 
 def write_snapshot(path, grid: SpectralGrid, state: FieldState) -> None:
-    a = np.asarray(state.a, dtype=float)
-    u = np.asarray(state.u, dtype=float)
-    if a.shape != grid.shape or u.shape != (grid.dim,) + grid.shape:
-        raise ValueError("state shapes do not match the grid")
+    a, u = state_fields(grid, state)
     nfields = 1 + grid.dim
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -59,6 +61,7 @@ def _unpack(fh, fmt: str) -> tuple:
 
 
 def read_snapshot(path) -> tuple[SpectralGrid, FieldState]:
+    """Read one snapshot; a header equal to the previous read's returns the same grid object."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
@@ -84,7 +87,7 @@ def read_snapshot(path) -> tuple[SpectralGrid, FieldState]:
                 f"snapshot file has {size - expected} bytes of trailing data after the payload"
             )
         payload = np.frombuffer(fh.read(8 * nfields * npoints), dtype="<f8")
-    grid = make_grid(dim, lengths, modes)
+    grid = _grid_for_header(dim, lengths, modes)
     fields = payload.reshape(nfields, *modes)
     state = FieldState(a=fields[0].copy(), u=fields[1:].copy(), t=float(t))
     return grid, state

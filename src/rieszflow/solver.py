@@ -26,7 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FieldState, RieszParams, SpectralGrid, lp_norm
+from .grid import (
+    FieldState,
+    RieszParams,
+    SpectralGrid,
+    _negate_lattice,
+    half_compressible,
+    half_divergence,
+    lp_norm,
+    state_fields,
+)
 from .spectrum import propagator
 
 __all__ = [
@@ -92,105 +101,91 @@ class Trajectory:
 
 
 class _Scheme:
-    """Spectral-side state machine shared by the public entry points."""
+    """Spectral-side state machine shared by the public entry points.
 
-    def __init__(self, grid: SpectralGrid, params: RieszParams, config: SolverConfig):
-        if params.dim != grid.dim:
+    The state is one complex array of shape (1 + dim, *half_shape): the
+    half spectra of the density fluctuation and of the velocity components.
+    """
+
+    def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
+        if params is not None and params.dim != grid.dim:
             raise ValueError(f"params dim {params.dim} does not match grid dim {grid.dim}")
         self.grid = grid
         self.params = params
-        self.config = config
-        self.mask = grid.dealias_mask(config.dealias)
-        self.units = grid.xi_unit
-        self.ik = [1j * grid.xi[i] for i in range(grid.dim)]
+        self.mask = grid.half(grid.dealias_mask(dealias))
+        self.units = np.stack([grid.half(c) for c in grid.xi_unit])
         self._factors: dict = {}
 
     # -- linear part ---------------------------------------------------
 
     def factors(self, h: float):
-        fac = self._factors.get(h)
+        """Propagator factors for step h; the two latest step sizes (a segment's h, h/2) are kept."""
+        fac = self._factors.pop(h, None)
         if fac is None:
             g, p = self.grid, self.params
-            P = propagator(g.xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
+            P = propagator(g.half_xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
+            P = np.moveaxis(P, (-2, -1), (0, 1)).copy()
             rot = math.exp(-p.lam * h)
-            ny = g.nyquist_region
-            p11 = P[..., 0, 0].copy()
-            p12 = P[..., 0, 1].copy()
-            p21 = P[..., 1, 0].copy()
-            p22 = P[..., 1, 1].copy()
             # the odd coupling symbols vanish on the Nyquist region, so
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
-            p11[ny] = 1.0
-            p12[ny] = 0.0
-            p21[ny] = 0.0
-            p22[ny] = rot
-            fac = (p11, p12, p21, p22, rot)
-            self._factors[h] = fac
+            P[:, :, g.half(g.nyquist_region)] = [[[1.0], [0.0]], [[0.0], [rot]]]
+            fac = (P, rot)
+            if len(self._factors) == 2:
+                del self._factors[next(iter(self._factors))]
+        self._factors[h] = fac
         return fac
 
-    def apply_linear(self, a_hat, u_hat, h: float):
-        p11, p12, p21, p22, rot = self.factors(h)
-        m_hat = 1j * sum(self.units[i] * u_hat[i] for i in range(self.grid.dim))
-        a_new = p11 * a_hat + p12 * m_hat
-        m_new = p21 * a_hat + p22 * m_hat
-        u_new = []
-        for i in range(self.grid.dim):
-            rot_i = u_hat[i] + 1j * self.units[i] * m_hat
-            u_new.append(-1j * self.units[i] * m_new + rot * rot_i)
-        return a_new, u_new
+    def apply_linear(self, s: np.ndarray, h: float) -> np.ndarray:
+        ((p11, p12), (p21, p22)), rot = self.factors(h)
+        m_hat = half_compressible(self.grid, s[1:])
+        out = np.empty_like(s)
+        out[0] = p11 * s[0] + p12 * m_hat
+        m_new = p21 * s[0] + p22 * m_hat
+        out[1:] = -1j * self.units * m_new + rot * (s[1:] + 1j * self.units * m_hat)
+        return out
 
     # -- nonlinear part ------------------------------------------------
 
-    def rhs(self, a_hat, u_hat):
-        g = self.grid
-        a = np.fft.ifftn(a_hat * self.mask).real
-        u = [np.fft.ifftn(u_hat[i] * self.mask).real for i in range(g.dim)]
-        na = np.zeros(g.shape, dtype=complex)
-        for i in range(g.dim):
-            na -= self.ik[i] * np.fft.fftn(a * u[i])
-        na *= self.mask
-        nu = []
-        for i in range(g.dim):
-            conv = np.zeros(g.shape)
-            for jax in range(g.dim):
-                du_ij = np.fft.ifftn(self.ik[jax] * (u_hat[i] * self.mask)).real
-                conv += u[jax] * du_ij
-            nu.append(-np.fft.fftn(conv) * self.mask)
-        return na, nu
+    def rhs(self, s: np.ndarray) -> np.ndarray:
+        g, d = self.grid, self.grid.dim
+        masked = s * self.mask
+        fields = g.irfft(masked)
+        a, u = fields[0], fields[1:]
+        # du[i, j] = d_j u_i, all d^2 components in one transform
+        du = g.irfft(np.stack([k * masked[1 + i] for i in range(d) for k in g.half_grad]))
+        du = du.reshape((d, d) + g.shape)
+        out = np.empty_like(s)
+        out[0] = -half_divergence(g, g.rfft(a * u))
+        out[1:] = -g.rfft(np.sum(u * du, axis=1))
+        out *= self.mask
+        return out
 
-    def step(self, a_hat, u_hat, h: float):
-        if self.config.linear_only:
-            return self.apply_linear(a_hat, u_hat, h)
-        if self.config.integrator == "exp-euler":
-            na, nu = self.rhs(a_hat, u_hat)
-            return self.apply_linear(
-                a_hat + h * na, [u_hat[i] + h * nu[i] for i in range(self.grid.dim)], h
-            )
-        return self._step_ifrk4(a_hat, u_hat, h)
+    def step_exp_euler(self, s: np.ndarray, h: float) -> np.ndarray:
+        return self.apply_linear(s + h * self.rhs(s), h)
 
-    def _step_ifrk4(self, a_hat, u_hat, h: float):
-        d = self.grid.dim
+    def step_ifrk4(self, s: np.ndarray, h: float) -> np.ndarray:
         half = 0.5 * h
-        na1, nu1 = self.rhs(a_hat, u_hat)
+        n1 = self.rhs(s)
+        s_half = self.apply_linear(s, half)
+        n2 = self.rhs(s_half + half * self.apply_linear(n1, half))
+        n3 = self.rhs(s_half + half * n2)
+        s_full = self.apply_linear(s, h)
+        n4 = self.rhs(s_full + h * self.apply_linear(n3, half))
+        return s_full + (h / 6.0) * (
+            self.apply_linear(n1, h) + 2.0 * self.apply_linear(n2 + n3, half) + n4
+        )
 
-        ah_half, uh_half = self.apply_linear(a_hat, u_hat, half)
-        sn1a, sn1u = self.apply_linear(na1, nu1, half)
-        na2, nu2 = self.rhs(ah_half + half * sn1a, [uh_half[i] + half * sn1u[i] for i in range(d)])
 
-        na3, nu3 = self.rhs(ah_half + half * na2, [uh_half[i] + half * nu2[i] for i in range(d)])
+def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:
+    """Stacked half spectra of (a, u_1, ..., u_d), one transform."""
+    a, u = state_fields(grid, state)
+    return grid.rfft(np.concatenate([a[None], u]))
 
-        ah_full, uh_full = self.apply_linear(a_hat, u_hat, h)
-        sn3a, sn3u = self.apply_linear(na3, nu3, half)
-        na4, nu4 = self.rhs(ah_full + h * sn3a, [uh_full[i] + h * sn3u[i] for i in range(d)])
 
-        s1a, s1u = self.apply_linear(na1, nu1, h)
-        s23a, s23u = self.apply_linear(na2 + na3, [nu2[i] + nu3[i] for i in range(d)], half)
-        a_new = ah_full + (h / 6.0) * (s1a + 2.0 * s23a + na4)
-        u_new = [
-            uh_full[i] + (h / 6.0) * (s1u[i] + 2.0 * s23u[i] + nu4[i]) for i in range(d)
-        ]
-        return a_new, u_new
+def _physical_state(grid: SpectralGrid, s: np.ndarray, t: float) -> FieldState:
+    fields = grid.irfft(s)
+    return FieldState(a=fields[0], u=fields[1:], t=t)
 
 
 def rhs_nonlinear(
@@ -201,35 +196,16 @@ def rhs_nonlinear(
     The density tendency has exactly zero mean.  ``params`` only supplies
     the dimension check and may be omitted.
     """
-    config = SolverConfig(dt=1.0, t_end=1.0, dealias=dealias)
-    p = params if params is not None else RieszParams.from_s_star(grid.dim, 0.5)
-    scheme = _Scheme(grid, p, config)
-    a_hat = np.fft.fftn(np.asarray(state.a, dtype=float))
-    u_hat = [np.fft.fftn(np.asarray(state.u[i], dtype=float)) for i in range(grid.dim)]
-    na, nu = scheme.rhs(a_hat, u_hat)
-    da = np.fft.ifftn(na).real
-    du = np.stack([np.fft.ifftn(c).real for c in nu])
-    return da, du
+    out = grid.irfft(_Scheme(grid, params, dealias).rhs(_state_spectrum(grid, state)))
+    return out[0], out[1:]
 
 
 def linear_step(grid: SpectralGrid, state: FieldState, params: RieszParams, dt: float) -> FieldState:
     """Advance the state by the exact linear propagator over one step."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    config = SolverConfig(dt=max(dt, 1e-300), t_end=max(dt, 0.0), linear_only=True)
-    scheme = _Scheme(grid, params, config)
-    a_hat = np.fft.fftn(np.asarray(state.a, dtype=float))
-    u_hat = [np.fft.fftn(np.asarray(state.u[i], dtype=float)) for i in range(grid.dim)]
-    a_new, u_new = scheme.apply_linear(a_hat, u_hat, dt)
-    a = np.fft.ifftn(a_new).real
-    u = np.stack([np.fft.ifftn(c).real for c in u_new])
-    return FieldState(a=a, u=u, t=state.t + dt)
-
-
-def _physical_state(grid: SpectralGrid, a_hat, u_hat, t: float) -> FieldState:
-    a = np.fft.ifftn(a_hat).real
-    u = np.stack([np.fft.ifftn(u_hat[i]).real for i in range(grid.dim)])
-    return FieldState(a=a, u=u, t=t)
+    s = _Scheme(grid, params).apply_linear(_state_spectrum(grid, state), dt)
+    return _physical_state(grid, s, state.t + dt)
 
 
 def _basic_diagnostics(grid: SpectralGrid, state: FieldState) -> dict:
@@ -251,16 +227,17 @@ def integrate(
     trajectory keeps the snapshots recorded so far, and the status
     reports the failure kind together with the abort time.
     """
-    a0 = np.asarray(initial.a, dtype=float)
-    u0 = np.asarray(initial.u, dtype=float)
-    if a0.shape != grid.shape or u0.shape != (grid.dim,) + grid.shape:
-        raise ValueError("initial state shapes do not match the grid")
-    if float(1.0 + np.min(a0)) < config.positivity_floor:
+    s = _state_spectrum(grid, initial)
+    if float(1.0 + np.min(initial.a)) < config.positivity_floor:
         raise ValueError("initial density already below the positivity floor")
 
-    scheme = _Scheme(grid, params, config)
-    a_hat = np.fft.fftn(a0)
-    u_hat = [np.fft.fftn(u0[i]) for i in range(grid.dim)]
+    scheme = _Scheme(grid, params, config.dealias)
+    if config.linear_only:
+        advance = scheme.apply_linear
+    elif config.integrator == "exp-euler":
+        advance = scheme.step_exp_euler
+    else:
+        advance = scheme.step_ifrk4
 
     targets = config.snapshot_times
     if targets is None:
@@ -275,7 +252,7 @@ def integrate(
     t0 = t
 
     def record(time: float) -> None:
-        st = _physical_state(grid, a_hat, u_hat, time)
+        st = _physical_state(grid, s, time)
         snapshots.append(st)
         diagnostics.append(_basic_diagnostics(grid, st))
 
@@ -291,13 +268,10 @@ def integrate(
         nsteps = max(1, math.ceil(span / config.dt - 1e-9))
         h = span / nsteps
         for istep in range(nsteps):
-            a_hat, u_hat = scheme.step(a_hat, u_hat, h)
+            s = advance(s, h)
             t = target if istep == nsteps - 1 else t + h
-            a_phys = np.fft.ifftn(a_hat).real
-            peak = float(np.max(np.abs(a_phys)))
-            if not np.isfinite(peak) or not all(
-                np.isfinite(float(np.max(np.abs(c)))) for c in u_hat
-            ):
+            a_phys = grid.irfft(s[0])
+            if not (np.all(np.isfinite(a_phys)) and np.all(np.isfinite(s[1:]))):
                 status, abort_time, aborted = "blowup", t, True
                 break
             if float(1.0 + np.min(a_phys)) < config.positivity_floor:
@@ -306,15 +280,6 @@ def integrate(
         if not aborted:
             record(t)
     return Trajectory(snapshots=snapshots, diagnostics=diagnostics, status=status, abort_time=abort_time)
-
-
-def _hermitian_phases(grid: SpectralGrid, rng: np.random.Generator) -> np.ndarray:
-    """Random phase field psi with psi(-xi) = -psi(xi), zero at self-conjugate points."""
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    flipped = theta
-    for ax in range(grid.dim):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    return 0.5 * (theta - flipped)
 
 
 def perturbation_presets(
@@ -368,14 +333,14 @@ def perturbation_presets(
         if cutoff <= grid.min_nonzero_wavenumber():
             raise ValueError("cutoff excludes every nonzero lattice wavenumber")
         rng = np.random.default_rng(seed)
-        psi = _hermitian_phases(grid, rng)
-        xi = grid.xi_norm
+        # random phases psi(-xi) = -psi(xi), zero at self-conjugate points
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
+        psi = grid.half(0.5 * (theta - _negate_lattice(theta)))
+        xi = grid.half_xi_norm
         with np.errstate(divide="ignore", invalid="ignore"):
             profile = xi ** (-sigma1 - grid.dim / 2.0)
         window = (xi > 0) & (xi <= cutoff)
-        a_hat = np.where(window, profile, 0.0) * np.exp(1j * psi)
-        a_hat[~window] = 0.0
-        a = np.fft.ifftn(a_hat).real
+        a = grid.irfft(np.where(window, profile, 0.0) * np.exp(1j * psi))
         a = amplitude * a / float(np.max(np.abs(a)))
     u = np.zeros((grid.dim,) + grid.shape)
     return FieldState(a=a, u=u, t=0.0)

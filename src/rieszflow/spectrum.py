@@ -235,24 +235,6 @@ def vorticity_decay(t) -> np.ndarray:
     return np.exp(-np.asarray(t, dtype=float))
 
 
-def _p11(rho: np.ndarray, s_star: float, t: float) -> np.ndarray:
-    """Density-to-density propagator entry, unit coefficients, vectorized in rho."""
-    x = rho ** (2.0 * s_star)
-    disc = (1.0 - 4.0 * x).astype(complex)
-    delta = 0.5 * np.sqrt(disc)
-    l1 = -0.5 + delta
-    l2 = -0.5 - delta
-    e1 = np.exp(l1 * t)
-    e2 = np.exp(l2 * t)
-    dt_prod = delta * t
-    small = np.abs(dt_prod) < 1e-4
-    denom = np.where(small, 1.0, 2.0 * delta)
-    phi = (e1 - e2) / denom
-    series = t * np.exp(-0.5 * t) * (1.0 + dt_prod**2 / 6.0 + dt_prod**4 / 120.0)
-    phi = np.where(small, series, phi)
-    return (0.5 * (e1 + e2) + 0.5 * phi).real
-
-
 def linear_decay_quadrature(
     s_star: float,
     sigma: float,
@@ -302,7 +284,7 @@ def linear_decay_quadrature(
         norms = np.empty(t_grid.size)
         refs = np.empty(t_grid.size)
         for i, t in enumerate(t_grid):
-            kern = _p11(rho, s_star, float(t)) ** 2
+            kern = propagator(rho, s_star, float(t))[..., 0, 0] ** 2
             norms[i] = np.sqrt(angular * np.sum(w * profile * kern))
             refs[i] = np.sqrt(angular * np.sum(w * profile * np.exp(-2.0 * t * rho ** (2.0 * s_star))))
         return norms, refs

@@ -101,3 +101,28 @@ class TestValidation:
 
     def test_magic_constant(self):
         assert MAGIC == b"SPECFLD1"
+
+
+class TestGridReuse:
+    """Consecutive reads with one header share one grid; the memo holds one entry."""
+
+    def test_same_header_returns_same_grid(self, tmp_path, grid_2d, rng):
+        for name in ("s0.bin", "s1.bin"):
+            st = FieldState(a=smooth_field(grid_2d, rng), u=smooth_vector(grid_2d, rng), t=0.0)
+            write_snapshot(tmp_path / name, grid_2d, st)
+        g0, _ = read_snapshot(tmp_path / "s0.bin")
+        g1, _ = read_snapshot(tmp_path / "s1.bin")
+        assert g1 is g0
+
+    def test_different_header_gives_new_grid(self, tmp_path, rng):
+        small = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
+        wide = make_grid(dim=2, lengths=2.0 * np.pi, modes=(16, 32))
+        for name, g in (("small.bin", small), ("wide.bin", wide)):
+            st = FieldState(a=smooth_field(g, rng), u=smooth_vector(g, rng), t=0.0)
+            write_snapshot(tmp_path / name, g, st)
+        g_small, _ = read_snapshot(tmp_path / "small.bin")
+        g_wide, st_wide = read_snapshot(tmp_path / "wide.bin")
+        assert g_wide is not g_small
+        assert g_wide.modes == (16, 32) and st_wide.a.shape == (16, 32)
+        g_again, _ = read_snapshot(tmp_path / "small.bin")
+        assert g_again is not g_wide and g_again.modes == (16, 16)

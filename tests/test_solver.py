@@ -18,6 +18,8 @@ from rieszflow import (
     rhs_nonlinear,
 )
 
+from rieszflow import solver
+
 from conftest import smooth_field, smooth_vector
 
 
@@ -302,3 +304,125 @@ class TestIntegrate:
         st = FieldState(a=np.zeros(grid_2d.shape), u=np.zeros((2,) + grid_2d.shape), t=0.0)
         with pytest.raises(ValueError, match="dim"):
             integrate(grid_2d, st, p, SolverConfig(dt=0.1, t_end=1.0))
+
+
+class TestFactorCache:
+    """Propagator factors are kept only for the current segment's h and h/2."""
+
+    @pytest.mark.parametrize("times", [np.geomspace(0.1, 4.0, 17), np.linspace(0.5, 4.0, 8)])
+    def test_bounded_and_built_once_per_step_size(self, monkeypatch, times):
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        p = RieszParams.from_s_star(1, 0.5)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        schemes, builds = [], []
+
+        class Recorded(solver._Scheme):
+            def __init__(self, *args):
+                super().__init__(*args)
+                schemes.append(self)
+
+        def counted(xi, s_star, t, **kwargs):
+            builds.append(t)
+            return propagator(xi, s_star, t, **kwargs)
+
+        monkeypatch.setattr(solver, "_Scheme", Recorded)
+        monkeypatch.setattr(solver, "propagator", counted)
+        cfg = SolverConfig(dt=0.05, t_end=4.0, snapshot_times=tuple(float(t) for t in times))
+        assert integrate(g, st, p, cfg).status == "completed"
+
+        steps = set()
+        for t0, t1 in zip((0.0,) + cfg.snapshot_times, cfg.snapshot_times):
+            h = (t1 - t0) / max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-9)))
+            steps |= {h, 0.5 * h}
+        assert sorted(builds) == sorted(steps)  # each step size built exactly once
+        assert len(schemes) == 1 and len(schemes[0]._factors) == 2
+
+
+def dft_coefficients(f):
+    """Centered Fourier coefficients c_k (k in [-N/2, N/2) per axis) by explicit DFT sums."""
+    out = np.asarray(f, dtype=complex)
+    for ax, n in enumerate(out.shape):
+        k = np.arange(-(n // 2), n // 2)
+        mat = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n) / n
+        out = np.moveaxis(np.tensordot(mat, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+def dft_synthesis(c):
+    out = np.asarray(c, dtype=complex)
+    for ax, n in enumerate(out.shape):
+        k = np.arange(-(n // 2), n // 2)
+        mat = np.exp(2j * np.pi * np.outer(np.arange(n), k) / n)
+        out = np.moveaxis(np.tensordot(mat, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+def truncation(shape, fraction):
+    """Kept modes |k_i| <= min(floor(fraction N_i / 2), N_i / 2 - 1), rederived independently."""
+    keep = np.ones(shape, dtype=bool)
+    for ax, n in enumerate(shape):
+        k = np.abs(np.arange(-(n // 2), n // 2))
+        kept = k <= min(int(fraction * n / 2), n // 2 - 1)
+        keep &= kept.reshape([-1 if i == ax else 1 for i in range(len(shape))])
+    return keep
+
+
+def grid_convolution(c1, c2):
+    """(c1 * c2)_k = sum over p of c1_p c2_(k-p), indices mod N: the product on the N-point grid."""
+    out = np.zeros_like(c2)
+    for p in zip(*np.nonzero(c1)):
+        shift = tuple(int(i) - n // 2 for i, n in zip(p, c1.shape))
+        out += c1[p] * np.roll(c2, shift, axis=tuple(range(c1.ndim)))
+    return out
+
+
+class TestNonlinearOracle:
+    """rhs_nonlinear against direct truncated convolution sums (no FFT, no dealias mask)."""
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "dim, modes, lengths", [(1, 32, (2.0 * np.pi,)), (2, 16, (2.0 * np.pi, 3.0 * np.pi))]
+    )
+    def test_matches_convolution_sums(self, dim, modes, lengths, seed, fraction):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        rng = np.random.default_rng(seed)
+        a = 0.2 * rng.standard_normal(g.shape)
+        u = rng.standard_normal((dim,) + g.shape)
+        da, du = rhs_nonlinear(g, FieldState(a=a, u=u, t=0.0), dealias=fraction)
+
+        keep = truncation(g.shape, fraction)
+        a_k = dft_coefficients(a) * keep
+        u_k = [dft_coefficients(c) * keep for c in u]
+        ik = []
+        for ax, (n, L) in enumerate(zip(g.shape, lengths)):
+            k = 2.0 * np.pi * np.arange(-(n // 2), n // 2) / L
+            ik.append(1j * k.reshape([-1 if i == ax else 1 for i in range(dim)]))
+        da_k = -sum(ik[j] * grid_convolution(a_k, u_k[j]) for j in range(dim)) * keep
+        du_k = [-sum(grid_convolution(u_k[j], ik[j] * u_k[i]) for j in range(dim)) * keep for i in range(dim)]
+
+        da_ref = dft_synthesis(da_k).real
+        du_ref = np.stack([dft_synthesis(c).real for c in du_k])
+        assert np.max(np.abs(da - da_ref)) < 1e-12 * np.max(np.abs(da_ref))
+        assert np.max(np.abs(du - du_ref)) < 1e-12 * np.max(np.abs(du_ref))
+
+
+class TestTransformCount:
+    """integrate runs on the half spectrum with a fixed transform count per IFRK4 step."""
+
+    #: 4 tendencies x (irfftn of the state, irfftn of the gradients, rfftn of a u,
+    #: rfftn of u . grad u) plus one irfftn of the density for the positivity check
+    PER_STEP = 17
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rfft_only_and_fixed_per_step(self, dim, fft_calls):
+        g = make_grid(dim=dim, lengths=2.0 * np.pi, modes=16)
+        p = RieszParams.from_s_star(dim, 0.5)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        for nsteps in (2, 5):
+            before = dict(fft_calls)
+            integrate(g, st, p, SolverConfig(dt=1.0 / nsteps, t_end=1.0))
+            made = {name: fft_calls[name] - before[name] for name in fft_calls}
+            # one rfftn of the initial state, one irfftn per recorded snapshot (t = 0 and 1)
+            assert made == {"fftn": 0, "ifftn": 0, "rfftn": 1 + 8 * nsteps, "irfftn": 2 + 9 * nsteps}
+            assert made["rfftn"] + made["irfftn"] == 3 + self.PER_STEP * nsteps
