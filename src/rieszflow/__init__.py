@@ -47,6 +47,7 @@ from .spectrum import (
     vorticity_decay,
 )
 from .solver import (
+    RunStats,
     SolverConfig,
     Trajectory,
     integrate,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -96,7 +97,9 @@ class ArtifactWriter:
     The output directory must be missing, empty, or hold exactly a
     previous run's manifest and the files it lists; those are deleted
     before this run writes, so a directory never mixes two runs.
-    Anything else is refused and left untouched.
+    Anything else is refused and left untouched.  Each file is written
+    under a temporary name in the directory and renamed into place, so
+    a failed write never leaves a partial artifact under its own name.
     """
 
     def __init__(self, out_dir: str | Path, header: list[str]):
@@ -108,6 +111,7 @@ class ArtifactWriter:
         self._clear_previous_run()
         self.header = header
         self.created: list[Path] = []
+        self._partial: Path | None = None
 
     def _clear_previous_run(self) -> None:
         try:
@@ -137,43 +141,51 @@ class ArtifactWriter:
                     f"cannot remove {name} of the previous run in {self.out_dir}: {exc}"
                 ) from exc
 
-    def _register(self, path: Path) -> None:
-        self.created.append(path)
-
-    def write_csv(self, name: str, columns: list[str], rows) -> Path:
+    def _replace_into(self, name: str, writer_fn) -> Path:
+        """Run ``writer_fn`` on a temporary path in the directory, then rename it to ``name``."""
         path = self.out_dir / name
-        with open(path, "w") as fh:
-            for line in self.header:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        self._register(path)
-        return path
-
-    def write_ndjson(self, name: str, records) -> Path:
-        path = self.out_dir / name
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"header": dict(kv.split(": ", 1) for kv in self.header)},
-                                sort_keys=True) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._register(path)
+        self._partial = self.out_dir / f".{name}.partial"
+        writer_fn(self._partial)
+        os.replace(self._partial, path)
+        self._partial = None
         return path
 
     def write_binary(self, name: str, writer_fn) -> Path:
-        path = self.out_dir / name
-        writer_fn(path)
-        self._register(path)
+        """Write artifact ``name`` with ``writer_fn(path)``; every artifact goes through here."""
+        path = self._replace_into(name, writer_fn)
+        self.created.append(path)
         return path
 
+    def write_csv(self, name: str, columns: list[str], rows) -> Path:
+        def write(path: Path) -> None:
+            with open(path, "w") as fh:
+                for line in self.header:
+                    fh.write(f"# {line}\n")
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+        return self.write_binary(name, write)
+
+    def write_ndjson(self, name: str, records) -> Path:
+        def write(path: Path) -> None:
+            with open(path, "w") as fh:
+                fh.write(json.dumps({"header": dict(kv.split(": ", 1) for kv in self.header)},
+                                    sort_keys=True) + "\n")
+                for rec in records:
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+        return self.write_binary(name, write)
+
     def rollback(self) -> None:
-        for path in self.created:
+        """Remove every file this run wrote, and the temporary file of a write cut short."""
+        for path in filter(None, [*self.created, self._partial]):
             try:
                 path.unlink()
             except OSError:
                 pass
         self.created.clear()
+        self._partial = None
 
     def finalize(self, spec: ExperimentSpec, digest: str) -> Path:
         entries = []
@@ -191,11 +203,13 @@ class ArtifactWriter:
             "config_sha256": digest,
             "files": entries,
         }
-        path = self.out_dir / MANIFEST
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+
+        def write(path: Path) -> None:
+            with open(path, "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+        return self._replace_into(MANIFEST, write)
 
 
 def _grid_descriptor(grid: SpectralGrid | None) -> str:
@@ -605,6 +619,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
             cmd_lp_inspect(spec, cp, writer)
         else:
             cmd_sweep(spec, cp, writer, workers)
+        writer.finalize(spec, digest)
     except ConfigError as exc:
         writer.rollback()
         print(f"config error: {exc}", file=sys.stderr)
@@ -613,8 +628,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
         writer.rollback()
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-    writer.finalize(spec, digest)
     return 0
 
 

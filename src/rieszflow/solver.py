@@ -15,8 +15,13 @@ frozen and the velocity purely damped; the zero mode of ``a`` is
 therefore conserved exactly.  Nonlinear products are formed in physical
 space and dealiased with the configured fraction rule.
 
-Two integrators are available: the integrating-factor RK4 scheme
-(default) and a first-order exponential Euler cross-check.
+Two integrators are available: the integrating-factor RK4 scheme of
+Lawson (default) and a first-order exponential Euler cross-check.  The
+exact propagator is a semigroup, E_h = E_{h/2} E_{h/2}, so an RK4 step
+is written with the half-step propagator alone: four propagations by
+h/2 and four nonlinear tendencies per step, and one propagator build
+per segment of equal steps.  ``integrate`` reports the steps taken, the
+step sizes and the propagator builds in ``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _negate_lattice,
-    half_compressible,
     half_divergence,
     lp_norm,
     state_fields,
@@ -40,6 +44,7 @@ from .spectrum import propagator
 
 __all__ = [
     "SolverConfig",
+    "RunStats",
     "Trajectory",
     "perturbation_presets",
     "rhs_nonlinear",
@@ -90,14 +95,24 @@ class SolverConfig:
             object.__setattr__(self, "snapshot_times", times)
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What a run did: steps taken, the distinct step sizes in order of use, propagator builds."""
+
+    steps: int = 0
+    step_sizes: tuple[float, ...] = ()
+    propagator_builds: int = 0
+
+
 @dataclass
 class Trajectory:
-    """Recorded snapshots, per-snapshot diagnostics, and termination status."""
+    """Recorded snapshots, per-snapshot diagnostics, termination status and run statistics."""
 
     snapshots: list
     diagnostics: list
     status: str = "completed"
     abort_time: float | None = None
+    stats: RunStats = field(default_factory=RunStats)
 
 
 class _Scheme:
@@ -105,6 +120,9 @@ class _Scheme:
 
     The state is one complex array of shape (1 + dim, *half_shape): the
     half spectra of the density fluctuation and of the velocity components.
+    Propagator factors are cached for the one step size in use: IFRK4
+    propagates only by h/2, exponential Euler and linear-only runs by h,
+    so each segment of a run builds its factors once.
     """
 
     def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
@@ -113,36 +131,49 @@ class _Scheme:
         self.grid = grid
         self.params = params
         self.mask = grid.half(grid.dealias_mask(dealias))
-        self.units = np.stack([grid.half(c) for c in grid.xi_unit])
+        # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
+        self.ie = 1j * np.stack([grid.half(c) for c in grid.xi_unit])
         self._factors: dict = {}
+        self.builds = 0
 
     # -- linear part ---------------------------------------------------
 
     def factors(self, h: float):
-        """Propagator factors for step h; the two latest step sizes (a segment's h, h/2) are kept."""
-        fac = self._factors.pop(h, None)
+        """Precombined linear update (p11, p12, q21, q22, rot) for step h.
+
+        With m the compressible scalar, the exact step is
+        a' = p11 a + p12 m and u' = rot u + ie (q21 a + q22 m), where
+        q21 = -p21 and q22 = rot - p22 replace the compressible part of
+        the damped velocity by the propagated one.  Only the latest step
+        size is kept.
+        """
+        fac = self._factors.get(h)
         if fac is None:
             g, p = self.grid, self.params
             P = propagator(g.half_xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
-            P = np.moveaxis(P, (-2, -1), (0, 1)).copy()
             rot = math.exp(-p.lam * h)
             # the odd coupling symbols vanish on the Nyquist region, so
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
-            P[:, :, g.half(g.nyquist_region)] = [[[1.0], [0.0]], [[0.0], [rot]]]
-            fac = (P, rot)
-            if len(self._factors) == 2:
-                del self._factors[next(iter(self._factors))]
-        self._factors[h] = fac
+            P[g.half(g.nyquist_region)] = [[1.0, 0.0], [0.0, rot]]
+            (p11, p12), (p21, p22) = np.moveaxis(P, (-2, -1), (0, 1)).copy()
+            fac = (p11, p12, -p21, rot - p22, rot)
+            self._factors = {h: fac}
+            self.builds += 1
         return fac
 
     def apply_linear(self, s: np.ndarray, h: float) -> np.ndarray:
-        ((p11, p12), (p21, p22)), rot = self.factors(h)
-        m_hat = half_compressible(self.grid, s[1:])
+        p11, p12, q21, q22, rot = self.factors(h)
+        m = self.ie[0] * s[1]
+        for e, u in zip(self.ie[1:], s[2:]):
+            m += e * u
         out = np.empty_like(s)
-        out[0] = p11 * s[0] + p12 * m_hat
-        m_new = p21 * s[0] + p22 * m_hat
-        out[1:] = -1j * self.units * m_new + rot * (s[1:] + 1j * self.units * m_hat)
+        np.multiply(p11, s[0], out=out[0])
+        out[0] += p12 * m
+        c = q21 * s[0]
+        c += q22 * m
+        np.multiply(s[1:], rot, out=out[1:])
+        out[1:] += self.ie * c
         return out
 
     # -- nonlinear part ------------------------------------------------
@@ -165,16 +196,21 @@ class _Scheme:
         return self.apply_linear(s + h * self.rhs(s), h)
 
     def step_ifrk4(self, s: np.ndarray, h: float) -> np.ndarray:
+        """Lawson's integrating-factor RK4, propagating only by E_{h/2}.
+
+        Since E_h = E_{h/2} E_{h/2}, the classical form (six propagations
+        by h/2 and h) regroups with A = E_{h/2} s and B = E_{h/2} n1 into
+        n2 = N(A + h/2 B), n3 = N(A + h/2 n2), n4 = N(E_{h/2}(A + h n3))
+        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.
+        """
         half = 0.5 * h
-        n1 = self.rhs(s)
-        s_half = self.apply_linear(s, half)
-        n2 = self.rhs(s_half + half * self.apply_linear(n1, half))
-        n3 = self.rhs(s_half + half * n2)
-        s_full = self.apply_linear(s, h)
-        n4 = self.rhs(s_full + h * self.apply_linear(n3, half))
-        return s_full + (h / 6.0) * (
-            self.apply_linear(n1, h) + 2.0 * self.apply_linear(n2 + n3, half) + n4
-        )
+        lin = self.apply_linear
+        A = lin(s, half)
+        B = lin(self.rhs(s), half)
+        n2 = self.rhs(A + half * B)
+        n3 = self.rhs(A + half * n2)
+        n4 = self.rhs(lin(A + h * n3, half))
+        return lin(A + (h / 6.0) * (B + 2.0 * (n2 + n3)), half) + (h / 6.0) * n4
 
 
 def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:
@@ -250,6 +286,8 @@ def integrate(
 
     t = float(initial.t)
     t0 = t
+    steps = 0
+    step_sizes: dict[float, None] = {}
 
     def record(time: float) -> None:
         st = _physical_state(grid, s, time)
@@ -267,8 +305,10 @@ def integrate(
         span = target - t
         nsteps = max(1, math.ceil(span / config.dt - 1e-9))
         h = span / nsteps
+        step_sizes[h] = None
         for istep in range(nsteps):
             s = advance(s, h)
+            steps += 1
             t = target if istep == nsteps - 1 else t + h
             a_phys = grid.irfft(s[0])
             if not (np.all(np.isfinite(a_phys)) and np.all(np.isfinite(s[1:]))):
@@ -279,7 +319,9 @@ def integrate(
                 break
         if not aborted:
             record(t)
-    return Trajectory(snapshots=snapshots, diagnostics=diagnostics, status=status, abort_time=abort_time)
+    stats = RunStats(steps=steps, step_sizes=tuple(step_sizes), propagator_builds=scheme.builds)
+    return Trajectory(snapshots=snapshots, diagnostics=diagnostics, status=status,
+                      abort_time=abort_time, stats=stats)
 
 
 def perturbation_presets(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rieszflow
-from rieszflow import read_snapshot
+from rieszflow import cli, read_snapshot, write_snapshot
 from rieszflow.cli import main, run_experiment
 from rieszflow.config import (
     ConfigError,
@@ -403,6 +403,49 @@ class TestOutputDirectory:
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(out) in err
+
+    @pytest.mark.parametrize("previous_run", [False, True])
+    def test_write_failing_midway_leaves_nothing(self, tmp_path, capsys, monkeypatch, previous_run):
+        out = tmp_path / "out"
+        cfg = snapshot_config(tmp_path, 5, "five.ini")
+        if previous_run:
+            assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        written = []
+
+        def fails_on_third(path, grid, state):
+            written.append(Path(path))
+            write_snapshot(path, grid, state)
+            if len(written) == 3:
+                with open(path, "r+b") as fh:
+                    fh.truncate(40)
+                raise OSError("device full")
+
+        monkeypatch.setattr(cli, "write_snapshot", fails_on_third)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+        assert "device full" in capsys.readouterr().err
+        # every write went to a temporary name; none of them is left
+        assert all(p.parent == out and p.name.startswith(".") for p in written)
+        assert list(out.iterdir()) == []
+
+        monkeypatch.undo()
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        listed = {e["path"] for e in json.loads((out / "manifest.json").read_text())["files"]}
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+
+    def test_manifest_write_failing_rolls_the_run_back(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        replace = os.replace
+
+        def refuse_manifest(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError("read-only file system")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse_manifest)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+        assert "read-only file system" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestAnalysisCommands:

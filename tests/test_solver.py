@@ -307,7 +307,7 @@ class TestIntegrate:
 
 
 class TestFactorCache:
-    """Propagator factors are kept only for the current segment's h and h/2."""
+    """Propagator factors are kept only for the step size in use."""
 
     @pytest.mark.parametrize("times", [np.geomspace(0.1, 4.0, 17), np.linspace(0.5, 4.0, 8)])
     def test_bounded_and_built_once_per_step_size(self, monkeypatch, times):
@@ -327,15 +327,141 @@ class TestFactorCache:
 
         monkeypatch.setattr(solver, "_Scheme", Recorded)
         monkeypatch.setattr(solver, "propagator", counted)
-        cfg = SolverConfig(dt=0.05, t_end=4.0, snapshot_times=tuple(float(t) for t in times))
-        assert integrate(g, st, p, cfg).status == "completed"
+        # (integrator, linear_only, propagated fraction of the step): IFRK4
+        # propagates by h/2 only, exponential Euler and linear-only runs by h
+        for integrator, linear_only, fraction in [("ifrk4", False, 0.5), ("exp-euler", False, 1.0),
+                                                  ("ifrk4", True, 1.0)]:
+            schemes.clear()
+            builds.clear()
+            cfg = SolverConfig(dt=0.05, t_end=4.0, snapshot_times=tuple(float(t) for t in times),
+                               integrator=integrator, linear_only=linear_only)
+            traj = integrate(g, st, p, cfg)
+            assert traj.status == "completed"
 
-        steps = set()
-        for t0, t1 in zip((0.0,) + cfg.snapshot_times, cfg.snapshot_times):
-            h = (t1 - t0) / max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-9)))
-            steps |= {h, 0.5 * h}
-        assert sorted(builds) == sorted(steps)  # each step size built exactly once
-        assert len(schemes) == 1 and len(schemes[0]._factors) == 2
+            expected = []
+            for t0, t1 in zip((0.0,) + cfg.snapshot_times, cfg.snapshot_times):
+                h = fraction * (t1 - t0) / max(1, int(np.ceil((t1 - t0) / cfg.dt - 1e-9)))
+                if not expected or expected[-1] != h:
+                    expected.append(h)
+            # each segment builds its step size once; equal consecutive segments share it
+            assert builds == expected
+            assert traj.stats.propagator_builds == len(builds)
+            assert len(schemes) == 1 and len(schemes[0]._factors) == 1
+
+
+def hodge_propagator(grid, params, h):
+    """E_h on half spectra of (a, u), rederived from ``propagator`` with its own Hodge split.
+
+    Off the Nyquist region (per-axis Nyquist planes and self-conjugate
+    points) the density and the compressible scalar m = i (xi/|xi|) . u
+    are propagated by the 2x2 mode matrix and the rest of u is damped by
+    exp(-lam h); on the region the density is frozen and u damped.
+    """
+    shape = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    xi, region = [], np.zeros(shape, dtype=bool)
+    conj = np.ones(shape, dtype=bool)
+    for ax, (n, L) in enumerate(zip(grid.shape, grid.lengths)):
+        idx = np.arange(shape[ax])
+        k = 2.0 * np.pi * np.where(idx < n // 2, idx, idx - n) / L
+        along = [-1 if i == ax else 1 for i in range(grid.dim)]
+        xi.append(np.broadcast_to(k.reshape(along), shape))
+        region |= np.broadcast_to((idx == n // 2).reshape(along), shape)
+        conj &= np.broadcast_to(((idx == 0) | (idx == n // 2)).reshape(along), shape)
+    region |= conj
+    norm = np.sqrt(sum(c**2 for c in xi))
+    unit = np.stack([np.where(region, 0.0, c / np.where(region, 1.0, norm)) for c in xi])
+    P = propagator(norm, params.s_star, h, lam=params.lam, kappa=params.kappa, rho_bar=params.rho_bar)
+    rot = np.exp(-params.lam * h)
+
+    def apply(s):
+        a, u = s[0], s[1:]
+        m = 1j * np.sum(unit * u, axis=0)
+        comp = -1j * unit * m
+        a_new = P[..., 0, 0] * a + P[..., 0, 1] * m
+        m_new = P[..., 1, 0] * a + P[..., 1, 1] * m
+        return np.concatenate([
+            np.where(region, a, a_new)[None],
+            rot * (u - comp) - 1j * unit * m_new,
+        ])
+
+    return apply
+
+
+def random_half_state(grid, rng, amplitude=0.2):
+    """Half spectra of a random real (a, u) with content on every mode, Nyquist included."""
+    a = amplitude * rng.standard_normal(grid.shape)
+    u = amplitude * rng.standard_normal((grid.dim,) + grid.shape)
+    return np.fft.rfftn(np.concatenate([a[None], u]), axes=tuple(range(1, grid.dim + 1)))
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestLawsonStep:
+    """The fused half-step IFRK4 against the classical six-propagation Lawson RK4."""
+
+    CASES = [(1, (2.0 * np.pi,), (32,)), (2, (2.0 * np.pi, 3.0 * np.pi), (16, 24))]
+
+    @pytest.mark.parametrize("h", [0.05, 0.37])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim, lengths, modes", CASES)
+    def test_matches_six_propagation_form(self, dim, lengths, modes, seed, h):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        p = RieszParams.from_s_star(dim, 0.4)
+        s = random_half_state(g, np.random.default_rng(seed))
+        sc = solver._Scheme(g, p)
+        N = sc.rhs
+        E_half, E_full = hodge_propagator(g, p, 0.5 * h), hodge_propagator(g, p, h)
+
+        n1 = N(s)
+        n2 = N(E_half(s) + 0.5 * h * E_half(n1))
+        n3 = N(E_half(s) + 0.5 * h * n2)
+        n4 = N(E_full(s) + h * E_half(n3))
+        rk4 = E_full(s) + h / 6.0 * (E_full(n1) + 2.0 * E_half(n2) + 2.0 * E_half(n3) + n4)
+        assert relative_error(sc.step_ifrk4(s, h), rk4) <= 1e-13
+        assert relative_error(sc.step_exp_euler(s, h), E_full(s + h * n1)) <= 1e-13
+        assert relative_error(sc.apply_linear(s, h), E_full(s)) <= 1e-13
+
+    @pytest.mark.parametrize("dim, lengths, modes", CASES)
+    def test_half_steps_compose_to_a_full_step(self, dim, lengths, modes):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        sc = solver._Scheme(g, RieszParams.from_s_star(dim, 0.4))
+        s = random_half_state(g, np.random.default_rng(7))
+        for h in (0.05, 0.37, 2.0):
+            twice = sc.apply_linear(sc.apply_linear(s, 0.5 * h), 0.5 * h)
+            assert relative_error(twice, sc.apply_linear(s, h)) <= 1e-14
+
+
+class TestRunStats:
+    """integrate reports its steps, step sizes and propagator builds."""
+
+    def test_c08_schedule(self):
+        # the acceptance c08 schedule; the counts depend on the schedule only
+        g = make_grid(dim=1, lengths=200 * np.pi, modes=256)
+        p = RieszParams.from_s_star(1, 0.5)
+        st = perturbation_presets("low-frequency-powerlaw", 0.005, g, sigma1=-0.5, cutoff=1.0, seed=0)
+        times = tuple(float(t) for t in np.geomspace(1.0, 40.0, 33))
+        stats = integrate(g, st, p, SolverConfig(dt=0.1, t_end=40.0, snapshot_times=times)).stats
+        assert stats.steps == 414
+        assert stats.propagator_builds == 33
+        assert len(stats.step_sizes) == 33 and max(stats.step_sizes) <= 0.1
+
+    def test_counts_stop_at_an_abort(self):
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        p = RieszParams.from_s_star(1, 0.5)
+        st = perturbation_presets("single-mode", 0.3, g, mode=1)
+        st = FieldState(a=st.a, u=-2.0 * np.sin(g.coordinates()[0])[None], t=0.0)
+        traj = integrate(g, st, p, SolverConfig(dt=0.01, t_end=2.0, positivity_floor=0.5))
+        assert traj.status == "positivity_violation"
+        assert traj.stats.steps == round(traj.abort_time / 0.01)
+        assert traj.stats.step_sizes == (0.01,) and traj.stats.propagator_builds == 1
+
+    def test_no_steps_no_builds(self):
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        stats = integrate(g, st, RieszParams.from_s_star(1, 0.5), SolverConfig(dt=0.1, t_end=0.0)).stats
+        assert (stats.steps, stats.step_sizes, stats.propagator_builds) == (0, (), 0)
 
 
 def dft_coefficients(f):
