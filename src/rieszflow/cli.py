@@ -18,6 +18,7 @@ are printed with shortest round-trip repr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,7 +59,7 @@ from .littlewood_paley import (
     verify_wu_lower_bound,
 )
 from .snapshots import write_snapshot
-from .solver import SolverConfig, integrate, perturbation_presets
+from .solver import integrate, perturbation_presets
 from .spectrum import asymptotic_check, dissipative_constant, eigenvalues, linear_decay_quadrature
 
 __all__ = ["main", "run_experiment"]
@@ -482,11 +483,7 @@ def _run_child(axis: str, value, cp, spec: ExperimentSpec, index: int) -> dict:
         n = int(value)
         grid = make_grid(grid.dim, grid.lengths, (n,) * grid.dim)
     elif axis == "dt":
-        solver_cfg = SolverConfig(
-            dt=float(value), t_end=solver_cfg.t_end, integrator=solver_cfg.integrator,
-            dealias=solver_cfg.dealias, snapshot_times=solver_cfg.snapshot_times,
-            positivity_floor=solver_cfg.positivity_floor, linear_only=solver_cfg.linear_only,
-        )
+        solver_cfg = dataclasses.replace(solver_cfg, dt=float(value))
     elif axis == "amplitude":
         preset = dict(preset, amplitude=float(value))
         if not (0.0 < preset["amplitude"] < 1.0):

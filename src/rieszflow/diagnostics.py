@@ -229,7 +229,7 @@ def _lyapunov_parts(
     partition.check_j(j)
     a, u = state_fields(grid, state)
     a_hat = grid.rfft(a)
-    m = grid.half(partition.multiplier(j))
+    m = partition.half_shell(j)
     a_j = m * a_hat
     u_j = m * grid.rfft(u)
     k = grid.half_xi_norm
@@ -237,7 +237,7 @@ def _lyapunov_parts(
     quad = float(np.sum(spectral_power(grid, k**params.s_star * a_j))) + float(
         np.sum(spectral_power(grid, lam_u_hat))
     )
-    low_a = grid.irfft(grid.half(partition.low_pass_multiplier(j - 1)) * a_hat)
+    low_a = grid.irfft(partition.half_low_pass(j - 1) * a_hat)
     lam_u = grid.irfft(lam_u_hat)
     cubic = grid.cell_volume * float(np.sum(low_a * np.sum(lam_u**2, axis=0)))
     cross = -2.0 * c_tilde * spectral_inner(grid, a_j, half_divergence(grid, u_j))

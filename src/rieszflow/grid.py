@@ -7,8 +7,11 @@ Conventions shared by every module in the package:
   symmetric about zero except for the unpaired Nyquist mode k = -N_i/2.
 * Fields are real, so every operator works on the real-to-complex half
   spectrum: ``rfftn`` over the trailing ``dim`` axes keeps last-axis
-  indices 0..N_d/2.  Half-lattice arrays are the ``[..., :N_d/2 + 1]``
-  slices of the full-lattice ones.  Multipliers act as
+  indices 0..N_d/2.  The grid builds its symbols on this half lattice;
+  they hold the values of the ``[..., :N_d/2 + 1]`` slices of the
+  full-lattice symbols, bit for bit, because one builder makes both.
+  The full lattice is built only on first access, for user symbols and
+  reference computations.  Multipliers act as
   f -> irfftn(m(xi) * rfftn(f)).  The zero mode carries the spatial mean.
   A symbol that is singular at xi = 0 may only be applied to a mean-zero
   field; the zero mode is then mapped to 0.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +60,6 @@ __all__ = [
     "half_l2",
     "half_divergence",
     "half_grad_frac",
-    "half_compressible",
     "state_fields",
 ]
 
@@ -77,11 +80,60 @@ def check_mode_count(n: int) -> None:
         raise ValueError(f"mode count must be even and >= 8, got {n}")
 
 
+def _build_lattice(axes: tuple, extent: int) -> dict:
+    """Symbols on the lattice whose last axis keeps its first ``extent`` indices.
+
+    ``extent = N_d`` gives the full lattice, ``N_d/2 + 1`` the rFFT half
+    lattice.  Every value is an elementwise function of the wavenumbers,
+    so the half-lattice arrays equal the full-lattice slices bit for bit.
+    """
+    dim = len(axes)
+    modes = tuple(a.size for a in axes)
+    shape = modes[:-1] + (extent,)
+    axes = axes[:-1] + (axes[-1][:extent],)
+    if dim == 1:
+        xi = (axes[0].copy(),)
+    else:
+        xi = tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
+    xi_norm = np.sqrt(sum(c * c for c in xi))
+
+    # Per-axis Nyquist planes: index N_i/2 along axis i, anything on
+    # the other axes, as masks that broadcast over the lattice.  On
+    # such a plane the xi_i coordinate has no negation partner, so
+    # odd-in-xi_i symbols cannot be represented.  Self-conjugate
+    # points have index 0 or N_i/2 on every axis.
+    planes, grads = [], []
+    self_conj = np.ones(shape, dtype=bool)
+    for ax, n in enumerate(modes):
+        sl: list = [None] * dim
+        sl[ax] = slice(None)
+        p1d = np.arange(axes[ax].size) == n // 2
+        planes.append(p1d[tuple(sl)])
+        grads.append(np.where(p1d, 0.0, 1j * axes[ax])[tuple(sl)])
+        self_conj &= (p1d | (axes[ax] == 0))[tuple(sl)]
+    region = self_conj.copy()
+    for p in planes:
+        region |= p
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        units = []
+        for ax in range(dim):
+            u = xi[ax] / xi_norm
+            u[xi_norm == 0] = 0.0
+            u[np.broadcast_to(planes[ax], shape)] = 0.0
+            units.append(u)
+    return dict(xi=xi, xi_norm=xi_norm, xi_unit=tuple(units), nyquist_region=region,
+                self_conjugate=self_conj, grad=tuple(grads))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
     """Uniform periodic grid on [0, L_1) x ... x [0, L_d), d in {1, 2}.
 
-    Derived arrays are cached at construction:
+    The half-lattice symbols are built at construction; the full-lattice
+    ones (``xi``, ``xi_norm``, ``xi_unit``, ``self_conjugate``,
+    ``nyquist_region``) by the same builder on first access.  The
+    library's own operators read only the half-lattice symbols.
 
     Attributes
     ----------
@@ -103,8 +155,9 @@ class SpectralGrid:
         Direction symbols xi_i / |xi| with the zero mode and the axis-i
         Nyquist plane set to 0, so that they are genuinely odd on the
         lattice.
-    half_xi_norm : ndarray
-        |xi| on the half lattice (a view of ``xi_norm``).
+    half_xi_norm, half_xi_unit, half_nyquist_region
+        ``xi_norm``, ``xi_unit`` and ``nyquist_region`` on the half
+        lattice, as contiguous arrays of their own.
     half_weights : ndarray
         Parseval weights along the last half-lattice axis: 1 on the
         k = 0 and k = N_d/2 columns, 2 in between.
@@ -118,14 +171,11 @@ class SpectralGrid:
     lengths: tuple[float, ...]
     modes: tuple[int, ...]
     axes: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    xi: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    xi_norm: np.ndarray = field(init=False, repr=False)
     cell_volume: float = field(init=False, repr=False)
     volume: float = field(init=False, repr=False)
-    self_conjugate: np.ndarray = field(init=False, repr=False)
-    nyquist_region: np.ndarray = field(init=False, repr=False)
-    xi_unit: tuple[np.ndarray, ...] = field(init=False, repr=False)
     half_xi_norm: np.ndarray = field(init=False, repr=False)
+    half_xi_unit: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    half_nyquist_region: np.ndarray = field(init=False, repr=False)
     half_weights: np.ndarray = field(init=False, repr=False)
     half_grad: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -144,56 +194,29 @@ class SpectralGrid:
             2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / L
             for n, L in zip(self.modes, self.lengths)
         )
-        if self.dim == 1:
-            xi = (axes[0].copy(),)
-        else:
-            gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            xi = (gx, gy)
-        xi_norm = np.sqrt(sum(c * c for c in xi))
-
-        # Per-axis Nyquist planes: index N_i/2 along axis i, anything on
-        # the other axes, as masks that broadcast over the lattice.  On
-        # such a plane the xi_i coordinate has no negation partner, so
-        # odd-in-xi_i symbols cannot be represented.  Self-conjugate
-        # points have index 0 or N_i/2 on every axis.
-        planes, axis_xi = [], []
-        self_conj = np.ones(self.modes, dtype=bool)
-        for ax, n in enumerate(self.modes):
-            sl: list = [None] * self.dim
-            sl[ax] = slice(None)
-            p1d = np.zeros(n, dtype=bool)
-            p1d[n // 2] = True
-            planes.append(p1d[tuple(sl)])
-            axis_xi.append(axes[ax][tuple(sl)])
-            self_conj &= (p1d | (axes[ax] == 0))[tuple(sl)]
-        region = self_conj.copy()
-        for p in planes:
-            region |= p
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            units = []
-            for ax in range(self.dim):
-                u = xi[ax] / xi_norm
-                u[xi_norm == 0] = 0.0
-                u[np.broadcast_to(planes[ax], self.modes)] = 0.0
-                units.append(u)
-
         nh = self.modes[-1] // 2 + 1
+        half = _build_lattice(axes, nh)
         weights = np.full(nh, 2.0)
         weights[0] = weights[-1] = 1.0
-        grads = tuple(self.half(np.where(p, 0.0, 1j * k)) for p, k in zip(planes, axis_xi))
 
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "xi_norm", xi_norm)
         object.__setattr__(self, "cell_volume", float(np.prod([L / n for L, n in zip(self.lengths, self.modes)])))
         object.__setattr__(self, "volume", float(np.prod(self.lengths)))
-        object.__setattr__(self, "self_conjugate", self_conj)
-        object.__setattr__(self, "nyquist_region", region)
-        object.__setattr__(self, "xi_unit", tuple(units))
-        object.__setattr__(self, "half_xi_norm", self.half(xi_norm))
+        object.__setattr__(self, "half_xi_norm", half["xi_norm"])
+        object.__setattr__(self, "half_xi_unit", half["xi_unit"])
+        object.__setattr__(self, "half_nyquist_region", half["nyquist_region"])
         object.__setattr__(self, "half_weights", weights)
-        object.__setattr__(self, "half_grad", grads)
+        object.__setattr__(self, "half_grad", half["grad"])
+
+    @cached_property
+    def _full(self) -> dict:
+        return _build_lattice(self.axes, self.modes[-1])
+
+    xi = property(lambda self: self._full["xi"])
+    xi_norm = property(lambda self: self._full["xi_norm"])
+    xi_unit = property(lambda self: self._full["xi_unit"])
+    nyquist_region = property(lambda self: self._full["nyquist_region"])
+    self_conjugate = property(lambda self: self._full["self_conjugate"])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -230,7 +253,7 @@ class SpectralGrid:
         return float(min(2.0 * np.pi / L for L in self.lengths))
 
     def max_wavenumber(self) -> float:
-        return float(np.max(self.xi_norm))
+        return float(np.max(self.half_xi_norm))
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Boolean mask keeping |k_i| <= floor(fraction * N_i / 2) per axis.
@@ -400,6 +423,14 @@ def apply_multiplier(grid: SpectralGrid, field: np.ndarray, symbol) -> np.ndarra
     return grid.irfft(grid.half(m) * grid.rfft(field))
 
 
+def _half_power(grid: SpectralGrid, sigma: float) -> np.ndarray:
+    """|xi|^sigma on the half lattice, with the zero mode mapped to 0."""
+    with np.errstate(divide="ignore"):
+        power = grid.half_xi_norm**sigma
+    power[grid.zero_index] = 0.0
+    return power
+
+
 def frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarray:
     """Fractional operator |nabla|^sigma, multiplier |xi|^sigma.
 
@@ -411,9 +442,13 @@ def frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarr
         return np.stack([frac_lambda(grid, comp, sigma) for comp in field])
     if sigma == 0:
         return field.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = grid.xi_norm**sigma
-    return apply_multiplier(grid, field, m)
+    field = _scalar_field(grid, field)
+    if sigma < 0:
+        _require_mean_zero(field, "a multiplier singular at xi = 0")
+    m = _half_power(grid, sigma)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("multiplier symbol is non-finite away from the zero mode")
+    return grid.irfft(m * grid.rfft(field))
 
 
 def grad_frac_lambda(grid: SpectralGrid, field: np.ndarray, sigma: float) -> np.ndarray:
@@ -466,16 +501,16 @@ def hodge_split(grid: SpectralGrid, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for i in range(grid.dim):
         _require_mean_zero(u[i], "the Hodge split (|nabla|^(-1) is singular at xi = 0)")
     u_hat = grid.rfft(u)
-    m = grid.irfft(half_compressible(grid, u_hat))
+    units = grid.half_xi_unit
+    m = grid.irfft(1j * sum(units[i] * u_hat[i] for i in range(grid.dim)))
     if grid.dim == 1:
         return m, np.zeros(grid.shape)
-    n0, n1 = (grid.half(c) for c in grid.xi_unit)
-    return m, grid.irfft(1j * (n0 * u_hat[1] - n1 * u_hat[0]))
+    return m, grid.irfft(1j * (units[0] * u_hat[1] - units[1] * u_hat[0]))
 
 
 def hodge_reconstruct(grid: SpectralGrid, m: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hodge_split`: u = -|nabla|^(-1) grad m + rotational part."""
-    units = [grid.half(c) for c in grid.xi_unit]
+    units = grid.half_xi_unit
     m_hat = grid.rfft(_scalar_field(grid, m))
     comps = [-1j * n * m_hat for n in units]
     if grid.dim == 2:
@@ -542,12 +577,6 @@ def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.nda
 
     The zero mode is mapped to 0, so a negative sigma needs a mean-zero f.
     """
-    with np.errstate(divide="ignore"):
-        power = grid.half_xi_norm**sigma
-    power[grid.zero_index] = 0.0
+    power = _half_power(grid, sigma)
     return np.stack([g * power * fhat for g in grid.half_grad])
 
-
-def half_compressible(grid: SpectralGrid, uhat: np.ndarray) -> np.ndarray:
-    """Half spectrum of the compressible scalar |nabla|^(-1) div u: i sum_i (xi_i/|xi|) u_i."""
-    return 1j * sum(grid.half(grid.xi_unit[i]) * uhat[i] for i in range(grid.dim))

@@ -84,10 +84,13 @@ def phi_profile(r) -> np.ndarray:
 class LPPartition:
     """Resolved dyadic shells j_min..j_max on a given grid.
 
-    ``multiplier(j)`` returns the spectral shell mask phi(|xi| / 2^j);
-    ``low_pass_multiplier(j)`` returns chi(|xi| / 2^j), the projector
-    onto shells strictly below j.  Both are cached on the full lattice;
-    ``grid.half`` of either is a view of the cached array.
+    ``half_shell(j)`` returns the spectral shell mask phi(|xi| / 2^j)
+    and ``half_low_pass(j)`` returns chi(|xi| / 2^j), the projector onto
+    shells strictly below j, both on the half lattice and cached.
+    ``multiplier(j)``, ``low_pass_multiplier(j)`` and ``partition_sum()``
+    give the same masks on the full lattice, recomputed on every call:
+    they are the reference form, which the library's own operators do
+    not use.
     """
 
     grid: SpectralGrid
@@ -107,15 +110,21 @@ class LPPartition:
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def multiplier(self, j: int) -> np.ndarray:
+    def half_shell(self, j: int) -> np.ndarray:
         if j not in self._shells:
-            self._shells[j] = phi_profile(self.grid.xi_norm / 2.0**j)
+            self._shells[j] = phi_profile(self.grid.half_xi_norm / 2.0**j)
         return self._shells[j]
 
-    def low_pass_multiplier(self, j: int) -> np.ndarray:
+    def half_low_pass(self, j: int) -> np.ndarray:
         if j not in self._low:
-            self._low[j] = chi_profile(self.grid.xi_norm / 2.0**j)
+            self._low[j] = chi_profile(self.grid.half_xi_norm / 2.0**j)
         return self._low[j]
+
+    def multiplier(self, j: int) -> np.ndarray:
+        return phi_profile(self.grid.xi_norm / 2.0**j)
+
+    def low_pass_multiplier(self, j: int) -> np.ndarray:
+        return chi_profile(self.grid.xi_norm / 2.0**j)
 
     def check_j(self, j: int) -> None:
         if not (self.j_min <= j <= self.j_max):
@@ -179,13 +188,13 @@ def dyadic_block(partition: LPPartition, f: np.ndarray, j: int) -> np.ndarray:
     """Shell projection of a scalar or vector field onto shell j."""
     partition.check_j(j)
     grid = partition.grid
-    return grid.irfft(grid.half(partition.multiplier(j)) * grid.rfft(f))
+    return grid.irfft(partition.half_shell(j) * grid.rfft(f))
 
 
 def low_pass(partition: LPPartition, f: np.ndarray, j: int) -> np.ndarray:
     """Smooth projection onto shells strictly below j (multiplier chi(|xi|/2^j))."""
     grid = partition.grid
-    return grid.irfft(grid.half(partition.low_pass_multiplier(j)) * grid.rfft(f))
+    return grid.irfft(partition.half_low_pass(j) * grid.rfft(f))
 
 
 def decompose(partition: LPPartition, f: np.ndarray) -> LPDecomposition:
@@ -197,7 +206,7 @@ def decompose(partition: LPPartition, f: np.ndarray) -> LPDecomposition:
     grid = partition.grid
     f = np.asarray(f, dtype=float)
     fhat = grid.rfft(f)
-    blocks = {j: grid.irfft(grid.half(partition.multiplier(j)) * fhat) for j in partition.js}
+    blocks = {j: grid.irfft(partition.half_shell(j) * fhat) for j in partition.js}
     fluct = f - float(np.mean(f))
     recon = np.zeros(grid.shape)
     for b in blocks.values():
@@ -246,7 +255,7 @@ class ShellNorms:
         key = (j, p)
         if key not in self._norms:
             grid = self.partition.grid
-            m = grid.half(self.partition.multiplier(j))
+            m = self.partition.half_shell(j)
             if p == 2:
                 if self._power is None:
                     self._power = spectral_power(grid, self.fhat)

@@ -132,7 +132,7 @@ class _Scheme:
         self.params = params
         self.mask = grid.half(grid.dealias_mask(dealias))
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
-        self.ie = 1j * np.stack([grid.half(c) for c in grid.xi_unit])
+        self.ie = 1j * np.stack(grid.half_xi_unit)
         self._factors: dict = {}
         self.builds = 0
 
@@ -155,7 +155,7 @@ class _Scheme:
             # the odd coupling symbols vanish on the Nyquist region, so
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
-            P[g.half(g.nyquist_region)] = [[1.0, 0.0], [0.0, rot]]
+            P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
             (p11, p12), (p21, p22) = np.moveaxis(P, (-2, -1), (0, 1)).copy()
             fac = (p11, p12, -p21, rot - p22, rot)
             self._factors = {h: fac}

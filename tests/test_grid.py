@@ -1,24 +1,37 @@
 """Grid construction, Fourier multipliers, Hodge split, and norms."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rieszflow import (
+    BesovSpec,
+    FieldState,
     RieszParams,
     ZeroModeError,
     apply_multiplier,
+    besov_norm,
+    build_partition,
     curl,
+    density_equation_residual,
     divergence,
+    energy_functionals,
     frac_lambda,
     grad_frac_lambda,
     gradient,
     hodge_reconstruct,
     hodge_split,
     lp_norm,
+    lyapunov_block,
     make_grid,
     riesz_force,
     spectral_l2,
+    z_equation_residual,
 )
+from rieszflow import grid as grid_module
+from rieszflow.cli import main
 
 from conftest import smooth_field, smooth_vector
 
@@ -81,6 +94,93 @@ class TestGridConstruction:
         mask = g.dealias_mask(1.0)
         assert not mask[32]
         assert mask.sum() == 63
+
+
+@pytest.fixture(params=["1d", "2d-rect"])
+def any_grid(request):
+    if request.param == "1d":
+        return make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
+    return make_grid(dim=2, lengths=(2.0 * np.pi, 3.0 * np.pi), modes=(32, 24))
+
+
+class TestHalfLattice:
+    """Half-lattice symbols, and the full lattice built only on demand."""
+
+    def test_half_symbols_equal_the_full_slices(self, any_grid):
+        g = any_grid
+        pairs = [(g.half_xi_norm, g.xi_norm), (g.half_nyquist_region, g.nyquist_region)]
+        pairs += list(zip(g.half_xi_unit, g.xi_unit))
+        for half, full in pairs:
+            assert half.base is None and half.flags.c_contiguous
+            assert half.dtype == full.dtype
+            assert half.shape == g.half(full).shape
+            assert half.tobytes() == g.half(full).tobytes()
+        for i, n in enumerate(g.modes):
+            plane = np.zeros(g.shape, dtype=bool)
+            index = [slice(None)] * g.dim
+            index[i] = n // 2
+            plane[tuple(index)] = True
+            want = g.half(np.where(plane, 0.0, 1j * g.xi[i]))
+            assert np.broadcast_to(g.half_grad[i], want.shape).tobytes() == want.tobytes()
+
+    def test_library_paths_never_build_the_full_lattice(self, tmp_path, monkeypatch):
+        extents = []
+        builder = grid_module._build_lattice
+
+        def recording_builder(axes, extent):
+            extents.append((axes[-1].size, extent))
+            return builder(axes, extent)
+
+        monkeypatch.setattr(grid_module, "_build_lattice", recording_builder)
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(
+            "[experiment]\nkind = simulate\n"
+            "[grid]\ndim = 2\nlength = 50.26548245743669\nmodes = 32\n"
+            "[params]\ns_star = 0.5\n"
+            "[preset]\nkind = low-frequency-powerlaw\namplitude = 0.05\nsigma1 = -1\ncutoff = 1\n"
+            "[solver]\ndt = 0.05\nt_end = 0.2\nsnapshot_times = 0,0.1,0.2\n"
+            "[diagnostics]\nenergy = true\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert extents and set(extents) == {(32, 17)}
+
+        # the inputs come from another grid: smooth_field reads the full lattice
+        g = make_grid(dim=2, lengths=(2.0 * np.pi, 3.0 * np.pi), modes=(32, 24))
+        rng = np.random.default_rng(3)
+        states = [FieldState(0.05 * smooth_field(g, rng), 0.05 * smooth_vector(g, rng), 0.1 * k)
+                  for k in range(3)]
+        params = RieszParams.from_s_star(2, 0.5)
+        extents.clear()
+        fresh = make_grid(dim=2, lengths=(2.0 * np.pi, 3.0 * np.pi), modes=(32, 24))
+        part = build_partition(fresh)
+        energy_functionals(fresh, states[1], part, params)
+        besov_norm(part, states[1].a, BesovSpec(s=0.5, p=2, r=1))
+        for j in part.js:
+            lyapunov_block(fresh, states[1], j, 0.25, part, params)
+        density_equation_residual(fresh, states, params)
+        z_equation_residual(fresh, states, params)
+        assert "_full" not in vars(fresh)
+        assert extents == [(24, 13)]
+
+    def test_grid_and_filled_partition_memory(self):
+        def build():
+            g = make_grid(dim=2, lengths=16.0 * np.pi, modes=256)
+            part = build_partition(g)
+            st = FieldState(np.zeros(g.shape), np.zeros((2,) + g.shape))
+            energy_functionals(g, st, part, RieszParams.from_s_star(2, 0.5))
+            return g, part
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept[1]._shells
+        # 7.26 MiB when the grid and the shell masks were held on the full lattice
+        assert size <= 0.6 * 7.26 * 2**20
 
 
 class TestRieszParams:

@@ -260,13 +260,15 @@ class TestHalfSpectrumOracle:
             assert np.allclose(low_pass(part, f, j), full_lattice_filter(f, part.low_pass_multiplier(j)),
                                rtol=0, atol=1e-13)
 
-    def test_half_masks_are_views_of_the_cached_arrays(self, lattice):
+    def test_half_masks_are_cached_and_equal_the_full_masks(self, lattice):
         grid, part, _ = lattice
-        j = part.j_max - 1
-        for full in (part.multiplier(j), part.low_pass_multiplier(j)):
-            half = grid.half(full)
-            assert half.base is full
-            assert half.shape == grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+        for j in part.js:
+            for half_mask, full in ((part.half_shell, part.multiplier),
+                                    (part.half_low_pass, part.low_pass_multiplier)):
+                half = half_mask(j)
+                assert half_mask(j) is half
+                assert half.shape == grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+                assert half.tobytes() == grid.half(full(j)).tobytes()
 
 
 class TestTransformCount:
