@@ -6,7 +6,7 @@ simulate        integrate a preset initial state, emit snapshots + norms
 linear-analyze  eigenvalue scans and asymptotic ratio tables
 decay-verify    quadrature decay curves and fitted slopes
 lp-inspect      partition-of-unity report and inequality bracket tables
-sweep           repeat simulate along one parameter axis
+sweep           repeat simulate, each child overriding one config key
 
 Every run reads one INI config (see :mod:`rieszflow.config`), writes its
 artifacts under ``--out``, and finishes with a ``manifest.json`` listing
@@ -18,7 +18,6 @@ are printed with shortest round-trip repr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -39,15 +38,16 @@ from .config import (
     get_int,
     get_str,
     load_config,
+    override,
+    parse_entries,
     parse_float_list,
     parse_grid,
-    parse_params,
-    parse_preset,
+    parse_int_list,
     parse_schedule,
-    parse_solver_config,
+    resolve_run,
 )
 from .diagnostics import energy_functionals, fit_decay
-from .grid import RieszParams, SpectralGrid, lp_norm, make_grid
+from .grid import SpectralGrid, lp_norm
 from .littlewood_paley import (
     SHELL_INNER,
     SHELL_OUTER,
@@ -244,28 +244,15 @@ def _smooth_sample(grid: SpectralGrid, rng: np.random.Generator, decay: float = 
 # simulate
 
 
-def _make_initial(grid: SpectralGrid, preset: dict, seed: int):
-    return perturbation_presets(
-        preset["kind"], preset["amplitude"], grid,
-        sigma1=preset["sigma1"], cutoff=preset["cutoff"],
-        mode=preset["mode"], width=preset["width"], seed=seed,
-    )
-
-
 def _besov_specs(cp, dim: int) -> tuple[int, list[BesovSpec]]:
     j1 = get_int(cp, "diagnostics", "j1", 0)
     raw = get_str(cp, "diagnostics", "besov", "")
-    specs = []
     if raw:
-        for tok in raw.split(","):
-            parts = [s.strip() for s in tok.split(":")]
-            if len(parts) != 4:
-                raise ConfigError(f"[diagnostics] besov entry {tok!r}; expected s:p:r:flavor")
-            try:
-                specs.append(BesovSpec(float(parts[0]), float(parts[1]), float(parts[2]),
-                                       parts[3], j1))
-            except ValueError as exc:
-                raise ConfigError(f"[diagnostics] besov entry {tok!r}: {exc}") from exc
+        specs = parse_entries(
+            raw, "s:p:r:flavor",
+            lambda s, p, r, flavor: BesovSpec(float(s), float(p), float(r), flavor, j1),
+            what="[diagnostics] besov",
+        )
     else:
         specs = [
             BesovSpec(dim / 2.0 - 1.0, 2, 1, "low", j1),
@@ -274,12 +261,10 @@ def _besov_specs(cp, dim: int) -> tuple[int, list[BesovSpec]]:
     return j1, specs
 
 
-def cmd_simulate(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
-    grid = parse_grid(cp)
-    params = parse_params(cp, grid.dim)
-    solver_cfg = parse_solver_config(cp)
-    preset = parse_preset(cp)
-    state0 = _make_initial(grid, preset, spec.seed)
+def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
+                 workers: int) -> None:
+    params, solver_cfg, preset = resolve_run(cp, grid)
+    state0 = perturbation_presets(grid=grid, seed=spec.seed, **preset)
 
     traj = integrate(grid, state0, params, solver_cfg)
 
@@ -321,7 +306,7 @@ def cmd_simulate(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
 # linear-analyze
 
 
-def cmd_linear_analyze(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
+def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
     raw = get_str(cp, "spectrum", "s_star", "0.25,0.5,0.75")
     s_values = parse_float_list(raw, what="[spectrum] s_star")
     xi_min = get_float(cp, "spectrum", "xi_min", 1e-4)
@@ -359,20 +344,15 @@ def cmd_linear_analyze(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None
 # decay-verify
 
 
-def cmd_decay_verify(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
+def cmd_decay_verify(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
     s_values = parse_float_list(get_str(cp, "decay", "s_star", "0.25,0.75"),
                                 what="[decay] s_star")
     dim = get_int(cp, "decay", "dim", 1)
     cutoff = get_float(cp, "decay", "cutoff", 1.0)
     times = parse_schedule(get_str(cp, "decay", "times", "logspace:100,10000,25"),
                            what="[decay] times")
-    raw_pairs = get_str(cp, "decay", "pairs", f"{-dim / 2.0:g}:0")
-    pairs = []
-    for tok in raw_pairs.split(","):
-        parts = [s.strip() for s in tok.split(":")]
-        if len(parts) != 2:
-            raise ConfigError(f"[decay] pairs entry {tok!r}; expected sigma1:sigma")
-        pairs.append((float(parts[0]), float(parts[1])))
+    pairs = parse_entries(get_str(cp, "decay", "pairs", f"{-dim / 2.0:g}:0"), "sigma1:sigma",
+                          lambda s1, s: (float(s1), float(s)), what="[decay] pairs")
 
     t = np.asarray(times, dtype=float)
     fit_rows = []
@@ -403,8 +383,8 @@ def cmd_decay_verify(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
 # lp-inspect
 
 
-def cmd_lp_inspect(spec: ExperimentSpec, cp, writer: ArtifactWriter) -> None:
-    grid = parse_grid(cp)
+def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
+                   workers: int) -> None:
     samples = get_int(cp, "lp", "samples", 20)
     alpha_list = parse_float_list(get_str(cp, "lp", "alpha_w", "0.25,0.75"),
                                   what="[lp] alpha_w")
@@ -473,72 +453,42 @@ def _child_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _run_child(axis: str, value, cp, spec: ExperimentSpec, index: int) -> dict:
+def _run_child(cp, seed: int, energy: bool) -> dict:
+    """Run one child config; the row of its final state, with energy components if asked."""
     grid = parse_grid(cp)
-    preset = parse_preset(cp)
-    solver_cfg = parse_solver_config(cp)
-    j1 = get_int(cp, "diagnostics", "j1", 0)
-
-    if axis == "grid":
-        n = int(value)
-        grid = make_grid(grid.dim, grid.lengths, (n,) * grid.dim)
-    elif axis == "dt":
-        solver_cfg = dataclasses.replace(solver_cfg, dt=float(value))
-    elif axis == "amplitude":
-        preset = dict(preset, amplitude=float(value))
-        if not (0.0 < preset["amplitude"] < 1.0):
-            raise ValueError(f"amplitude {value} outside (0, 1)")
-    elif axis == "J1":
-        j1 = int(value)
-
-    if axis == "s_star":
-        params = RieszParams.from_s_star(
-            grid.dim, float(value),
-            lam=get_float(cp, "params", "lam", 1.0),
-            kappa=get_float(cp, "params", "kappa", 1.0),
-            rho_bar=get_float(cp, "params", "rho_bar", 1.0),
-        )
-    else:
-        params = parse_params(cp, grid.dim)
-
-    seed = _child_seed(spec.seed, index)
-    state0 = _make_initial(grid, preset, seed)
-    traj = integrate(grid, state0, params, solver_cfg)
-    final = traj.snapshots[-1] if traj.snapshots else None
-    row = {
-        "value": value,
-        "seed": seed,
-        "status": traj.status,
-        "final_t": None if final is None else final.t,
-        "l2_a": None if final is None else lp_norm(grid, final.a, 2),
-        "l2_u": None if final is None else lp_norm(grid, final.u, 2),
-        "min_density": None if final is None else 1.0 + float(np.min(final.a)),
-    }
-    if axis == "J1" and final is not None:
-        partition = build_partition(grid)
-        rec = energy_functionals(grid, final, partition, params, j1=j1)
-        row.update({f"E_{k}": v for k, v in sorted(rec.components.items())})
-    if axis == "dt":
-        row["_final_a"] = None if final is None else final.a
+    params, solver_cfg, preset = resolve_run(cp, grid)
+    traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg)
+    row = {"status": traj.status}
+    if traj.snapshots:
+        final = traj.snapshots[-1]
+        row.update(final_t=final.t, l2_a=lp_norm(grid, final.a, 2), l2_u=lp_norm(grid, final.u, 2),
+                   min_density=1.0 + float(np.min(final.a)), _final_a=final.a)
+        if energy:
+            rec = energy_functionals(grid, final, build_partition(grid), params,
+                                     j1=get_int(cp, "diagnostics", "j1", 0))
+            row.update({f"E_{k}": v for k, v in sorted(rec.components.items())})
     return row
 
 
-def cmd_sweep(spec: ExperimentSpec, cp, writer: ArtifactWriter, workers: int) -> None:
+def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
+              workers: int) -> None:
     axis = get_str(cp, "sweep", "axis")
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"[sweep] axis = {axis!r}; expected one of {SWEEP_AXES}")
-    values = parse_float_list(get_str(cp, "sweep", "values"), what="[sweep] values")
-    if axis in ("grid", "J1"):
-        values = tuple(int(v) for v in values)
+        raise ConfigError(f"[sweep] axis = {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    parse_values = parse_int_list if axis in ("grid", "J1") else parse_float_list
+    values = parse_values(get_str(cp, "sweep", "values"), what="[sweep] values")
+    section, key = SWEEP_AXES[axis]
+    resolve_run(cp, grid)  # a broken base config stops the sweep before any child runs
 
     def child(iv):
         index, value = iv
+        row = {"value": value, "seed": _child_seed(spec.seed, index)}
         try:
-            return _run_child(axis, value, cp, spec, index)
+            row.update(_run_child(override(cp, section, key, repr(value)), row["seed"],
+                                  energy=axis == "J1"))
         except Exception as exc:
-            return {"value": value, "seed": _child_seed(spec.seed, index),
-                    "status": f"error: {exc}", "final_t": None,
-                    "l2_a": None, "l2_u": None, "min_density": None}
+            row["status"] = f"error: {exc}"
+        return row
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -550,43 +500,41 @@ def cmd_sweep(spec: ExperimentSpec, cp, writer: ArtifactWriter, workers: int) ->
     if axis == "J1":
         extra = sorted({k for row in rows for k in row if k.startswith("E_")})
     if axis == "dt":
-        finest = min(
-            (row for row in rows if row.get("_final_a") is not None),
-            key=lambda row: row["value"],
-            default=None,
-        )
-        errs = []
-        for row in rows:
-            if finest is None or row.get("_final_a") is None or row is finest:
-                errs.append(None)
-            else:
+        extra = ["err_vs_finest", "observed_order"]
+        done = [row for row in rows if "_final_a" in row]
+        finest = min(done, key=lambda row: row["value"], default=None)
+        for row in done:
+            if row is not finest:
                 diff = row["_final_a"] - finest["_final_a"]
-                errs.append(float(np.sqrt(np.mean(diff**2))))
-        for row, err in zip(rows, errs):
-            row["err_vs_finest"] = err
+                row["err_vs_finest"] = float(np.sqrt(np.mean(diff**2)))
         ordered = sorted(
-            (row for row in rows if row.get("err_vs_finest")),
+            (row for row in done if row.get("err_vs_finest")),
             key=lambda row: row["value"], reverse=True,
         )
-        for row in rows:
-            row["observed_order"] = None
         for coarse, fine in zip(ordered, ordered[1:]):
             ratio = coarse["value"] / fine["value"]
             if ratio > 1 and coarse["err_vs_finest"] > 0 and fine["err_vs_finest"] > 0:
                 fine["observed_order"] = float(
                     np.log(coarse["err_vs_finest"] / fine["err_vs_finest"]) / np.log(ratio)
                 )
-        extra = ["err_vs_finest", "observed_order"]
 
     columns = ["value", "seed", "status", "final_t", "l2_a", "l2_u", "min_density"] + extra
-    table = []
-    for row in rows:
-        table.append(tuple("" if row.get(c) is None else row.get(c) for c in columns))
+    table = [tuple("" if row.get(c) is None else row[c] for c in columns) for row in rows]
     writer.write_csv("sweep.csv", columns, table)
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+#: experiment kind -> (command, whether it runs on the [grid] section)
+COMMANDS = {
+    "simulate": (cmd_simulate, True),
+    "linear-analyze": (cmd_linear_analyze, False),
+    "decay-verify": (cmd_decay_verify, False),
+    "lp-inspect": (cmd_lp_inspect, True),
+    "sweep": (cmd_sweep, True),
+}
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
@@ -599,23 +547,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
             raise ConfigError(
                 f"config declares kind = {declared!r} but the {spec.kind!r} subcommand was invoked"
             )
-        grid = parse_grid(cp) if cp.has_section("grid") else None
+        command, gridded = COMMANDS[spec.kind]
+        grid = parse_grid(cp) if gridded or cp.has_section("grid") else None
         writer = ArtifactWriter(spec.out_dir, _header(spec, digest, grid))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if spec.kind == "simulate":
-            cmd_simulate(spec, cp, writer)
-        elif spec.kind == "linear-analyze":
-            cmd_linear_analyze(spec, cp, writer)
-        elif spec.kind == "decay-verify":
-            cmd_decay_verify(spec, cp, writer)
-        elif spec.kind == "lp-inspect":
-            cmd_lp_inspect(spec, cp, writer)
-        else:
-            cmd_sweep(spec, cp, writer, workers)
+        command(spec, cp, grid, writer, workers)
         writer.finalize(spec, digest)
     except ConfigError as exc:
         writer.rollback()

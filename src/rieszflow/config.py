@@ -31,15 +31,26 @@ __all__ = [
     "config_digest",
     "parse_schedule",
     "parse_float_list",
+    "parse_int_list",
+    "parse_entries",
     "parse_grid",
     "parse_params",
     "parse_solver_config",
     "parse_preset",
+    "resolve_run",
+    "override",
 ]
 
 KINDS = ("simulate", "linear-analyze", "decay-verify", "lp-inspect", "sweep")
 
-SWEEP_AXES = ("s_star", "amplitude", "J1", "grid", "dt")
+#: sweep axis -> the (section, key) each child run overrides
+SWEEP_AXES = {
+    "s_star": ("params", "s_star"),
+    "amplitude": ("preset", "amplitude"),
+    "J1": ("diagnostics", "j1"),
+    "grid": ("grid", "modes"),
+    "dt": ("solver", "dt"),
+}
 
 
 class ConfigError(ValueError):
@@ -140,6 +151,32 @@ def parse_float_list(text: str, *, what: str = "list") -> tuple[float, ...]:
         raise ConfigError(f"bad {what}: {text!r}") from exc
 
 
+def parse_int_list(text: str, *, what: str = "list") -> tuple[int, ...]:
+    values = parse_float_list(text, what=what)
+    for v in values:
+        if not v.is_integer():
+            raise ConfigError(f"{what} = {text.strip()!r}: {v!r} is not an integer")
+    return tuple(int(v) for v in values)
+
+
+def parse_entries(text: str, form: str, build, *, what: str) -> list:
+    """``build(*fields)`` of each comma-separated entry of colon fields spelled ``form``.
+
+    A wrong field count, or a ``ValueError`` from ``build``, is a :class:`ConfigError`
+    naming the entry.
+    """
+    entries = []
+    for tok in text.split(","):
+        fields = [s.strip() for s in tok.split(":")]
+        if len(fields) != form.count(":") + 1:
+            raise ConfigError(f"{what} entry {tok!r}; expected {form}")
+        try:
+            entries.append(build(*fields))
+        except ValueError as exc:
+            raise ConfigError(f"{what} entry {tok!r}: {exc}") from exc
+    return entries
+
+
 def parse_schedule(text: str, *, what: str = "schedule") -> tuple[float, ...]:
     """Parse a time schedule: comma list, linspace:a,b,n, or logspace:a,b,n."""
     text = text.strip()
@@ -161,21 +198,16 @@ def parse_schedule(text: str, *, what: str = "schedule") -> tuple[float, ...]:
 
 def parse_grid(cp: configparser.ConfigParser) -> SpectralGrid:
     dim = get_int(cp, "grid", "dim")
-    if dim == 1:
-        lengths = (get_float(cp, "grid", "length"),)
-        modes = (get_int(cp, "grid", "modes"),)
-    elif dim == 2:
-        lengths = tuple(parse_float_list(get_str(cp, "grid", "length"), what="grid length"))
-        raw_modes = parse_float_list(get_str(cp, "grid", "modes"), what="grid modes")
-        if len(lengths) == 1:
-            lengths = lengths * 2
-        if len(raw_modes) == 1:
-            raw_modes = raw_modes * 2
-        if len(lengths) != 2 or len(raw_modes) != 2:
-            raise ConfigError("[grid] length and modes need one or two entries for dim = 2")
-        modes = tuple(int(n) for n in raw_modes)
-    else:
+    if dim not in (1, 2):
         raise ConfigError(f"[grid] dim must be 1 or 2, got {dim}")
+    lengths = parse_float_list(get_str(cp, "grid", "length"), what="[grid] length")
+    modes = parse_int_list(get_str(cp, "grid", "modes"), what="[grid] modes")
+    if len(lengths) == 1:
+        lengths = lengths * dim
+    if len(modes) == 1:
+        modes = modes * dim
+    if len(lengths) != dim or len(modes) != dim:
+        raise ConfigError(f"[grid] length and modes need one entry, or one per axis of dim = {dim}")
     try:
         return make_grid(dim=dim, lengths=lengths, modes=modes)
     except ValueError as exc:
@@ -187,15 +219,12 @@ def parse_params(cp: configparser.ConfigParser, dim: int) -> RieszParams:
     has_sstar = cp.has_option("params", "s_star")
     if has_alpha == has_sstar:
         raise ConfigError("[params] needs exactly one of alpha or s_star")
-    lam = get_float(cp, "params", "lam", 1.0)
-    kappa = get_float(cp, "params", "kappa", 1.0)
-    rho_bar = get_float(cp, "params", "rho_bar", 1.0)
+    coefficients = {key: get_float(cp, "params", key, 1.0) for key in ("lam", "kappa", "rho_bar")}
     try:
         if has_alpha:
-            return RieszParams(dim=dim, alpha=get_float(cp, "params", "alpha"),
-                               lam=lam, kappa=kappa, rho_bar=rho_bar)
+            return RieszParams(dim=dim, alpha=get_float(cp, "params", "alpha"), **coefficients)
         return RieszParams.from_s_star(dim=dim, s_star=get_float(cp, "params", "s_star"),
-                                       lam=lam, kappa=kappa, rho_bar=rho_bar)
+                                       **coefficients)
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from exc
 
@@ -218,7 +247,7 @@ def parse_solver_config(cp: configparser.ConfigParser) -> SolverConfig:
 
 
 def parse_preset(cp: configparser.ConfigParser) -> dict:
-    """Initial-data preset keys, validated but not yet realized on a grid."""
+    """Initial-data preset keys, validated: the keyword arguments of ``perturbation_presets``."""
     kind = get_choice(cp, "preset", "kind", PRESETS)
     out = {
         "kind": kind,
@@ -231,3 +260,26 @@ def parse_preset(cp: configparser.ConfigParser) -> dict:
     if not (0.0 < out["amplitude"] < 1.0):
         raise ConfigError(f"[preset] amplitude must lie in (0, 1), got {out['amplitude']}")
     return out
+
+
+def resolve_run(cp: configparser.ConfigParser,
+                grid: SpectralGrid) -> tuple[RieszParams, SolverConfig, dict]:
+    """Params, solver config and initial-data preset of a run on ``grid``."""
+    return parse_params(cp, grid.dim), parse_solver_config(cp), parse_preset(cp)
+
+
+def override(cp: configparser.ConfigParser, section: str, key: str,
+             value: str) -> configparser.ConfigParser:
+    """A copy of ``cp`` with ``[section] key = value``.
+
+    Setting ``[params] alpha`` or ``s_star`` removes the other spelling
+    of the interaction exponent, as ``[params]`` takes exactly one.
+    """
+    child = configparser.ConfigParser()
+    child.read_dict({name: dict(cp.items(name, raw=True)) for name in cp.sections()})
+    if not child.has_section(section):
+        child.add_section(section)
+    child.set(section, key, value)
+    if section == "params" and key in ("alpha", "s_star"):
+        child.remove_option(section, "s_star" if key == "alpha" else "alpha")
+    return child

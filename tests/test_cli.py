@@ -14,6 +14,8 @@ import pytest
 import rieszflow
 from rieszflow import cli, read_snapshot, write_snapshot
 from rieszflow.cli import main, run_experiment
+from rieszflow.grid import RieszParams, lp_norm, make_grid
+from rieszflow.solver import SolverConfig, integrate, perturbation_presets
 from rieszflow.config import (
     ConfigError,
     ExperimentSpec,
@@ -152,6 +154,12 @@ class TestSectionParsers:
         cp = load_config(write_cfg(tmp_path, "[grid]\ndim = 2\nlength = 6.0\nmodes = 16\n"))
         g = parse_grid(cp)
         assert g.modes == (16, 16) and g.lengths == (6.0, 6.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_modes_must_be_integers(self, tmp_path, dim):
+        cp = load_config(write_cfg(tmp_path, f"[grid]\ndim = {dim}\nlength = 6.0\nmodes = 16.9\n"))
+        with pytest.raises(ConfigError, match=r"\[grid\] modes = '16\.9'"):
+            parse_grid(cp)
 
     def test_grid_errors_wrapped(self, tmp_path):
         cp = load_config(write_cfg(tmp_path, "[grid]\ndim = 1\nlength = 6.0\nmodes = 9\n"))
@@ -495,6 +503,16 @@ class TestAnalysisCommands:
         assert run_cli(["decay-verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "pair" in capsys.readouterr().err
 
+    def test_decay_verify_malformed_pair_names_the_entry(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "[experiment]\nkind = decay-verify\n"
+            "[decay]\ns_star = 0.5\npairs = -0.5:0, x:0\ntimes = 1,2,3\n",
+        )
+        assert run_cli(["decay-verify", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[decay] pairs entry ' x:0'" in err
+
     def test_lp_inspect(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -543,7 +561,7 @@ class TestSweepCommand:
         cols, rows = read_csv_file(out / "sweep.csv")
         by_value = {r[0]: dict(zip(cols, r)) for r in rows}
         assert by_value["0.1"]["status"] == "completed"
-        assert by_value["1.5"]["status"].startswith("error:")
+        assert by_value["1.5"]["status"] == "error: [preset] amplitude must lie in (0, 1), got 1.5"
         assert by_value["1.5"]["final_t"] == ""
 
     def test_workers_do_not_change_output(self, tmp_path):
@@ -565,6 +583,54 @@ class TestSweepCommand:
     def test_unknown_axis(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.SWEEP_BASE + "[sweep]\naxis = viscosity\nvalues = 1\n")
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_broken_base_config_stops_before_any_child(self, tmp_path, capsys):
+        base = self.SWEEP_BASE.replace("[params]\ns_star = 0.5\n", "")
+        cfg = write_cfg(tmp_path, base + "[sweep]\naxis = s_star\nvalues = 0.25,0.5\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+        assert "config error: [params] needs exactly one of alpha or s_star" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_s_star_axis_replaces_a_declared_alpha(self, tmp_path):
+        sweep = "[sweep]\naxis = s_star\nvalues = 0.25,0.75\n"
+        declared = {}
+        for spelling in ("s_star = 0.5", "alpha = 0.5"):
+            text = self.SWEEP_BASE.replace("s_star = 0.5", spelling) + sweep
+            out = tmp_path / spelling.split()[0]
+            assert run_cli(["sweep", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+            declared[spelling] = read_csv_file(out / "sweep.csv")
+        assert declared["s_star = 0.5"] == declared["alpha = 0.5"]
+        cols, rows = declared["alpha = 0.5"]
+        assert [r[cols.index("status")] for r in rows] == ["completed", "completed"]
+
+    @pytest.mark.parametrize("axis", ["J1", "grid"])
+    def test_integer_axis_refuses_fractional_values(self, tmp_path, capsys, axis):
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + f"[sweep]\naxis = {axis}\nvalues = 32,0.5,1.7\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+        assert "config error: [sweep] values = '32,0.5,1.7': 0.5 is not an integer" in (
+            capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_grid_axis_matches_direct_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + "[sweep]\naxis = grid\nvalues = 32,128\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+        cols, rows = read_csv_file(out / "sweep.csv")
+        assert [r[0] for r in rows] == ["32", "128"]
+        for r in rows:
+            row = dict(zip(cols, r))
+            grid = make_grid(dim=1, lengths=6.283185307179586, modes=int(row["value"]))
+            state0 = perturbation_presets("smooth-bump", 0.1, grid, seed=int(row["seed"]))
+            traj = integrate(grid, state0, RieszParams.from_s_star(1, 0.5),
+                             SolverConfig(dt=0.05, t_end=0.5, snapshot_times=(0.5,)))
+            final = traj.snapshots[-1]
+            assert row["status"] == traj.status == "completed"
+            assert float(row["final_t"]) == final.t
+            assert float(row["l2_a"]) == lp_norm(grid, final.a, 2)
+            assert float(row["l2_u"]) == lp_norm(grid, final.u, 2)
+            assert float(row["min_density"]) == 1.0 + float(np.min(final.a))
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
