@@ -453,9 +453,8 @@ def _child_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _run_child(cp, seed: int, energy: bool) -> dict:
-    """Run one child config; the row of its final state, with energy components if asked."""
-    grid = parse_grid(cp)
+def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
+    """Run one child config on ``grid``; the row of its final state, with energy components if asked."""
     params, solver_cfg, preset = resolve_run(cp, grid)
     traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg)
     row = {"status": traj.status}
@@ -484,8 +483,10 @@ def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWrit
         index, value = iv
         row = {"value": value, "seed": _child_seed(spec.seed, index)}
         try:
-            row.update(_run_child(override(cp, section, key, repr(value)), row["seed"],
-                                  energy=axis == "J1"))
+            child_cp = override(cp, section, key, repr(value))
+            # only the grid axis changes [grid]; every other child runs on the header's grid
+            child_grid = parse_grid(child_cp) if section == "grid" else grid
+            row.update(_run_child(child_cp, child_grid, row["seed"], energy=axis == "J1"))
         except Exception as exc:
             row["status"] = f"error: {exc}"
         return row

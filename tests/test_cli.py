@@ -13,6 +13,7 @@ import pytest
 
 import rieszflow
 from rieszflow import cli, read_snapshot, write_snapshot
+from rieszflow import grid as grid_module
 from rieszflow.cli import main, run_experiment
 from rieszflow.grid import RieszParams, lp_norm, make_grid
 from rieszflow.solver import SolverConfig, integrate, perturbation_presets
@@ -631,6 +632,24 @@ class TestSweepCommand:
             assert float(row["l2_a"]) == lp_norm(grid, final.a, 2)
             assert float(row["l2_u"]) == lp_norm(grid, final.u, 2)
             assert float(row["min_density"]) == 1.0 + float(np.min(final.a))
+
+    @pytest.mark.parametrize("axis, values, extents", [
+        ("s_star", "0.25,0.5,0.75", [(64, 33)]),
+        ("grid", "32,128", [(64, 33), (32, 17), (128, 65)]),
+    ])
+    def test_children_reuse_the_header_grid(self, tmp_path, monkeypatch, axis, values, extents):
+        built = []
+        builder = grid_module._build_lattice
+
+        def recording_builder(axes, extent):
+            built.append((axes[-1].size, extent))
+            return builder(axes, extent)
+
+        monkeypatch.setattr(grid_module, "_build_lattice", recording_builder)
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + f"[sweep]\naxis = {axis}\nvalues = {values}\n")
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        # only the grid axis builds a grid per child
+        assert built == extents
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

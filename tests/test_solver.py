@@ -463,6 +463,21 @@ class TestRunStats:
         stats = integrate(g, st, RieszParams.from_s_star(1, 0.5), SolverConfig(dt=0.1, t_end=0.0)).stats
         assert (stats.steps, stats.step_sizes, stats.propagator_builds) == (0, (), 0)
 
+    @pytest.mark.parametrize(
+        "dim, lengths, modes, fraction, form",
+        [
+            (1, 200 * np.pi, 4096, 2.0 / 3.0, "conservative"),  # the c08 grid
+            (1, 200 * np.pi, 4096, 1.0, "convective"),
+            (2, 2.0 * np.pi, 16, 2.0 / 3.0, "convective"),
+        ],
+    )
+    def test_nonlinear_form(self, dim, lengths, modes, fraction, form):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        cfg = SolverConfig(dt=0.1, t_end=0.2, dealias=fraction)
+        stats = integrate(g, st, RieszParams.from_s_star(dim, 0.5), cfg).stats
+        assert stats.nonlinear_form == form
+
 
 def dft_coefficients(f):
     """Centered Fourier coefficients c_k (k in [-N/2, N/2) per axis) by explicit DFT sums."""
@@ -536,19 +551,51 @@ class TestNonlinearOracle:
 class TestTransformCount:
     """integrate runs on the half spectrum with a fixed transform count per IFRK4 step."""
 
-    #: 4 tendencies x (irfftn of the state, irfftn of the gradients, rfftn of a u,
-    #: rfftn of u . grad u) plus one irfftn of the density for the positivity check
-    PER_STEP = 17
+    #: per dimension, 4 tendencies plus one irfftn of the density for the positivity
+    #: check. A 1D tendency (conservative form, N = 16 keeps K = 5 < N/3) is the
+    #: irfftn of the state and the rfftn of [a u, u^2/2]; a 2D one is the irfftn of
+    #: the state, the irfftn of the gradients, the rfftn of a u and of u . grad u.
+    PER_STEP = {1: 9, 2: 17}
+    FORWARD_PER_STEP = {1: 4, 2: 8}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rfft_only_and_fixed_per_step(self, dim, fft_calls):
         g = make_grid(dim=dim, lengths=2.0 * np.pi, modes=16)
         p = RieszParams.from_s_star(dim, 0.5)
         st = perturbation_presets("smooth-bump", 0.05, g)
+        forward, total = self.FORWARD_PER_STEP[dim], self.PER_STEP[dim]
         for nsteps in (2, 5):
             before = dict(fft_calls)
             integrate(g, st, p, SolverConfig(dt=1.0 / nsteps, t_end=1.0))
             made = {name: fft_calls[name] - before[name] for name in fft_calls}
             # one rfftn of the initial state, one irfftn per recorded snapshot (t = 0 and 1)
-            assert made == {"fftn": 0, "ifftn": 0, "rfftn": 1 + 8 * nsteps, "irfftn": 2 + 9 * nsteps}
-            assert made["rfftn"] + made["irfftn"] == 3 + self.PER_STEP * nsteps
+            assert made == {"fftn": 0, "ifftn": 0, "rfftn": 1 + forward * nsteps,
+                            "irfftn": 2 + (total - forward) * nsteps}
+            assert made["rfftn"] + made["irfftn"] == 3 + total * nsteps
+
+
+class TestAliasFreeRule:
+    """The 1D conservative form is used exactly when the dealiased products are alias-free (3K < N)."""
+
+    @pytest.mark.parametrize("modes", [30, 48, 96])
+    def test_third_of_the_grid_kept_matches_convolution_sums(self, modes):
+        # fraction 2/3 with N divisible by 3 keeps K = N/3: products of kept modes
+        # alias onto kept modes, where the two forms differ at O(1)
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=modes)
+        assert solver._Scheme(g, None).nonlinear_form == "convective"
+        for seed in (0, 1):
+            TestNonlinearOracle().test_matches_convolution_sums(
+                1, modes, (2.0 * np.pi,), seed, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("fraction, form, calls", [(2.0 / 3.0, "conservative", 1), (1.0, "convective", 2)])
+    @pytest.mark.parametrize("modes", [32, 64])
+    def test_transforms_per_tendency(self, modes, fraction, form, calls, fft_calls):
+        # 2/3 keeps K = floor(N/3) < N/3; fraction 1 keeps modes whose products alias
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=modes)
+        scheme = solver._Scheme(g, None, fraction)
+        s = g.rfft(np.random.default_rng(0).standard_normal((2, modes)))
+        before = dict(fft_calls)
+        scheme.rhs(s)
+        made = {name: fft_calls[name] - before[name] for name in fft_calls}
+        assert scheme.nonlinear_form == form
+        assert made == {"fftn": 0, "ifftn": 0, "rfftn": calls, "irfftn": calls}
