@@ -241,13 +241,22 @@ class SpectralGrid:
         """Half-lattice view ``m[..., :N_d/2 + 1]`` of a full-lattice array."""
         return m[..., : self.modes[-1] // 2 + 1]
 
-    def rfft(self, f: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real scalar or vector field, one transform over the trailing axes."""
-        return np.fft.rfftn(np.asarray(f, dtype=float), axes=tuple(range(-self.dim, 0)))
+    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of a real scalar or vector field, one transform over the trailing axes.
 
-    def irfft(self, fhat: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`rfft`; leading component axes are kept."""
-        return np.fft.irfftn(fhat, s=self.modes, axes=tuple(range(-self.dim, 0)))
+        ``out``, if given, receives the result (complex, of the half
+        spectrum's shape) and is returned.
+        """
+        return np.fft.rfftn(np.asarray(f, dtype=float), axes=tuple(range(-self.dim, 0)), out=out)
+
+    def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`rfft`; leading component axes are kept.
+
+        ``out``, if given, receives the real result and is returned.  In
+        2D the transform over the first axis still makes one complex
+        intermediate of ``fhat``'s size.
+        """
+        return np.fft.irfftn(fhat, s=self.modes, axes=tuple(range(-self.dim, 0)), out=out)
 
     def min_nonzero_wavenumber(self) -> float:
         return float(min(2.0 * np.pi / L for L in self.lengths))

@@ -33,12 +33,24 @@ is written with the half-step propagator alone: four propagations by
 h/2 and four nonlinear tendencies per step, and one propagator build
 per segment of equal steps.  ``integrate`` reports the steps taken, the
 step sizes and the propagator builds in ``Trajectory.stats``.
+
+Each scheme allocates its workspace once: four stage buffers for the
+IFRK4 step and the physical fields, spectra and products of a tendency
+(the budget is listed on ``_Scheme``).  The tendency, the
+linear update and the steps write into it with ``out=``, the transforms
+included, and ``integrate`` advances one state array in place.  A step
+then allocates no state-sized array except the complex intermediate that
+``numpy.fft.irfftn`` makes over the first axis in 2D, so the memory of
+one step is reused by the next instead of being returned to the system
+and faulted in again.  Called without ``out``, every method returns a
+fresh array and leaves its input unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +59,6 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _negate_lattice,
-    half_divergence,
     lp_norm,
     state_fields,
 )
@@ -140,6 +151,31 @@ class _Scheme:
     Propagator factors are cached for the one step size in use: IFRK4
     propagates only by h/2, exponential Euler and linear-only runs by h,
     so each segment of a run builds its factors once.
+
+    The workspace is allocated once per scheme, here except for the
+    stage buffers, which the first step allocates; with S one state
+    array and P one physical field it holds:
+
+    - ``_stage``: four state arrays, the A, B and n2 of
+      :meth:`step_ifrk4` and one working buffer x for the stage inputs,
+      n3 and n4 (4 S; :meth:`step_exp_euler` uses x);
+    - ``_fields``: the physical (a, u) of a tendency, and the density of
+      ``integrate``'s per-step check ((1 + d) P);
+    - ``_spec``: max(d^2, d + 2) half spectra, the gradient spectra of
+      u, then the forward transforms of the products, and the compressible
+      scalar and coupling term of :meth:`apply_linear`;
+    - ``_du``: the d^2 gradients d_j u_i (convective form only);
+    - ``_prod``: two physical fields, the d components of a u and then
+      of u . grad u, or [a u, u^2/2] in conservative form (2 P).
+
+    At 2D 256^2 that is about 12.6 MiB.  ``rhs``, ``apply_linear`` and the
+    steps take an optional ``out``, which may be their input ``s`` and
+    must not be a workspace buffer; without it they return a fresh array.
+    They never change ``s`` unless it is ``out``, and never return a
+    workspace buffer.  Each operation takes the operands of the plain
+    array expression it evaluates in that expression's order (NumPy's
+    complex multiply is not bit-commutative), so the results equal those
+    of the allocating expressions bit for bit.
     """
 
     def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
@@ -148,9 +184,10 @@ class _Scheme:
         self.grid = grid
         self.params = params
         self.mask = grid.half(grid.dealias_mask(dealias))
+        d = grid.dim
         # the alias-free rule 3K < N of the module docstring; the 1D half
         # mask keeps k = 0..K
-        if grid.dim == 1 and 3 * (np.count_nonzero(self.mask) - 1) < grid.modes[0]:
+        if d == 1 and 3 * (np.count_nonzero(self.mask) - 1) < grid.modes[0]:
             self.nonlinear_form = "conservative"
             self.minus_ddx = -grid.half_grad[0] * self.mask
         else:
@@ -160,6 +197,18 @@ class _Scheme:
         self.ie = 1j * np.stack(grid.half_xi_unit)
         self._factors: dict = {}
         self.builds = 0
+
+        half = grid.half_xi_norm.shape
+        self._fields = np.empty((1 + d,) + grid.shape)
+        self._spec = np.empty((max(d * d, d + 2),) + half, dtype=complex)
+        self._du = None if self.minus_ddx is not None else np.empty((d * d,) + grid.shape)
+        self._prod = np.empty((2,) + grid.shape)
+
+    @cached_property
+    def _stage(self) -> np.ndarray:
+        # built on the first step, so that one-off tendencies and linear
+        # updates (``rhs_nonlinear``, ``linear_step``) do not allocate it
+        return np.empty((4, 1 + self.grid.dim) + self.grid.half_xi_norm.shape, dtype=complex)
 
     # -- linear part ---------------------------------------------------
 
@@ -187,58 +236,94 @@ class _Scheme:
             self.builds += 1
         return fac
 
-    def apply_linear(self, s: np.ndarray, h: float) -> np.ndarray:
+    def apply_linear(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
         p11, p12, q21, q22, rot = self.factors(h)
-        m = self.ie[0] * s[1]
+        if out is None:
+            out = np.empty_like(s)
+        d = self.grid.dim
+        m, c, tmp = self._spec[0], self._spec[1], self._spec[2:2 + d]
+        np.multiply(self.ie[0], s[1], out=m)
         for e, u in zip(self.ie[1:], s[2:]):
-            m += e * u
-        out = np.empty_like(s)
+            m += np.multiply(e, u, out=tmp[0])
+        # m and c are formed before out is written, so out may be s
+        np.multiply(q21, s[0], out=c)
+        c += np.multiply(q22, m, out=tmp[0])
         np.multiply(p11, s[0], out=out[0])
-        out[0] += p12 * m
-        c = q21 * s[0]
-        c += q22 * m
+        out[0] += np.multiply(p12, m, out=tmp[0])
         np.multiply(s[1:], rot, out=out[1:])
-        out[1:] += self.ie * c
+        out[1:] += np.multiply(self.ie, c, out=tmp)
         return out
 
     # -- nonlinear part ------------------------------------------------
 
-    def rhs(self, s: np.ndarray) -> np.ndarray:
+    def rhs(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         g, d = self.grid, self.grid.dim
-        masked = s * self.mask
-        fields = g.irfft(masked)
-        if self.minus_ddx is not None:
-            a, u = fields
-            return self.minus_ddx * g.rfft(np.stack([a * u, 0.5 * u * u]))
+        if out is None:
+            out = np.empty_like(s)
+        # the masked spectrum lives in out until the transforms have read it
+        masked = np.multiply(s, self.mask, out=out)
+        fields = g.irfft(masked, out=self._fields)
         a, u = fields[0], fields[1:]
+        prod = self._prod
+        if self.minus_ddx is not None:
+            np.multiply(a, u[0], out=prod[0])
+            np.multiply(0.5, u[0], out=prod[1])
+            prod[1] *= u[0]
+            return np.multiply(self.minus_ddx, g.rfft(prod, out=out), out=out)
         # du[i, j] = d_j u_i, all d^2 components in one transform
-        du = g.irfft(np.stack([k * masked[1 + i] for i in range(d) for k in g.half_grad]))
-        du = du.reshape((d, d) + g.shape)
-        out = np.empty_like(s)
-        out[0] = -half_divergence(g, g.rfft(a * u))
-        out[1:] = -g.rfft(np.sum(u * du, axis=1))
+        spec = self._spec
+        for i in range(d):
+            for j, k in enumerate(g.half_grad):
+                np.multiply(k, masked[1 + i], out=spec[i * d + j])
+        du = g.irfft(spec[:d * d], out=self._du).reshape((d, d) + g.shape)
+        # a u, then u . grad u, in the same d products; their forward
+        # transforms reuse the gradient spectra, read by now
+        prod = prod[:d]
+        vhat = g.rfft(np.multiply(a, u, out=prod), out=spec[:d])
+        # -div(a u) and sum_j u_j d_j u_i are summed from zero, as
+        # sum() and np.sum do, so signed zeros come out the same
+        out[0] = 0
+        for k, v in zip(g.half_grad, vhat):
+            out[0] += np.multiply(k, v, out=v)
+        np.negative(out[0], out=out[0])
+        prod[...] = 0
+        for j in range(d):
+            prod += np.multiply(u[j], du[:, j], out=du[:, j])
+        np.negative(g.rfft(prod, out=spec[:d]), out=out[1:])
         out *= self.mask
         return out
 
-    def step_exp_euler(self, s: np.ndarray, h: float) -> np.ndarray:
-        return self.apply_linear(s + h * self.rhs(s), h)
+    def step_exp_euler(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+        x = self._stage[3]
+        self.rhs(s, out=x)
+        np.add(s, np.multiply(h, x, out=x), out=x)
+        return self.apply_linear(x, h, out=out)
 
-    def step_ifrk4(self, s: np.ndarray, h: float) -> np.ndarray:
+    def step_ifrk4(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
         """Lawson's integrating-factor RK4, propagating only by E_{h/2}.
 
         Since E_h = E_{h/2} E_{h/2}, the classical form (six propagations
         by h/2 and h) regroups with A = E_{h/2} s and B = E_{h/2} n1 into
         n2 = N(A + h/2 B), n3 = N(A + h/2 n2), n4 = N(E_{h/2}(A + h n3))
-        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.
+        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.  The four
+        stage buffers hold A, B, n2 and x (the stage inputs, n3, n4);
+        s is read only by the first two lines, so ``out`` may be s.
         """
-        half = 0.5 * h
-        lin = self.apply_linear
-        A = lin(s, half)
-        B = lin(self.rhs(s), half)
-        n2 = self.rhs(A + half * B)
-        n3 = self.rhs(A + half * n2)
-        n4 = self.rhs(lin(A + h * n3, half))
-        return lin(A + (h / 6.0) * (B + 2.0 * (n2 + n3)), half) + (h / 6.0) * n4
+        half, sixth = 0.5 * h, h / 6.0
+        lin, N = self.apply_linear, self.rhs
+        A, B, n2, x = self._stage
+        lin(s, half, out=A)
+        lin(N(s, out=x), half, out=B)
+        N(np.add(A, np.multiply(half, B, out=x), out=x), out=n2)
+        N(np.add(A, np.multiply(half, n2, out=x), out=x), out=x)
+        # n2 <- A + h/6 (B + 2 (n2 + n3)), then B <- A + h n3 and x <- n4
+        np.add(n2, x, out=n2)
+        np.add(B, np.multiply(2.0, n2, out=n2), out=n2)
+        np.add(A, np.multiply(sixth, n2, out=n2), out=n2)
+        np.add(A, np.multiply(h, x, out=B), out=B)
+        N(lin(B, half, out=A), out=x)
+        out = lin(n2, half, out=out)
+        return np.add(out, np.multiply(sixth, x, out=x), out=out)
 
 
 def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:
@@ -335,10 +420,10 @@ def integrate(
         h = span / nsteps
         step_sizes[h] = None
         for istep in range(nsteps):
-            s = advance(s, h)
+            advance(s, h, out=s)
             steps += 1
             t = target if istep == nsteps - 1 else t + h
-            a_phys = grid.irfft(s[0])
+            a_phys = grid.irfft(s[0], out=scheme._fields[0])
             if not (np.all(np.isfinite(a_phys)) and np.all(np.isfinite(s[1:]))):
                 status, abort_time, aborted = "blowup", t, True
                 break

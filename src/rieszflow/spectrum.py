@@ -172,33 +172,31 @@ def propagator(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(xi > 0, xi ** (2.0 * s_star), 0.0)
-    disc = (lam * lam - 4.0 * rho_bar * kappa * x).astype(complex)
-    delta = 0.5 * np.sqrt(disc)
+    delta = 0.5 * np.sqrt((lam * lam - 4.0 * rho_bar * kappa * x).astype(complex))
+    del x
+    # each intermediate is dropped after its last use: on a 2D half
+    # lattice the complex temporaries would otherwise add up to several
+    # state arrays on top of the solver's workspace
     mu = -lam / 2.0
-    l1 = mu + delta
-    l2 = mu - delta
-    e1 = np.exp(l1 * tt)
-    e2 = np.exp(l2 * tt)
-    half_sum = 0.5 * (e1 + e2)
-
+    e1 = np.exp((mu + delta) * tt)
+    e2 = np.exp((mu - delta) * tt)
     dt_prod = delta * tt
     small = np.abs(dt_prod) < 1e-4
-    denom = np.where(small, 1.0, 2.0 * delta)
-    phi = (e1 - e2) / denom
+    phi = e1 - e2
+    phi /= np.where(small, 1.0, 2.0 * delta)
+    del delta
+    half_sum = 0.5 * (e1 + e2)
+    del e1, e2
     series = tt * np.exp(mu * tt) * (1.0 + dt_prod**2 / 6.0 + dt_prod**4 / 120.0)
+    del dt_prod
     phi = np.where(small, series, phi)
-
-    off21 = _offdiag(xi, s_star, kappa)
-    p11 = half_sum + phi * (lam / 2.0)
-    p12 = -phi * rho_bar * xi
-    p21 = phi * off21
-    p22 = half_sum - phi * (lam / 2.0)
+    del series, small
 
     out = np.empty(xi.shape + (2, 2))
-    out[..., 0, 0] = p11.real
-    out[..., 0, 1] = p12.real
-    out[..., 1, 0] = p21.real
-    out[..., 1, 1] = p22.real
+    out[..., 0, 0] = (half_sum + phi * (lam / 2.0)).real
+    out[..., 0, 1] = (-phi * rho_bar * xi).real
+    out[..., 1, 0] = (phi * _offdiag(xi, s_star, kappa)).real
+    out[..., 1, 1] = (half_sum - phi * (lam / 2.0)).real
     return out
 
 

@@ -1,5 +1,7 @@
 """Time integration: exact linear part, dealiased nonlinearity, presets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from rieszflow import (
 )
 
 from rieszflow import solver
+from rieszflow.grid import half_divergence
 
 from conftest import smooth_field, smooth_vector
 
@@ -599,3 +602,212 @@ class TestAliasFreeRule:
         made = {name: fft_calls[name] - before[name] for name in fft_calls}
         assert scheme.nonlinear_form == form
         assert made == {"fftn": 0, "ifftn": 0, "rfftn": calls, "irfftn": calls}
+
+
+class AllocatingScheme:
+    """The allocating tendency, linear update and steps the workspace replaced, as a reference.
+
+    Every operation builds its result in a fresh array; the scheme under
+    test must reproduce these results bit for bit.  The propagator
+    factors, masks and symbols come from a separate ``_Scheme``.
+    """
+
+    def __init__(self, grid, params, dealias):
+        self.sc = solver._Scheme(grid, params, dealias)
+
+    def apply_linear(self, s, h):
+        sc = self.sc
+        p11, p12, q21, q22, rot = sc.factors(h)
+        m = sc.ie[0] * s[1]
+        for e, u in zip(sc.ie[1:], s[2:]):
+            m += e * u
+        out = np.empty_like(s)
+        np.multiply(p11, s[0], out=out[0])
+        out[0] += p12 * m
+        c = q21 * s[0]
+        c += q22 * m
+        np.multiply(s[1:], rot, out=out[1:])
+        out[1:] += sc.ie * c
+        return out
+
+    def rhs(self, s):
+        sc = self.sc
+        g, d = sc.grid, sc.grid.dim
+        masked = s * sc.mask
+        fields = g.irfft(masked)
+        if sc.minus_ddx is not None:
+            a, u = fields
+            return sc.minus_ddx * g.rfft(np.stack([a * u, 0.5 * u * u]))
+        a, u = fields[0], fields[1:]
+        du = g.irfft(np.stack([k * masked[1 + i] for i in range(d) for k in g.half_grad]))
+        du = du.reshape((d, d) + g.shape)
+        out = np.empty_like(s)
+        out[0] = -half_divergence(g, g.rfft(a * u))
+        out[1:] = -g.rfft(np.sum(u * du, axis=1))
+        out *= sc.mask
+        return out
+
+    def step_exp_euler(self, s, h):
+        return self.apply_linear(s + h * self.rhs(s), h)
+
+    def step_ifrk4(self, s, h):
+        half = 0.5 * h
+        lin = self.apply_linear
+        A = lin(s, half)
+        B = lin(self.rhs(s), half)
+        n2 = self.rhs(A + half * B)
+        n3 = self.rhs(A + half * n2)
+        n4 = self.rhs(lin(A + h * n3, half))
+        return lin(A + (h / 6.0) * (B + 2.0 * (n2 + n3)), half) + (h / 6.0) * n4
+
+
+#: (dim, lengths, modes, dealias fraction, nonlinear form)
+WORKSPACE_CASES = [
+    (1, (2.0 * np.pi,), (32,), 2.0 / 3.0, "conservative"),
+    (1, (2.0 * np.pi,), (48,), 2.0 / 3.0, "convective"),  # 3K = N
+    (1, (2.0 * np.pi,), (32,), 1.0, "convective"),
+    (2, (2.0 * np.pi, 3.0 * np.pi), (16, 24), 2.0 / 3.0, "convective"),
+]
+
+#: SolverConfig settings of each advance path and the scheme method it uses
+PATHS = {
+    "ifrk4": (dict(integrator="ifrk4"), "step_ifrk4"),
+    "exp-euler": (dict(integrator="exp-euler"), "step_exp_euler"),
+    "linear_only": (dict(linear_only=True), "apply_linear"),
+}
+
+
+def bit_equal(x, y):
+    """Equal values and equal bytes: signed zeros must match too."""
+    return np.array_equal(x, y) and x.tobytes() == y.tobytes()
+
+
+def workspace_case(dim, lengths, modes, seed=0):
+    g = make_grid(dim=dim, lengths=lengths, modes=modes)
+    p = RieszParams.from_s_star(dim, 0.4)
+    return g, p, random_half_state(g, np.random.default_rng(seed))
+
+
+class TestWorkspaceStep:
+    """The workspace scheme reproduces the allocating one bit for bit, fresh or in place."""
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_steps_bit_identical(self, dim, lengths, modes, fraction, form, path):
+        g, p, s0 = workspace_case(dim, lengths, modes)
+        sc, ref = solver._Scheme(g, p, fraction), AllocatingScheme(g, p, fraction)
+        assert sc.nonlinear_form == form
+        method = PATHS[path][1]
+        want, fresh, inplace = s0, s0, s0.copy()
+        for h in (0.05, 0.05, 0.37, 0.05):
+            want = getattr(ref, method)(want, h)
+            fresh = getattr(sc, method)(fresh, h)
+            assert getattr(sc, method)(inplace, h, out=inplace) is inplace
+            assert bit_equal(fresh, want) and bit_equal(inplace, want)
+
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_rhs_bit_identical(self, dim, lengths, modes, fraction, form):
+        g, p, s = workspace_case(dim, lengths, modes, seed=3)
+        sc, ref = solver._Scheme(g, p, fraction), AllocatingScheme(g, p, fraction)
+        want = ref.rhs(s)
+        assert bit_equal(sc.rhs(s), want)
+        t = s.copy()
+        assert sc.rhs(t, out=t) is t and bit_equal(t, want)
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_integrate_bit_identical(self, dim, lengths, modes, fraction, form, path):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        p = RieszParams.from_s_star(dim, 0.4)
+        rng = np.random.default_rng(5)
+        a, u = smooth_field(g, rng), smooth_vector(g, rng)
+        st = FieldState(a=0.2 * a / np.max(np.abs(a)), u=0.2 * u / np.max(np.abs(u)), t=0.0)
+        settings, method = PATHS[path]
+        cfg = SolverConfig(dt=0.05, t_end=0.25, dealias=fraction, **settings)
+        traj = integrate(g, st, p, cfg)
+        assert traj.stats.steps == 5
+        ref = AllocatingScheme(g, p, fraction)
+        s = solver._state_spectrum(g, st)
+        for _ in range(5):
+            s = getattr(ref, method)(s, 0.25 / 5)
+        want = g.irfft(s)
+        assert bit_equal(traj.snapshots[-1].a, want[0])
+        assert bit_equal(traj.snapshots[-1].u, want[1:])
+
+
+class TestWorkspaceAliasing:
+    """Results are fresh arrays, inputs stay unchanged and schemes share no buffer."""
+
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_results_are_fresh(self, dim, lengths, modes, fraction, form):
+        g, p, s = workspace_case(dim, lengths, modes)
+        sc = solver._Scheme(g, p, fraction)
+        kept = s.copy()
+        for call in (sc.rhs, lambda x: sc.apply_linear(x, 0.1), lambda x: sc.step_ifrk4(x, 0.1),
+                     lambda x: sc.step_exp_euler(x, 0.1)):
+            r1, r2 = call(s), call(s)
+            assert np.array_equal(s, kept)
+            assert np.array_equal(r1, r2)
+            assert not np.shares_memory(r1, r2)
+            assert not np.shares_memory(r1, s) and not np.shares_memory(r2, s)
+
+    def test_two_schemes_share_no_buffer(self):
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
+        p = RieszParams.from_s_star(2, 0.4)
+        one, two = solver._Scheme(g, p), solver._Scheme(g, p)
+
+        def workspace(sc):
+            return [sc._stage, sc._fields, sc._spec, sc._du, sc._prod]
+
+        for x in workspace(one):
+            assert all(not np.shares_memory(x, y) for y in workspace(two))
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_snapshots_are_never_overwritten(self, path):
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
+        p = RieszParams.from_s_star(2, 0.4)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        times = (0.0, 0.1, 0.2, 0.3)
+        cfg = SolverConfig(dt=0.05, t_end=0.3, snapshot_times=times, **PATHS[path][0])
+        snaps = integrate(g, st, p, cfg).snapshots
+        assert len(snaps) == len(times)
+        for k in range(1, len(times)):
+            # a run that ends at snapshot k takes the same steps up to it
+            short = SolverConfig(dt=0.05, t_end=times[k], snapshot_times=times[:k + 1], **PATHS[path][0])
+            again = integrate(g, st, p, short).snapshots[-1]
+            assert np.array_equal(snaps[k].a, again.a) and np.array_equal(snaps[k].u, again.u)
+        for x in snaps:
+            for y in snaps:
+                if x is not y:
+                    assert not np.shares_memory(x.a, y.a) and not np.shares_memory(x.u, y.u)
+
+
+class TestStepAllocation:
+    """After warm-up an IFRK4 step allocates no state-sized array beyond its result."""
+
+    def test_traced_peak_of_one_step(self):
+        g = make_grid(dim=2, lengths=16 * np.pi, modes=64)
+        p = RieszParams.from_s_star(2, 0.5)
+        s = random_half_state(g, np.random.default_rng(0), amplitude=0.01)
+        sc = solver._Scheme(g, p)
+        # the fresh result, one state array of slack (ufunc cast buffers
+        # and the like) and the complex intermediate of the largest
+        # irfftn, the d^2 gradients, over the first axis
+        fresh_bound = 2 * s.nbytes + g.dim**2 * s[0].nbytes
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                s = sc.step_ifrk4(s, 0.05)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            r = sc.step_ifrk4(s, 0.05)
+            fresh_peak = tracemalloc.get_traced_memory()[1] - start
+            del r
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sc.step_ifrk4(s, 0.05, out=s)
+            inplace_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert fresh_peak <= fresh_bound
+        assert inplace_peak <= fresh_bound - s.nbytes
