@@ -15,24 +15,31 @@ frozen and the velocity purely damped; the zero mode of ``a`` is
 therefore conserved exactly.  Nonlinear products are formed in physical
 space and dealiased with the configured fraction rule.
 
-In 1D the velocity tendency is taken in conservative form, -(u^2/2)_x,
-whenever that equals the dealiased -u u_x: when 3K < N, with K the
-largest index the dealias mask keeps, no product of kept modes
-(|k| <= 2K) aliases onto a kept mode.  A tendency then makes two
-transform calls (the inverse of the masked (a, u) and the forward of
-[a u, u^2/2]) instead of four, and an IFRK4 step makes 9 instead of 17.
-Fraction 2/3 with N divisible by 3 gives K = N/3, and fraction 1 keeps
-modes whose products alias; those runs and every 2D run use the
-convective form u . grad u.  ``RunStats.nonlinear_form`` records the
-choice.
+When the dealiased products are alias-free, the velocity tendency is
+taken in a form built from products of fields rather than of gradients:
+conservative in 1D, -(u^2/2)_x, and rotational in 2D,
+-grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1 and
+u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u when
+3 K_i < N_i on every axis, with K_i the largest |k_i| the dealias mask
+keeps: no product of kept modes (|k_i| <= 2 K_i) then aliases onto a
+kept mode.  A tendency makes two transform calls instead of four, the
+inverse of the masked (a, u) (and, in 2D, of the vorticity) and the
+forward of [a u, |u|^2/2] (and, in 2D, of [w u_2, w u_1]), so an IFRK4
+step makes 9 instead of 17.  Fraction 2/3 with N_i divisible by 3
+gives K_i = N_i/3, and fraction 1 keeps modes whose products alias;
+those runs use the convective form u . grad u.
+``RunStats.nonlinear_form`` records the choice.
 
 Two integrators are available: the integrating-factor RK4 scheme of
 Lawson (default) and a first-order exponential Euler cross-check.  The
 exact propagator is a semigroup, E_h = E_{h/2} E_{h/2}, so an RK4 step
 is written with the half-step propagator alone: four propagations by
 h/2 and four nonlinear tendencies per step, and one propagator build
-per segment of equal steps.  ``integrate`` reports the steps taken, the
-step sizes and the propagator builds in ``Trajectory.stats``.
+per run of segments with equal steps.  A segment whose step would differ
+from the previous one only by the rounding of its end points keeps the
+previous step, so equally spaced snapshot times build the propagator
+once.  ``integrate`` reports the steps taken, the step sizes and the
+propagator builds in ``Trajectory.stats``.
 
 Each scheme allocates its workspace once: four stage buffers for the
 IFRK4 step and the physical fields, spectra and products of a tendency
@@ -121,9 +128,11 @@ class SolverConfig:
 class RunStats:
     """What a run did: steps taken, the distinct step sizes in order of use, propagator builds.
 
-    ``nonlinear_form`` is the form the scheme picked for the nonlinear
-    tendency: ``"conservative"`` in 1D when the dealiased products are
-    alias-free, ``"convective"`` otherwise.
+    Segments whose step sizes would differ only by the rounding of their
+    end points share one step size.  ``nonlinear_form`` is the form the
+    scheme picked for the nonlinear tendency: ``"conservative"`` in 1D and
+    ``"rotational"`` in 2D when the dealiased products are alias-free,
+    ``"convective"`` otherwise.
     """
 
     steps: int = 0
@@ -159,16 +168,23 @@ class _Scheme:
     - ``_stage``: four state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 S; :meth:`step_exp_euler` uses x);
-    - ``_fields``: the physical (a, u) of a tendency, and the density of
-      ``integrate``'s per-step check ((1 + d) P);
-    - ``_spec``: max(d^2, d + 2) half spectra, the gradient spectra of
-      u, then the forward transforms of the products, and the compressible
+    - ``_fields``: the physical (a, u) of a tendency, and w after them in
+      rotational form, and the density of ``integrate``'s per-step check
+      ((1 + d) P, 4 P in rotational form);
+    - ``_spec``: max(d^2, d + 2) half spectra, 5 in rotational form: the
+      spectra a tendency transforms (the gradient spectra of u in
+      convective form, the masked (a, u) and the vorticity otherwise),
+      then the forward transforms of the products, and the compressible
       scalar and coupling term of :meth:`apply_linear`;
     - ``_du``: the d^2 gradients d_j u_i (convective form only);
-    - ``_prod``: two physical fields, the d components of a u and then
-      of u . grad u, or [a u, u^2/2] in conservative form (2 P).
+    - ``_prod``: the products, two physical fields (the d components of
+      a u and then of u . grad u in 2D convective form, [a u, u^2/2] in
+      1D) or five in rotational form ([a u_1, a u_2, |u|^2/2, w u_2,
+      w u_1]).
 
-    At 2D 256^2 that is about 12.6 MiB.  ``rhs``, ``apply_linear`` and the
+    At 2D 256^2 that is about 12.6 MiB in convective form and 13.1 MiB in
+    rotational form, where the vorticity and the three extra products
+    take the place of the gradients.  ``rhs``, ``apply_linear`` and the
     steps take an optional ``out``, which may be their input ``s`` and
     must not be a workspace buffer; without it they return a fresh array.
     They never change ``s`` unless it is ``out``, and never return a
@@ -183,26 +199,34 @@ class _Scheme:
             raise ValueError(f"params dim {params.dim} does not match grid dim {grid.dim}")
         self.grid = grid
         self.params = params
-        self.mask = grid.half(grid.dealias_mask(dealias))
+        full_mask = grid.dealias_mask(dealias)
+        self.mask = grid.half(full_mask)
         d = grid.dim
-        # the alias-free rule 3K < N of the module docstring; the 1D half
-        # mask keeps k = 0..K
-        if d == 1 and 3 * (np.count_nonzero(self.mask) - 1) < grid.modes[0]:
+        # the alias-free rule 3 K_i < N_i of the module docstring; the mask
+        # is a box that keeps 2 K_i + 1 indices along axis i
+        kept = [np.count_nonzero(full_mask.any(axis=tuple(j for j in range(d) if j != i))) // 2
+                for i in range(d)]
+        self.minus_ddx = self.minus_grad = None
+        if not all(3 * k < n for k, n in zip(kept, grid.modes)):
+            self.nonlinear_form = "convective"
+        elif d == 1:
             self.nonlinear_form = "conservative"
             self.minus_ddx = -grid.half_grad[0] * self.mask
         else:
-            self.nonlinear_form = "convective"
-            self.minus_ddx = None
+            self.nonlinear_form = "rotational"
+            self.minus_grad = tuple(-k for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
         self._factors: dict = {}
         self.builds = 0
 
         half = grid.half_xi_norm.shape
-        self._fields = np.empty((1 + d,) + grid.shape)
-        self._spec = np.empty((max(d * d, d + 2),) + half, dtype=complex)
-        self._du = None if self.minus_ddx is not None else np.empty((d * d,) + grid.shape)
-        self._prod = np.empty((2,) + grid.shape)
+        rotational = self.nonlinear_form == "rotational"
+        nprod = 5 if rotational else 2
+        self._fields = np.empty((1 + d + rotational,) + grid.shape)
+        self._spec = np.empty((max(d * d, d + 2, nprod),) + half, dtype=complex)
+        self._du = np.empty((d * d,) + grid.shape) if self.nonlinear_form == "convective" else None
+        self._prod = np.empty((nprod,) + grid.shape)
 
     @cached_property
     def _stage(self) -> np.ndarray:
@@ -260,6 +284,8 @@ class _Scheme:
         g, d = self.grid, self.grid.dim
         if out is None:
             out = np.empty_like(s)
+        if self.minus_grad is not None:
+            return self._rhs_rotational(s, out)
         # the masked spectrum lives in out until the transforms have read it
         masked = np.multiply(s, self.mask, out=out)
         fields = g.irfft(masked, out=self._fields)
@@ -290,6 +316,42 @@ class _Scheme:
         for j in range(d):
             prod += np.multiply(u[j], du[:, j], out=du[:, j])
         np.negative(g.rfft(prod, out=spec[:d]), out=out[1:])
+        out *= self.mask
+        return out
+
+    def _rhs_rotational(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The 2D tendency with u . grad u = grad(|u|^2/2) + w u_perp: two transform calls.
+
+        w = d_1 u_2 - d_2 u_1 is the vorticity and u_perp = (-u_2, u_1).
+        The inverse transform takes the masked (a, u_1, u_2) and the
+        vorticity spectrum, the forward one the products
+        [a u_1, a u_2, |u|^2/2, w u_2, w u_1].
+        """
+        g, spec, prod = self.grid, self._spec, self._prod
+        masked = np.multiply(s, self.mask, out=spec[:3])
+        k1, k2 = g.half_grad
+        np.multiply(k1, masked[2], out=spec[3])
+        spec[3] -= np.multiply(k2, masked[1], out=spec[4])
+        a, u1, u2, w = g.irfft(spec[:4], out=self._fields)
+        np.multiply(a, u1, out=prod[0])
+        np.multiply(a, u2, out=prod[1])
+        q, tmp = prod[2], prod[3]
+        np.multiply(0.5, u1, out=q)
+        q *= u1
+        np.multiply(0.5, u2, out=tmp)
+        tmp *= u2
+        q += tmp
+        np.multiply(w, u2, out=prod[3])
+        np.multiply(w, u1, out=prod[4])
+        v1, v2, q, wu2, wu1 = g.rfft(prod, out=spec)
+        # -div(a u), and -grad(|u|^2/2) - w u_perp = -grad(|u|^2/2) + (w u_2, -w u_1)
+        m1, m2 = self.minus_grad
+        np.multiply(m1, v1, out=out[0])
+        out[0] += np.multiply(m2, v2, out=v2)
+        np.multiply(m1, q, out=out[1])
+        out[1] += wu2
+        np.multiply(m2, q, out=out[2])
+        out[2] -= wu1
         out *= self.mask
         return out
 
@@ -401,6 +463,7 @@ def integrate(
     t0 = t
     steps = 0
     step_sizes: dict[float, None] = {}
+    h = None
 
     def record(time: float) -> None:
         st = _physical_state(grid, s, time)
@@ -417,7 +480,11 @@ def integrate(
             continue
         span = target - t
         nsteps = max(1, math.ceil(span / config.dt - 1e-9))
-        h = span / nsteps
+        # a segment that matches the previous step size up to the rounding
+        # of its end points keeps it, and with it the propagator factors;
+        # the last step still ends exactly at the target
+        if h is None or abs(nsteps * h - span) > 4 * math.ulp(max(abs(t), abs(target))):
+            h = span / nsteps
         step_sizes[h] = None
         for istep in range(nsteps):
             advance(s, h, out=s)

@@ -460,6 +460,19 @@ class TestRunStats:
         assert traj.stats.steps == round(traj.abort_time / 0.01)
         assert traj.stats.step_sizes == (0.01,) and traj.stats.propagator_builds == 1
 
+    def test_equal_segments_share_one_step_size(self):
+        # linspace:0,1,6 at dt 0.05: the spans of the five segments differ in
+        # the last bits (0.6000000000000001 - 0.4 is 0.20000000000000007)
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        times = tuple(float(t) for t in np.linspace(0.0, 1.0, 6))
+        cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_times=times)
+        traj = integrate(g, st, RieszParams.from_s_star(1, 0.5), cfg)
+        assert traj.stats.steps == 20
+        assert traj.stats.step_sizes == (0.05,) and traj.stats.propagator_builds == 1
+        # every segment still ends exactly at its target
+        assert [snap.t for snap in traj.snapshots] == list(times)
+
     def test_no_steps_no_builds(self):
         g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
         st = perturbation_presets("smooth-bump", 0.05, g)
@@ -471,7 +484,8 @@ class TestRunStats:
         [
             (1, 200 * np.pi, 4096, 2.0 / 3.0, "conservative"),  # the c08 grid
             (1, 200 * np.pi, 4096, 1.0, "convective"),
-            (2, 2.0 * np.pi, 16, 2.0 / 3.0, "convective"),
+            (2, 2.0 * np.pi, 16, 2.0 / 3.0, "rotational"),
+            (2, 2.0 * np.pi, 16, 1.0, "convective"),
         ],
     )
     def test_nonlinear_form(self, dim, lengths, modes, fraction, form):
@@ -555,11 +569,12 @@ class TestTransformCount:
     """integrate runs on the half spectrum with a fixed transform count per IFRK4 step."""
 
     #: per dimension, 4 tendencies plus one irfftn of the density for the positivity
-    #: check. A 1D tendency (conservative form, N = 16 keeps K = 5 < N/3) is the
-    #: irfftn of the state and the rfftn of [a u, u^2/2]; a 2D one is the irfftn of
-    #: the state, the irfftn of the gradients, the rfftn of a u and of u . grad u.
-    PER_STEP = {1: 9, 2: 17}
-    FORWARD_PER_STEP = {1: 4, 2: 8}
+    #: check. N = 16 keeps K = 5 < N/3 on every axis, so a 1D tendency (conservative
+    #: form) is the irfftn of the state and the rfftn of [a u, u^2/2], and a 2D one
+    #: (rotational form) the irfftn of the state and the vorticity and the rfftn of
+    #: [a u, |u|^2/2, w u_2, w u_1].
+    PER_STEP = {1: 9, 2: 9}
+    FORWARD_PER_STEP = {1: 4, 2: 4}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rfft_only_and_fixed_per_step(self, dim, fft_calls):
@@ -578,7 +593,8 @@ class TestTransformCount:
 
 
 class TestAliasFreeRule:
-    """The 1D conservative form is used exactly when the dealiased products are alias-free (3K < N)."""
+    """The conservative (1D) and rotational (2D) forms are used exactly when the dealiased
+    products are alias-free (3 K_i < N_i on every axis)."""
 
     @pytest.mark.parametrize("modes", [30, 48, 96])
     def test_third_of_the_grid_kept_matches_convolution_sums(self, modes):
@@ -597,6 +613,31 @@ class TestAliasFreeRule:
         g = make_grid(dim=1, lengths=2.0 * np.pi, modes=modes)
         scheme = solver._Scheme(g, None, fraction)
         s = g.rfft(np.random.default_rng(0).standard_normal((2, modes)))
+        before = dict(fft_calls)
+        scheme.rhs(s)
+        made = {name: fft_calls[name] - before[name] for name in fft_calls}
+        assert scheme.nonlinear_form == form
+        assert made == {"fftn": 0, "ifftn": 0, "rfftn": calls, "irfftn": calls}
+
+    @pytest.mark.parametrize(
+        "modes, form",
+        [((16, 32), "rotational"), ((32, 20), "rotational"),
+         ((16, 24), "convective"), ((24, 16), "convective"), ((24, 24), "convective")],
+    )
+    def test_2d_rule_per_axis_matches_convolution_sums(self, modes, form):
+        # 2/3 keeps K_i = floor(N_i/3): alias-free on 16, 20 and 32 points, while
+        # 3K = N on a 24-point axis, so 16x24, 24x16 and 24x24 stay convective
+        lengths = (2.0 * np.pi, 3.0 * np.pi)
+        g = make_grid(dim=2, lengths=lengths, modes=modes)
+        assert solver._Scheme(g, None).nonlinear_form == form
+        for seed in (0, 1):
+            TestNonlinearOracle().test_matches_convolution_sums(2, modes, lengths, seed, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("fraction, form, calls", [(2.0 / 3.0, "rotational", 1), (1.0, "convective", 2)])
+    def test_transforms_per_tendency_2d(self, fraction, form, calls, fft_calls):
+        g = make_grid(dim=2, lengths=(2.0 * np.pi, 3.0 * np.pi), modes=(16, 32))
+        scheme = solver._Scheme(g, None, fraction)
+        s = g.rfft(np.random.default_rng(0).standard_normal((3, 16, 32)))
         before = dict(fft_calls)
         scheme.rhs(s)
         made = {name: fft_calls[name] - before[name] for name in fft_calls}
@@ -634,6 +675,18 @@ class AllocatingScheme:
         sc = self.sc
         g, d = sc.grid, sc.grid.dim
         masked = s * sc.mask
+        if sc.nonlinear_form == "rotational":
+            k1, k2 = g.half_grad
+            w_hat = k1 * masked[2] - k2 * masked[1]
+            a, u1, u2, w = g.irfft(np.concatenate([masked, w_hat[None]]))
+            v = g.rfft(np.stack([a * u1, a * u2, 0.5 * u1 * u1 + 0.5 * u2 * u2, w * u2, w * u1]))
+            mg = sc.minus_grad
+            out = np.empty_like(s)
+            out[0] = mg[0] * v[0] + mg[1] * v[1]
+            out[1] = mg[0] * v[2] + v[3]
+            out[2] = mg[1] * v[2] - v[4]
+            out *= sc.mask
+            return out
         fields = g.irfft(masked)
         if sc.minus_ddx is not None:
             a, u = fields
@@ -666,7 +719,8 @@ WORKSPACE_CASES = [
     (1, (2.0 * np.pi,), (32,), 2.0 / 3.0, "conservative"),
     (1, (2.0 * np.pi,), (48,), 2.0 / 3.0, "convective"),  # 3K = N
     (1, (2.0 * np.pi,), (32,), 1.0, "convective"),
-    (2, (2.0 * np.pi, 3.0 * np.pi), (16, 24), 2.0 / 3.0, "convective"),
+    (2, (2.0 * np.pi, 3.0 * np.pi), (16, 24), 2.0 / 3.0, "convective"),  # 3K = N on axis 2
+    (2, (2.0 * np.pi, 3.0 * np.pi), (16, 32), 2.0 / 3.0, "rotational"),
 ]
 
 #: SolverConfig settings of each advance path and the scheme method it uses
