@@ -258,6 +258,81 @@ class SpectralGrid:
         """
         return np.fft.irfftn(fhat, s=self.modes, axes=tuple(range(-self.dim, 0)), out=out)
 
+    # -- the box |k_i| <= K_i: half spectra that vanish outside it ---------
+    #
+    # A box array keeps last-axis indices 0..K_d and, in 2D, the rows
+    # 0..K_1 followed by N_1 - K_1..N_1 - 1 (k_1 = -K_1..-1), in the half
+    # lattice's order.  ``kept`` is the tuple (K_1, ..., K_d), K_i < N_i/2.
+
+    def _box_shape(self, kept: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(2 * k + 1 for k in kept[:-1]) + (kept[-1] + 1,)
+
+    def _box_index(self, kept: tuple[int, ...]) -> list:
+        """(box index, half-lattice index) pairs, one per slab of rows.
+
+        The half-lattice index also applies to any array of the half
+        lattice's rows with at least K_d + 1 columns.
+        """
+        cols = slice(0, kept[-1] + 1)
+        if self.dim == 1:
+            return [((slice(None),), (cols,))]
+        k, n = kept[0], self.modes[0]
+        return [((slice(0, k + 1), slice(None)), (slice(0, k + 1), cols)),
+                ((slice(k + 1, None), slice(None)), (slice(n - k, n), cols))]
+
+    def _box_gather(self, x: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+        """The box part of half spectra ``x`` (leading component axes kept)."""
+        if out is None:
+            out = np.empty(x.shape[:-self.dim] + self._box_shape(kept), dtype=x.dtype)
+        for b, h in self._box_index(kept):
+            out[(Ellipsis,) + b] = x[(Ellipsis,) + h]
+        return out
+
+    def _box_scatter(self, box: np.ndarray, kept: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+        """Write ``box`` into the box part of half spectra ``out``; the rest is left as it is."""
+        for b, h in self._box_index(kept):
+            out[(Ellipsis,) + h] = box[(Ellipsis,) + b]
+        return out
+
+    def _box_irfft(self, box, kept: tuple[int, ...], out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
+
+        The result equals ``irfft`` of the zero-extended half spectra bit
+        for bit.  In 1D it is ``irfft(box, n=N)``.  In 2D ``box`` is a
+        stack of F box arrays or a sequence of them; the complex transform
+        over the first axis runs on the K_2 + 1 kept columns only, in place
+        in ``work[:F, :, :K_2 + 1]`` (complex, with the half lattice's rows;
+        overwritten; allocated when not given), and ``irfft`` then runs over
+        the last axis.
+        """
+        if self.dim == 1:
+            return np.fft.irfft(box, n=self.modes[0], out=out)
+        k, n, ncols = kept[0], self.modes[0], kept[1] + 1
+        if work is None:
+            work = np.empty((len(box), n, ncols), dtype=complex)
+        cols = work[:len(box), :, :ncols]
+        cols[:, k + 1:n - k] = 0
+        for c, b in zip(cols, box):
+            self._box_scatter(b, kept, c)
+        np.fft.ifft(cols, axis=-2, out=cols)
+        return np.fft.irfft(cols, n=self.modes[1], axis=-1, out=out)
+
+    def _box_rfft(self, f: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+        """The box part of :meth:`rfft` of ``f``, bit for bit.
+
+        ``rfft`` runs over the last axis into ``work`` (complex, of the
+        half spectra's shape; overwritten; allocated when not given); in
+        2D the complex transform over the first axis then runs in place on
+        the K_2 + 1 kept columns only.
+        """
+        spec = np.fft.rfft(f, axis=-1, out=work)
+        if self.dim == 2:
+            cols = spec[..., :kept[1] + 1]
+            np.fft.fft(cols, axis=-2, out=cols)
+        return self._box_gather(spec, kept, out)
+
     def min_nonzero_wavenumber(self) -> float:
         return float(min(2.0 * np.pi / L for L in self.lengths))
 

@@ -22,12 +22,13 @@ conservative in 1D, -(u^2/2)_x, and rotational in 2D,
 u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u when
 3 K_i < N_i on every axis, with K_i the largest |k_i| the dealias mask
 keeps: no product of kept modes (|k_i| <= 2 K_i) then aliases onto a
-kept mode.  A tendency makes two transform calls instead of four, the
-inverse of the masked (a, u) (and, in 2D, of the vorticity) and the
-forward of [a u, |u|^2/2] (and, in 2D, of [w u_2, w u_1]), so an IFRK4
-step makes 9 instead of 17.  Fraction 2/3 with N_i divisible by 3
-gives K_i = N_i/3, and fraction 1 keeps modes whose products alias;
-those runs use the convective form u . grad u.
+kept mode.  A tendency makes one inverse and one forward transform
+instead of two of each, the inverse of (a, u) (and, in 2D, of the
+vorticity) and the forward of [a u, |u|^2/2] (and, in 2D, of
+[w u_2, w u_1]), so an IFRK4 step makes 9 transforms instead of 17.
+Fraction 2/3 with N_i divisible by 3 gives K_i = N_i/3, and fraction 1
+keeps modes whose products alias; those runs use the convective form
+u . grad u.
 ``RunStats.nonlinear_form`` records the choice.
 
 Two integrators are available: the integrating-factor RK4 scheme of
@@ -41,16 +42,32 @@ previous step, so equally spaced snapshot times build the propagator
 once.  ``integrate`` reports the steps taken, the step sizes and the
 propagator builds in ``Trajectory.stats``.
 
-Each scheme allocates its workspace once: four stage buffers for the
-IFRK4 step and the physical fields, spectra and products of a tendency
-(the budget is listed on ``_Scheme``).  The tendency, the
+Every tendency vanishes outside the dealias box |k_i| <= K_i, and its
+box part reads only the box part of the state.  A step therefore runs
+the stages on box-sized arrays, with the propagator factors and symbols
+gathered onto the box once per build, and advances every mode outside
+the box by the propagator alone: E_{h/2} E_{h/2} for IFRK4, E_h for
+exponential Euler.  The transforms of a tendency are pruned to the box
+(``SpectralGrid._box_irfft`` and ``_box_rfft``).  In 2D the complex
+transform over the first axis runs on the K_2 + 1 kept columns only;
+the real transform over the last axis runs on every row.  In 1D the
+inverse is ``irfft`` of the box.  Both equal ``irfftn``/``rfftn`` of
+the masked spectra bit for bit, so no mask multiply is left, and a step
+equals the full-lattice step bit for bit apart from the sign of zeros.
+At fraction 2/3 the box is 4/9 of the 2D half spectrum and 2/3 of the
+1D one.
+
+Each scheme allocates its workspace once: four box-sized stage buffers
+for the IFRK4 step and the physical fields, spectra and products of a
+tendency (the budget is listed on ``_Scheme``).  The tendency, the
 linear update and the steps write into it with ``out=``, the transforms
-included, and ``integrate`` advances one state array in place.  A step
-then allocates no state-sized array except the complex intermediate that
-``numpy.fft.irfftn`` makes over the first axis in 2D, so the memory of
-one step is reused by the next instead of being returned to the system
-and faulted in again.  Called without ``out``, every method returns a
-fresh array and leaves its input unchanged.
+included, and ``integrate`` advances one state array in place.  The
+complex transform over the first axis runs in place in the workspace,
+so a step allocates no state-sized array; what it allocates is NumPy's
+cast buffers for the real propagator factors.  The memory of one step
+is thus reused by the next instead of being returned to the system and
+faulted in again.  Called without ``out``, every method returns a fresh
+array and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -161,37 +178,52 @@ class _Scheme:
     propagates only by h/2, exponential Euler and linear-only runs by h,
     so each segment of a run builds its factors once.
 
-    The workspace is allocated once per scheme, here except for the
-    stage buffers, which the first step allocates; with S one state
-    array and P one physical field it holds:
+    The dealias mask is the box |k_i| <= K_i (``kept``), held by box
+    arrays in the layout of ``SpectralGrid._box_index``.  Every tendency
+    vanishes outside the box and reads only the box part of its input, so
+    a step advances the box part of the state through the stages on box
+    arrays, with box-sized factors and symbols, and the rest by the
+    propagator alone; the tendency transforms only the box
+    (``SpectralGrid._box_irfft``, ``_box_rfft``).
 
-    - ``_stage``: four state arrays, the A, B and n2 of
+    The workspace is allocated once per scheme, here except for the
+    stage buffers, which the first step allocates; with B one box state
+    array (about 4/9 of a state array at fraction 2/3 in 2D, 2/3 in 1D)
+    and P one physical field it holds:
+
+    - ``_stage``: four box state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
-      n3 and n4 (4 S; :meth:`step_exp_euler` uses x);
+      n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
     - ``_fields``: the physical (a, u) of a tendency, and w after them in
       rotational form, and the density of ``integrate``'s per-step check
       ((1 + d) P, 4 P in rotational form);
-    - ``_spec``: max(d^2, d + 2) half spectra, 5 in rotational form: the
-      spectra a tendency transforms (the gradient spectra of u in
-      convective form, the masked (a, u) and the vorticity otherwise),
-      then the forward transforms of the products, and the compressible
-      scalar and coupling term of :meth:`apply_linear`;
+    - ``_spec``: max(d^2, 3, nprod) half spectra: the zero-padded kept
+      columns of the inverse transforms, the half spectra of the forward
+      ones, and the scratch (m, c and one product) of the linear update,
+      for the box in a contiguous view at its start;
+    - ``_boxspec``: box spectra, the vorticity and the forward transforms
+      of the products in rotational form (5), the gradient spectra and
+      the forward transforms in convective form (d^2), none in 1D
+      conservative form;
     - ``_du``: the d^2 gradients d_j u_i (convective form only);
-    - ``_prod``: the products, two physical fields (the d components of
+    - ``_prod``: the products, nprod physical fields (the d components of
       a u and then of u . grad u in 2D convective form, [a u, u^2/2] in
       1D) or five in rotational form ([a u_1, a u_2, |u|^2/2, w u_2,
       w u_1]).
 
-    At 2D 256^2 that is about 12.6 MiB in convective form and 13.1 MiB in
-    rotational form, where the vorticity and the three extra products
-    take the place of the gradients.  ``rhs``, ``apply_linear`` and the
-    steps take an optional ``out``, which may be their input ``s`` and
-    must not be a workspace buffer; without it they return a fresh array.
-    They never change ``s`` unless it is ``out``, and never return a
-    workspace buffer.  Each operation takes the operands of the plain
-    array expression it evaluates in that expression's order (NumPy's
-    complex multiply is not bit-commutative), so the results equal those
-    of the allocating expressions bit for bit.
+    At 2D 256^2 in rotational form that is about 10.8 MiB, 2.7 of them
+    the stage buffers (13.1 MiB with stages over the whole lattice).  The
+    propagator factors and ``ie`` are kept both on the half lattice, for
+    the modes outside the box and :meth:`apply_linear`, and on the box.
+    ``rhs``, ``apply_linear`` and the steps take an
+    optional ``out``, which may be their input ``s`` and must not be a
+    workspace buffer; without it they return a fresh array.  They never
+    change ``s`` unless it is ``out``, and never return a workspace
+    buffer.  Each operation takes the operands of the plain array
+    expression it evaluates in that expression's order (NumPy's complex
+    multiply is not bit-commutative), so the results equal those of the
+    allocating full-lattice expressions bit for bit, apart from the sign
+    of zeros.
     """
 
     def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
@@ -200,39 +232,51 @@ class _Scheme:
         self.grid = grid
         self.params = params
         full_mask = grid.dealias_mask(dealias)
-        self.mask = grid.half(full_mask)
         d = grid.dim
-        # the alias-free rule 3 K_i < N_i of the module docstring; the mask
-        # is a box that keeps 2 K_i + 1 indices along axis i
-        kept = [np.count_nonzero(full_mask.any(axis=tuple(j for j in range(d) if j != i))) // 2
-                for i in range(d)]
-        self.minus_ddx = self.minus_grad = None
-        if not all(3 * k < n for k, n in zip(kept, grid.modes)):
+        # the mask is a box that keeps 2 K_i + 1 indices along axis i;
+        # the alias-free rule 3 K_i < N_i of the module docstring
+        self.kept = tuple(int(np.count_nonzero(full_mask.any(axis=tuple(j for j in range(d) if j != i)))) // 2
+                          for i in range(d))
+        half = grid.half_xi_norm.shape
+        box = self._box_part
+        self.grad = tuple(box(k) for k in grid.half_grad)
+        if not all(3 * k < n for k, n in zip(self.kept, grid.modes)):
             self.nonlinear_form = "convective"
         elif d == 1:
             self.nonlinear_form = "conservative"
-            self.minus_ddx = -grid.half_grad[0] * self.mask
+            self.minus_ddx = box(-grid.half_grad[0] * grid.half(full_mask))
         else:
             self.nonlinear_form = "rotational"
-            self.minus_grad = tuple(-k for k in grid.half_grad)
+            self.minus_grad = tuple(box(-k) for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
+        self.ie_box = box(self.ie)
         self._factors: dict = {}
         self.builds = 0
 
-        half = grid.half_xi_norm.shape
-        rotational = self.nonlinear_form == "rotational"
-        nprod = 5 if rotational else 2
-        self._fields = np.empty((1 + d + rotational,) + grid.shape)
-        self._spec = np.empty((max(d * d, d + 2, nprod),) + half, dtype=complex)
+        nprod = {"conservative": 2, "rotational": 5, "convective": d}[self.nonlinear_form]
+        nbox = {"conservative": 0, "rotational": 5, "convective": d * d}[self.nonlinear_form]
+        self._box_shape = grid._box_shape(self.kept)
+        self._fields = np.empty((1 + d + (self.nonlinear_form == "rotational"),) + grid.shape)
+        self._spec = np.empty((max(d * d, 3, nprod),) + half, dtype=complex)
+        self._boxspec = np.empty((nbox,) + self._box_shape, dtype=complex) if nbox else None
         self._du = np.empty((d * d,) + grid.shape) if self.nonlinear_form == "convective" else None
         self._prod = np.empty((nprod,) + grid.shape)
+        # the scratch (m, c, tmp) of the linear update on the box: contiguous
+        # box arrays at the start of _spec
+        self._box_work = self._spec.reshape(-1)[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
+
+    def _box_part(self, m: np.ndarray) -> np.ndarray:
+        """The box part of a half-lattice symbol; axes it is constant along stay of length 1."""
+        g = self.grid
+        b = g._box_gather(np.broadcast_to(m, m.shape[:-g.dim] + g.half_xi_norm.shape), self.kept)
+        return np.ascontiguousarray(b[tuple(slice(0, 1) if n == 1 else slice(None) for n in m.shape)])
 
     @cached_property
     def _stage(self) -> np.ndarray:
         # built on the first step, so that one-off tendencies and linear
         # updates (``rhs_nonlinear``, ``linear_step``) do not allocate it
-        return np.empty((4, 1 + self.grid.dim) + self.grid.half_xi_norm.shape, dtype=complex)
+        return np.empty((4, 1 + self.grid.dim) + self._box_shape, dtype=complex)
 
     # -- linear part ---------------------------------------------------
 
@@ -243,10 +287,13 @@ class _Scheme:
         a' = p11 a + p12 m and u' = rot u + ie (q21 a + q22 m), where
         q21 = -p21 and q22 = rot - p22 replace the compressible part of
         the damped velocity by the propagated one.  Only the latest step
-        size is kept.
+        size is kept, with the box parts of the factors.
         """
-        fac = self._factors.get(h)
-        if fac is None:
+        return self._factor_pair(h)[0]
+
+    def _factor_pair(self, h: float):
+        pair = self._factors.get(h)
+        if pair is None:
             g, p = self.grid, self.params
             P = propagator(g.half_xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
             rot = math.exp(-p.lam * h)
@@ -256,83 +303,76 @@ class _Scheme:
             P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
             (p11, p12), (p21, p22) = np.moveaxis(P, (-2, -1), (0, 1)).copy()
             fac = (p11, p12, -p21, rot - p22, rot)
-            self._factors = {h: fac}
+            pair = (fac, tuple(self._box_part(f) for f in fac[:4]) + (rot,))
+            self._factors = {h: pair}
             self.builds += 1
-        return fac
+        return pair
 
-    def apply_linear(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-        p11, p12, q21, q22, rot = self.factors(h)
-        if out is None:
-            out = np.empty_like(s)
-        d = self.grid.dim
-        m, c, tmp = self._spec[0], self._spec[1], self._spec[2:2 + d]
-        np.multiply(self.ie[0], s[1], out=m)
-        for e, u in zip(self.ie[1:], s[2:]):
-            m += np.multiply(e, u, out=tmp[0])
+    def _linear(self, s: np.ndarray, fac: tuple, ie: np.ndarray, work, out: np.ndarray) -> np.ndarray:
+        """The linear update with factors ``fac`` on any block of modes; ``work`` is (m, c, tmp)."""
+        p11, p12, q21, q22, rot = fac
+        m, c, tmp = work
+        np.multiply(ie[0], s[1], out=m)
+        for e, u in zip(ie[1:], s[2:]):
+            m += np.multiply(e, u, out=tmp)
         # m and c are formed before out is written, so out may be s
         np.multiply(q21, s[0], out=c)
-        c += np.multiply(q22, m, out=tmp[0])
+        c += np.multiply(q22, m, out=tmp)
         np.multiply(p11, s[0], out=out[0])
-        out[0] += np.multiply(p12, m, out=tmp[0])
+        out[0] += np.multiply(p12, m, out=tmp)
         np.multiply(s[1:], rot, out=out[1:])
-        out[1:] += np.multiply(self.ie, c, out=tmp)
+        for o, e in zip(out[1:], ie):
+            o += np.multiply(e, c, out=tmp)
         return out
+
+    def apply_linear(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(s)
+        return self._linear(s, self.factors(h), self.ie, self._spec[:3], out)
+
+    def _linear_box(self, s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+        """:meth:`apply_linear` on box arrays."""
+        return self._linear(s, self._factor_pair(h)[1], self.ie_box, self._box_work, out)
 
     # -- nonlinear part ------------------------------------------------
 
     def rhs(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        g, d = self.grid, self.grid.dim
+        """The nonlinear tendency of half spectra ``s``: the box tendency, zero outside the box."""
+        g = self.grid
+        box = g._box_gather(s, self.kept)
+        self._rhs(box, out=box)
         if out is None:
-            out = np.empty_like(s)
-        if self.minus_grad is not None:
-            return self._rhs_rotational(s, out)
-        # the masked spectrum lives in out until the transforms have read it
-        masked = np.multiply(s, self.mask, out=out)
-        fields = g.irfft(masked, out=self._fields)
-        a, u = fields[0], fields[1:]
-        prod = self._prod
-        if self.minus_ddx is not None:
-            np.multiply(a, u[0], out=prod[0])
-            np.multiply(0.5, u[0], out=prod[1])
-            prod[1] *= u[0]
-            return np.multiply(self.minus_ddx, g.rfft(prod, out=out), out=out)
-        # du[i, j] = d_j u_i, all d^2 components in one transform
-        spec = self._spec
-        for i in range(d):
-            for j, k in enumerate(g.half_grad):
-                np.multiply(k, masked[1 + i], out=spec[i * d + j])
-        du = g.irfft(spec[:d * d], out=self._du).reshape((d, d) + g.shape)
-        # a u, then u . grad u, in the same d products; their forward
-        # transforms reuse the gradient spectra, read by now
-        prod = prod[:d]
-        vhat = g.rfft(np.multiply(a, u, out=prod), out=spec[:d])
-        # -div(a u) and sum_j u_j d_j u_i are summed from zero, as
-        # sum() and np.sum do, so signed zeros come out the same
-        out[0] = 0
-        for k, v in zip(g.half_grad, vhat):
-            out[0] += np.multiply(k, v, out=v)
-        np.negative(out[0], out=out[0])
-        prod[...] = 0
-        for j in range(d):
-            prod += np.multiply(u[j], du[:, j], out=du[:, j])
-        np.negative(g.rfft(prod, out=spec[:d]), out=out[1:])
-        out *= self.mask
-        return out
+            out = np.zeros_like(s)
+        else:
+            out[...] = 0
+        return g._box_scatter(box, self.kept, out)
+
+    def _rhs(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The tendency of box arrays in the form the scheme picked."""
+        return getattr(self, "_rhs_" + self.nonlinear_form)(s, out)
+
+    def _rhs_conservative(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The 1D tendency of box arrays, -(a u)_x and -(u^2/2)_x: two transform calls."""
+        g, prod = self.grid, self._prod
+        a, u = g._box_irfft(s, self.kept, out=self._fields)
+        np.multiply(a, u, out=prod[0])
+        np.multiply(0.5, u, out=prod[1])
+        prod[1] *= u
+        return np.multiply(self.minus_ddx, g._box_rfft(prod, self.kept, out=out, work=self._spec[:2]), out=out)
 
     def _rhs_rotational(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The 2D tendency with u . grad u = grad(|u|^2/2) + w u_perp: two transform calls.
+        """The 2D tendency of box arrays with u . grad u = grad(|u|^2/2) + w u_perp.
 
         w = d_1 u_2 - d_2 u_1 is the vorticity and u_perp = (-u_2, u_1).
-        The inverse transform takes the masked (a, u_1, u_2) and the
-        vorticity spectrum, the forward one the products
+        The inverse transform takes (a, u_1, u_2) and the vorticity
+        spectrum, the forward one the products
         [a u_1, a u_2, |u|^2/2, w u_2, w u_1].
         """
-        g, spec, prod = self.grid, self._spec, self._prod
-        masked = np.multiply(s, self.mask, out=spec[:3])
-        k1, k2 = g.half_grad
-        np.multiply(k1, masked[2], out=spec[3])
-        spec[3] -= np.multiply(k2, masked[1], out=spec[4])
-        a, u1, u2, w = g.irfft(spec[:4], out=self._fields)
+        g, kept, spec, prod = self.grid, self.kept, self._boxspec, self._prod
+        k1, k2 = self.grad
+        w = np.multiply(k1, s[2], out=spec[0])
+        w -= np.multiply(k2, s[1], out=spec[1])
+        a, u1, u2, w = g._box_irfft((s[0], s[1], s[2], w), kept, out=self._fields, work=self._spec)
         np.multiply(a, u1, out=prod[0])
         np.multiply(a, u2, out=prod[1])
         q, tmp = prod[2], prod[3]
@@ -343,7 +383,7 @@ class _Scheme:
         q += tmp
         np.multiply(w, u2, out=prod[3])
         np.multiply(w, u1, out=prod[4])
-        v1, v2, q, wu2, wu1 = g.rfft(prod, out=spec)
+        v1, v2, q, wu2, wu1 = g._box_rfft(prod, kept, out=spec, work=self._spec)
         # -div(a u), and -grad(|u|^2/2) - w u_perp = -grad(|u|^2/2) + (w u_2, -w u_1)
         m1, m2 = self.minus_grad
         np.multiply(m1, v1, out=out[0])
@@ -352,14 +392,44 @@ class _Scheme:
         out[1] += wu2
         np.multiply(m2, q, out=out[2])
         out[2] -= wu1
-        out *= self.mask
         return out
 
+    def _rhs_convective(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The tendency of box arrays in convective form, -div(a u) and -u . grad u."""
+        g, kept, d, spec = self.grid, self.kept, self.grid.dim, self._boxspec
+        fields = g._box_irfft(s, kept, out=self._fields, work=self._spec)
+        a, u = fields[0], fields[1:]
+        # du[i, j] = d_j u_i, all d^2 components in one transform
+        for i in range(d):
+            for j, k in enumerate(self.grad):
+                np.multiply(k, s[1 + i], out=spec[i * d + j])
+        du = g._box_irfft(spec, kept, out=self._du, work=self._spec).reshape((d, d) + g.shape)
+        # a u, then u . grad u, in the same d products; their forward
+        # transforms reuse the gradient spectra, read by now
+        prod = self._prod
+        vhat = g._box_rfft(np.multiply(a, u, out=prod), kept, out=spec[:d], work=self._spec[:d])
+        # -div(a u) and sum_j u_j d_j u_i are summed from zero, as
+        # sum() and np.sum do, so signed zeros come out the same
+        out[0] = 0
+        for k, v in zip(self.grad, vhat):
+            out[0] += np.multiply(k, v, out=v)
+        np.negative(out[0], out=out[0])
+        prod[...] = 0
+        for j in range(d):
+            prod += np.multiply(u[j], du[:, j], out=du[:, j])
+        np.negative(g._box_rfft(prod, kept, out=spec[:d], work=self._spec[:d]), out=out[1:])
+        return out
+
+    # -- steps ---------------------------------------------------------
+
     def step_exp_euler(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-        x = self._stage[3]
-        self.rhs(s, out=x)
-        np.add(s, np.multiply(h, x, out=x), out=x)
-        return self.apply_linear(x, h, out=out)
+        """E_h(s + h N(s)): the box through the stage, the rest by E_h alone."""
+        A, x = self._stage[0], self._stage[3]
+        self.grid._box_gather(s, self.kept, out=A)
+        out = self.apply_linear(s, h, out=out)
+        self._rhs(A, out=x)
+        np.add(A, np.multiply(h, x, out=x), out=x)
+        return self.grid._box_scatter(self._linear_box(x, h, out=A), self.kept, out)
 
     def step_ifrk4(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
         """Lawson's integrating-factor RK4, propagating only by E_{h/2}.
@@ -367,15 +437,21 @@ class _Scheme:
         Since E_h = E_{h/2} E_{h/2}, the classical form (six propagations
         by h/2 and h) regroups with A = E_{h/2} s and B = E_{h/2} n1 into
         n2 = N(A + h/2 B), n3 = N(A + h/2 n2), n4 = N(E_{h/2}(A + h n3))
-        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.  The four
-        stage buffers hold A, B, n2 and x (the stage inputs, n3, n4);
-        s is read only by the first two lines, so ``out`` may be s.
+        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.  The stages
+        run on the box part of s; the four stage buffers hold A, B, n2 and
+        x (the box of s, the stage inputs, n3, n4).  Outside the box every
+        N vanishes, so there s' = E_{h/2} E_{h/2} s: two propagations of
+        the whole state, whose box part the stages then overwrite.  s is
+        read only before ``out`` is first written, so ``out`` may be s.
         """
         half, sixth = 0.5 * h, h / 6.0
-        lin, N = self.apply_linear, self.rhs
+        lin, N = self._linear_box, self._rhs
         A, B, n2, x = self._stage
-        lin(s, half, out=A)
-        lin(N(s, out=x), half, out=B)
+        self.grid._box_gather(s, self.kept, out=x)
+        out = self.apply_linear(s, half, out=out)
+        self.apply_linear(out, half, out=out)
+        lin(x, half, out=A)
+        lin(N(x, out=x), half, out=B)
         N(np.add(A, np.multiply(half, B, out=x), out=x), out=n2)
         N(np.add(A, np.multiply(half, n2, out=x), out=x), out=x)
         # n2 <- A + h/6 (B + 2 (n2 + n3)), then B <- A + h n3 and x <- n4
@@ -384,8 +460,9 @@ class _Scheme:
         np.add(A, np.multiply(sixth, n2, out=n2), out=n2)
         np.add(A, np.multiply(h, x, out=B), out=B)
         N(lin(B, half, out=A), out=x)
-        out = lin(n2, half, out=out)
-        return np.add(out, np.multiply(sixth, x, out=x), out=out)
+        lin(n2, half, out=A)
+        np.add(A, np.multiply(sixth, x, out=x), out=A)
+        return self.grid._box_scatter(A, self.kept, out)
 
 
 def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:

@@ -73,16 +73,42 @@ def reference_besov(partition, f, spec):
     )
 
 
+#: the transform functions of numpy.fft
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
+             "fft2", "ifft2", "rfft2", "irfft2")
+
+
+class FFTCounts(dict):
+    """Calls per numpy.fft transform name; ``passes`` and ``points`` add up over all of them."""
+
+    passes = 0
+    points = 0
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts calls of numpy.fft.{fftn, ifftn, rfftn, irfftn} by name."""
-    counts = {name: 0 for name in ("fftn", "ifftn", "rfftn", "irfftn")}
-    for name in counts:
+    """Counts calls of every numpy.fft transform by name, and their 1-D passes and points.
+
+    A 1-D function makes one pass, an n-D one a pass per transformed axis
+    (``axes`` if given by keyword, else 2 for the 2-D names and every axis
+    for the n-D ones).  ``points`` adds up the sizes of the inputs.
+    Internal calls of numpy.fft do not go through these names, so each
+    call made by the caller counts once.
+    """
+    counts = FFTCounts({name: 0 for name in FFT_NAMES})
+    for name in FFT_NAMES:
         original = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(a, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            if "axes" in kwargs:
+                counts.passes += len(kwargs["axes"])
+            elif _name.endswith("2"):
+                counts.passes += 2
+            else:
+                counts.passes += np.ndim(a) if _name.endswith("n") else 1
+            counts.points += np.size(a)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts

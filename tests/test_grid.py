@@ -397,3 +397,59 @@ class TestNorms:
     def test_p_below_one_rejected(self, grid_1d):
         with pytest.raises(ValueError):
             lp_norm(grid_1d, np.ones(grid_1d.shape), 0.5)
+
+
+#: (modes, dealias fraction) of the box tests: N divisible by 3, fraction 1, one 256^2 grid
+BOX_CASES = [((32,), 2.0 / 3.0), ((48,), 2.0 / 3.0), ((32,), 1.0), ((16, 24), 2.0 / 3.0),
+             ((32, 20), 2.0 / 3.0), ((24, 24), 2.0 / 3.0), ((16, 24), 1.0), ((256, 256), 2.0 / 3.0)]
+
+
+def box_case(modes, fraction, seed=0):
+    """Grid, kept (K_i = min(floor(f N_i / 2), N_i/2 - 1), rederived), box rows and columns."""
+    g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
+    kept = tuple(min(int(fraction * n / 2), n // 2 - 1) for n in modes)
+    # the box's half-lattice indices per axis: k = 0..K, then -K..-1 on the first axis in 2D
+    index = [np.r_[0:k + 1, n - k:n] for k, n in zip(kept[:-1], modes[:-1])] + [np.arange(kept[-1] + 1)]
+    return g, kept, np.ix_(*index), np.random.default_rng(seed)
+
+
+def bit_equal(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestBoxTransforms:
+    """The box-pruned transforms equal irfftn/rfftn of the masked half spectra bit for bit."""
+
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    def test_box_layout(self, modes, fraction):
+        g, kept, at, rng = box_case(modes, fraction)
+        s = g.rfft(rng.standard_normal((3,) + g.shape))
+        box = g._box_gather(s, kept)
+        assert bit_equal(box, s[(slice(None),) + at])
+        back = g._box_scatter(box, kept, np.zeros_like(s))
+        mask = g.half(g.dealias_mask(fraction))
+        assert bit_equal(back, np.where(mask, s, 0))
+
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    def test_inverse_equals_irfftn_of_the_masked_spectra(self, modes, fraction):
+        g, kept, at, rng = box_case(modes, fraction)
+        s = g.rfft(rng.standard_normal((4,) + g.shape))
+        want = g.irfft(s * g.half(g.dealias_mask(fraction)))
+        box = s[(slice(None),) + at]
+        assert bit_equal(g._box_irfft(box, kept), want)
+        out, work = np.empty(want.shape), np.empty_like(s)
+        assert g._box_irfft(box, kept, out=out, work=work) is out
+        assert bit_equal(out, want)
+        if g.dim == 2:
+            # a sequence of box arrays, into the same workspace
+            assert bit_equal(g._box_irfft(list(box), kept, out=out, work=work), want)
+
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    def test_forward_equals_rfftn_on_the_box(self, modes, fraction):
+        g, kept, at, rng = box_case(modes, fraction)
+        f = rng.standard_normal((5,) + g.shape)
+        want = g.rfft(f)[(slice(None),) + at]
+        assert bit_equal(g._box_rfft(f, kept), want)
+        out, work = np.empty_like(want), np.empty((5,) + g.half_xi_norm.shape, dtype=complex)
+        assert g._box_rfft(f, kept, out=out, work=work) is out
+        assert bit_equal(out, want)

@@ -1,6 +1,8 @@
 """Time integration: exact linear part, dealiased nonlinearity, presets."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from rieszflow import (
 from rieszflow import solver
 from rieszflow.grid import half_divergence
 
-from conftest import smooth_field, smooth_vector
+from conftest import FFT_NAMES, smooth_field, smooth_vector
 
 
 def spectral_error(grid, f, g):
@@ -568,28 +570,41 @@ class TestNonlinearOracle:
 class TestTransformCount:
     """integrate runs on the half spectrum with a fixed transform count per IFRK4 step."""
 
-    #: per dimension, 4 tendencies plus one irfftn of the density for the positivity
-    #: check. N = 16 keeps K = 5 < N/3 on every axis, so a 1D tendency (conservative
-    #: form) is the irfftn of the state and the rfftn of [a u, u^2/2], and a 2D one
-    #: (rotational form) the irfftn of the state and the vorticity and the rfftn of
-    #: [a u, |u|^2/2, w u_2, w u_1].
-    PER_STEP = {1: 9, 2: 9}
-    FORWARD_PER_STEP = {1: 4, 2: 4}
+    #: per dimension, the transform calls of one step: 4 tendencies plus one irfftn of
+    #: the density for the positivity check.  N = 16 keeps K = 5 < N/3 on every axis, so a
+    #: 1D tendency (conservative form) is the irfft of the box of the state and the rfft
+    #: of [a u, u^2/2], and a 2D one (rotational form) the inverse of the box of the state
+    #: and the vorticity (ifft over the first axis on the K + 1 kept columns, then irfft)
+    #: and the forward of [a u, |u|^2/2, w u_2, w u_1] (rfft, then fft over the first axis
+    #: on the kept columns).
+    PER_STEP = {1: {"irfft": 4, "rfft": 4, "irfftn": 1},
+                2: {"ifft": 4, "irfft": 4, "rfft": 4, "fft": 4, "irfftn": 1}}
+    #: 1-D transform passes of one step: two per 1D tendency, four per 2D one, and one
+    #: per axis for the density
+    PASSES_PER_STEP = {1: 9, 2: 18}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rfft_only_and_fixed_per_step(self, dim, fft_calls):
         g = make_grid(dim=dim, lengths=2.0 * np.pi, modes=16)
         p = RieszParams.from_s_star(dim, 0.5)
         st = perturbation_presets("smooth-bump", 0.05, g)
-        forward, total = self.FORWARD_PER_STEP[dim], self.PER_STEP[dim]
+        n, kept_cols = 16, 6
+        # points of one step: the 1D tendency transforms 2 box spectra of K + 1 modes and
+        # 2 fields; the 2D one 4 box spectra padded to (N, K + 1) twice, 5 fields and
+        # their (N, K + 1) kept columns; the density check one half spectrum
+        points = {1: 4 * (2 * kept_cols + 2 * n) + (n // 2 + 1),
+                  2: 4 * (2 * 4 * n * kept_cols + 5 * n * n + 5 * n * kept_cols) + n * (n // 2 + 1)}
         for nsteps in (2, 5):
-            before = dict(fft_calls)
+            before, passes, points_before = dict(fft_calls), fft_calls.passes, fft_calls.points
             integrate(g, st, p, SolverConfig(dt=1.0 / nsteps, t_end=1.0))
-            made = {name: fft_calls[name] - before[name] for name in fft_calls}
+            made = {name: fft_calls[name] - before[name] for name in FFT_NAMES}
             # one rfftn of the initial state, one irfftn per recorded snapshot (t = 0 and 1)
-            assert made == {"fftn": 0, "ifftn": 0, "rfftn": 1 + forward * nsteps,
-                            "irfftn": 2 + (total - forward) * nsteps}
-            assert made["rfftn"] + made["irfftn"] == 3 + total * nsteps
+            setup = {"rfftn": 1, "irfftn": 2}
+            assert made == {name: setup.get(name, 0) + nsteps * self.PER_STEP[dim].get(name, 0)
+                            for name in FFT_NAMES}
+            assert fft_calls.passes - passes == 3 * dim + nsteps * self.PASSES_PER_STEP[dim]
+            half = (1 + dim) * n ** (dim - 1) * (n // 2 + 1)
+            assert fft_calls.points - points_before == (1 + dim) * n**dim + 2 * half + nsteps * points[dim]
 
 
 class TestAliasFreeRule:
@@ -615,9 +630,9 @@ class TestAliasFreeRule:
         s = g.rfft(np.random.default_rng(0).standard_normal((2, modes)))
         before = dict(fft_calls)
         scheme.rhs(s)
-        made = {name: fft_calls[name] - before[name] for name in fft_calls}
+        made = {name: fft_calls[name] - before[name] for name in FFT_NAMES}
         assert scheme.nonlinear_form == form
-        assert made == {"fftn": 0, "ifftn": 0, "rfftn": calls, "irfftn": calls}
+        assert made == {name: calls if name in ("rfft", "irfft") else 0 for name in FFT_NAMES}
 
     @pytest.mark.parametrize(
         "modes, form",
@@ -640,21 +655,24 @@ class TestAliasFreeRule:
         s = g.rfft(np.random.default_rng(0).standard_normal((3, 16, 32)))
         before = dict(fft_calls)
         scheme.rhs(s)
-        made = {name: fft_calls[name] - before[name] for name in fft_calls}
+        made = {name: fft_calls[name] - before[name] for name in FFT_NAMES}
         assert scheme.nonlinear_form == form
-        assert made == {"fftn": 0, "ifftn": 0, "rfftn": calls, "irfftn": calls}
+        assert made == {name: calls if name in ("fft", "ifft", "rfft", "irfft") else 0 for name in FFT_NAMES}
 
 
 class AllocatingScheme:
     """The allocating tendency, linear update and steps the workspace replaced, as a reference.
 
-    Every operation builds its result in a fresh array; the scheme under
-    test must reproduce these results bit for bit.  The propagator
-    factors, masks and symbols come from a separate ``_Scheme``.
+    Every operation builds its result in a fresh array on the whole half
+    lattice; the scheme under test must reproduce these results bit for
+    bit.  The tendency is exactly +0 outside the dealias box.  The
+    propagator factors come from a separate ``_Scheme``, the mask and the
+    symbols from the grid.
     """
 
     def __init__(self, grid, params, dealias):
         self.sc = solver._Scheme(grid, params, dealias)
+        self.mask = grid.half(grid.dealias_mask(dealias))
 
     def apply_linear(self, s, h):
         sc = self.sc
@@ -672,33 +690,31 @@ class AllocatingScheme:
         return out
 
     def rhs(self, s):
-        sc = self.sc
-        g, d = sc.grid, sc.grid.dim
-        masked = s * sc.mask
-        if sc.nonlinear_form == "rotational":
+        g, d = self.sc.grid, self.sc.grid.dim
+        masked = s * self.mask
+        if self.sc.nonlinear_form == "rotational":
             k1, k2 = g.half_grad
             w_hat = k1 * masked[2] - k2 * masked[1]
             a, u1, u2, w = g.irfft(np.concatenate([masked, w_hat[None]]))
             v = g.rfft(np.stack([a * u1, a * u2, 0.5 * u1 * u1 + 0.5 * u2 * u2, w * u2, w * u1]))
-            mg = sc.minus_grad
+            mg = tuple(-k for k in g.half_grad)
             out = np.empty_like(s)
             out[0] = mg[0] * v[0] + mg[1] * v[1]
             out[1] = mg[0] * v[2] + v[3]
             out[2] = mg[1] * v[2] - v[4]
-            out *= sc.mask
-            return out
+            return np.where(self.mask, out, 0)
         fields = g.irfft(masked)
-        if sc.minus_ddx is not None:
+        if self.sc.nonlinear_form == "conservative":
             a, u = fields
-            return sc.minus_ddx * g.rfft(np.stack([a * u, 0.5 * u * u]))
+            minus_ddx = -g.half_grad[0] * self.mask
+            return np.where(self.mask, minus_ddx * g.rfft(np.stack([a * u, 0.5 * u * u])), 0)
         a, u = fields[0], fields[1:]
         du = g.irfft(np.stack([k * masked[1 + i] for i in range(d) for k in g.half_grad]))
         du = du.reshape((d, d) + g.shape)
         out = np.empty_like(s)
         out[0] = -half_divergence(g, g.rfft(a * u))
         out[1:] = -g.rfft(np.sum(u * du, axis=1))
-        out *= sc.mask
-        return out
+        return np.where(self.mask, out, 0)
 
     def step_exp_euler(self, s, h):
         return self.apply_linear(s + h * self.rhs(s), h)
@@ -805,13 +821,27 @@ class TestWorkspaceAliasing:
             assert not np.shares_memory(r1, r2)
             assert not np.shares_memory(r1, s) and not np.shares_memory(r2, s)
 
+    def test_freed_without_the_cycle_collector(self):
+        # a finished run returns its workspace at once, not at the next full collection
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
+        p = RieszParams.from_s_star(2, 0.4)
+        sc = solver._Scheme(g, p)
+        sc.step_ifrk4(random_half_state(g, np.random.default_rng(0)), 0.05)
+        ref = weakref.ref(sc)
+        gc.disable()
+        try:
+            del sc
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_two_schemes_share_no_buffer(self):
         g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
         p = RieszParams.from_s_star(2, 0.4)
         one, two = solver._Scheme(g, p), solver._Scheme(g, p)
 
         def workspace(sc):
-            return [sc._stage, sc._fields, sc._spec, sc._du, sc._prod]
+            return [sc._stage, sc._fields, sc._spec, sc._boxspec, sc._du, sc._prod]
 
         for x in workspace(one):
             assert all(not np.shares_memory(x, y) for y in workspace(two))
@@ -836,6 +866,58 @@ class TestWorkspaceAliasing:
                     assert not np.shares_memory(x.a, y.a) and not np.shares_memory(x.u, y.u)
 
 
+class TestKeptBox:
+    """A step runs the stages on the dealias box and propagates the rest by the propagator alone."""
+
+    @pytest.mark.parametrize("path, halves", [("ifrk4", 2), ("exp-euler", 1)])
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_outside_the_box_is_the_propagator_alone(self, dim, lengths, modes, fraction, form, path,
+                                                     halves, monkeypatch):
+        g = make_grid(dim=dim, lengths=lengths, modes=modes)
+        p = RieszParams.from_s_star(dim, 0.4)
+        rng = np.random.default_rng(11)
+        st = FieldState(a=0.1 * rng.standard_normal(g.shape), u=0.1 * rng.standard_normal((dim,) + g.shape))
+        Scheme, states = solver._Scheme, []
+
+        class Recorded(Scheme):
+            """Records the state after each step of ``integrate``."""
+
+            def step_ifrk4(self, s, h, out=None):
+                states.append((h, super().step_ifrk4(s, h, out=out).copy()))
+                return out
+
+            def step_exp_euler(self, s, h, out=None):
+                states.append((h, super().step_exp_euler(s, h, out=out).copy()))
+                return out
+
+        monkeypatch.setattr(solver, "_Scheme", Recorded)
+        cfg = SolverConfig(dt=0.05, t_end=0.3, dealias=fraction, **PATHS[path][0])
+        assert integrate(g, st, p, cfg).stats.steps == len(states) == 6
+        outside = ~g.half(g.dealias_mask(fraction))
+        lin = Scheme(g, p, fraction)
+        before = solver._state_spectrum(g, st)
+        for h, after in states:
+            want = before
+            for _ in range(halves):
+                want = lin.apply_linear(want, h / halves)
+            assert bit_equal(after[:, outside], want[:, outside])
+            before = after
+
+    @pytest.mark.parametrize("path", ["ifrk4", "exp-euler"])
+    @pytest.mark.parametrize("dim, lengths, modes, fraction, form", WORKSPACE_CASES)
+    def test_box_part_equals_a_run_from_box_projected_data(self, dim, lengths, modes, fraction, form, path):
+        g, p, s = workspace_case(dim, lengths, modes, seed=4)
+        mask = g.half(g.dealias_mask(fraction))
+        projected = np.where(mask, s, 0)
+        sc = solver._Scheme(g, p, fraction)
+        step = getattr(sc, PATHS[path][1])
+        for _ in range(5):
+            step(s, 0.05, out=s)
+            step(projected, 0.05, out=projected)
+            assert bit_equal(s[:, mask], projected[:, mask])
+        assert np.all(projected[:, ~mask] == 0)
+
+
 class TestStepAllocation:
     """After warm-up an IFRK4 step allocates no state-sized array beyond its result."""
 
@@ -844,10 +926,12 @@ class TestStepAllocation:
         p = RieszParams.from_s_star(2, 0.5)
         s = random_half_state(g, np.random.default_rng(0), amplitude=0.01)
         sc = solver._Scheme(g, p)
-        # the fresh result, one state array of slack (ufunc cast buffers
-        # and the like) and the complex intermediate of the largest
-        # irfftn, the d^2 gradients, over the first axis
-        fresh_bound = 2 * s.nbytes + g.dim**2 * s[0].nbytes
+        # the fresh result and one state array of slack: the transforms run
+        # in the workspace, the complex one over the first axis in place, so
+        # the largest intermediate is NumPy's cast buffer for a real
+        # propagator factor in the linear update of the whole state (one
+        # half spectrum)
+        fresh_bound = 2 * s.nbytes
         tracemalloc.start()
         try:
             for _ in range(2):
