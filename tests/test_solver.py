@@ -841,7 +841,7 @@ class TestWorkspaceAliasing:
         one, two = solver._Scheme(g, p), solver._Scheme(g, p)
 
         def workspace(sc):
-            return [sc._stage, sc._fields, sc._spec, sc._boxspec, sc._du, sc._prod]
+            return [sc._stage, sc._fields, sc._spec, sc._boxspec, sc._box_factors, sc._du, sc._prod]
 
         for x in workspace(one):
             assert all(not np.shares_memory(x, y) for y in workspace(two))
