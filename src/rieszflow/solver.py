@@ -12,24 +12,20 @@ exponential from :mod:`rieszflow.spectrum`, and the rotational part is
 damped by exp(-lam dt).  On the Nyquist region (where the odd coupling
 symbols cannot be represented and are dropped) the density mode is
 frozen and the velocity purely damped; the zero mode of ``a`` is
-therefore conserved exactly.  Nonlinear products are formed in physical
-space and dealiased with the configured fraction rule.
+therefore conserved exactly.
 
-When the dealiased products are alias-free, the velocity tendency is
-taken in a form built from products of fields rather than of gradients:
-conservative in 1D, -(u^2/2)_x, and rotational in 2D,
--grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1 and
-u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u when
-3 K_i < N_i on every axis, with K_i the largest |k_i| the dealias mask
-keeps: no product of kept modes (|k_i| <= 2 K_i) then aliases onto a
-kept mode.  A tendency makes one inverse and one forward transform
-instead of two of each, the inverse of (a, u) (and, in 2D, of the
-vorticity) and the forward of [a u, |u|^2/2] (and, in 2D, of
-[w u_2, w u_1]), so an IFRK4 step makes 9 transforms instead of 17.
-Fraction 2/3 with N_i divisible by 3 gives K_i = N_i/3, and fraction 1
-keeps modes whose products alias; those runs use the convective form
-u . grad u.
-``RunStats.nonlinear_form`` records the choice.
+Nonlinear products are formed in physical space and kept on the dealias
+box |k_i| <= K_i with K_i = min(floor(f N_i / 2), ceil(N_i / 3) - 1):
+the largest box within the fraction f whose products are alias-free,
+3 K_i < N_i (Orszag's 2/3 rule, so f may not exceed 2/3).  No product
+of kept modes (|k_i| <= 2 K_i) then aliases onto a kept mode, and the
+velocity tendency is taken in a form built from products of fields
+rather than of gradients: conservative in 1D, -(u^2/2)_x, and
+rotational in 2D, -grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1
+and u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u.  A
+tendency makes one inverse and one forward transform, the inverse of
+(a, u) (and, in 2D, of the vorticity) and the forward of [a u, |u|^2/2]
+(and, in 2D, of [w u_2, w u_1]).
 
 Two integrators are available: the integrating-factor RK4 scheme of
 Lawson (default) and a first-order exponential Euler cross-check.  The
@@ -64,10 +60,11 @@ linear update and the steps write into it with ``out=``, the transforms
 included, and ``integrate`` advances one state array in place.  The
 complex transform over the first axis runs in place in the workspace,
 so a step allocates no state-sized array; what it allocates is NumPy's
-cast buffers for the real propagator factors.  The memory of one step
-is thus reused by the next instead of being returned to the system and
-faulted in again.  Called without ``out``, every method returns a fresh
-array and leaves its input unchanged.
+cast buffers for the real propagator factors.  The per-step positivity
+check transforms the density in the workspace too.  The memory of one
+step is thus reused by the next instead of being returned to the system
+and faulted in again.  Called without ``out``, every method returns a
+fresh array and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -102,6 +99,22 @@ INTEGRATORS = ("ifrk4", "exp-euler")
 PRESETS = ("single-mode", "smooth-bump", "low-frequency-powerlaw")
 
 
+def _check_dealias(fraction: float) -> None:
+    if not (0 < fraction <= 2.0 / 3.0):
+        raise ValueError(f"dealias fraction must lie in (0, 2/3], where the kept box is alias-free "
+                         f"(3 K < N, the 2/3 rule), got {fraction}")
+
+
+def _dealias_box(modes: tuple[int, ...], fraction: float = 2.0 / 3.0) -> tuple[int, ...]:
+    """The kept box (K_1, ..., K_d): K_i = min(floor(f N_i / 2), ceil(N_i / 3) - 1).
+
+    The largest box within the fraction whose products are alias-free,
+    3 K_i < N_i; it never keeps the Nyquist index, ceil(N/3) - 1 < N/2.
+    """
+    _check_dealias(fraction)
+    return tuple(min(math.floor(fraction * n / 2), -(-n // 3) - 1) for n in modes)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-step integration settings.
@@ -128,8 +141,7 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
-        if not (0 < self.dealias <= 1):
-            raise ValueError(f"dealias fraction must lie in (0, 1], got {self.dealias}")
+        _check_dealias(self.dealias)
         if not (0 < self.positivity_floor < 1):
             raise ValueError(f"positivity floor must lie in (0, 1), got {self.positivity_floor}")
         if self.snapshot_times is not None:
@@ -146,16 +158,12 @@ class RunStats:
     """What a run did: steps taken, the distinct step sizes in order of use, propagator builds.
 
     Segments whose step sizes would differ only by the rounding of their
-    end points share one step size.  ``nonlinear_form`` is the form the
-    scheme picked for the nonlinear tendency: ``"conservative"`` in 1D and
-    ``"rotational"`` in 2D when the dealiased products are alias-free,
-    ``"convective"`` otherwise.
+    end points share one step size.
     """
 
     steps: int = 0
     step_sizes: tuple[float, ...] = ()
     propagator_builds: int = 0
-    nonlinear_form: str = "convective"
 
 
 @dataclass
@@ -178,12 +186,12 @@ class _Scheme:
     propagates only by h/2, exponential Euler and linear-only runs by h,
     so each segment of a run builds its factors once.
 
-    The dealias mask is the box |k_i| <= K_i (``kept``), held by box
-    arrays in the layout of ``SpectralGrid._box_index``.  Every tendency
-    vanishes outside the box and reads only the box part of its input, so
-    a step advances the box part of the state through the stages on box
-    arrays, with box-sized factors and symbols, and the rest by the
-    propagator alone; the tendency transforms only the box
+    The dealias box is |k_i| <= K_i (``kept``, from :func:`_dealias_box`),
+    held by box arrays in the layout of ``SpectralGrid._box_index``.
+    Every tendency vanishes outside the box and reads only the box part of
+    its input, so a step advances the box part of the state through the
+    stages on box arrays, with box-sized factors and symbols, and the rest
+    by the propagator alone; the tendency transforms only the box
     (``SpectralGrid._box_irfft``, ``_box_rfft``).
 
     The workspace is allocated once per scheme, here except for the
@@ -195,32 +203,26 @@ class _Scheme:
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
     - ``_fields``: the physical (a, u) of a tendency, and w after them in
-      rotational form, and the density of ``integrate``'s per-step check
-      ((1 + d) P, 4 P in rotational form);
-    - ``_spec``: max(d^2, 3, nprod) half spectra: the zero-padded kept
-      columns of the inverse transforms, the half spectra of the forward
-      ones, and the scratch (m, c and one product) of the linear update,
-      for the box in a contiguous view at its start;
-    - ``_boxspec``: box spectra, the vorticity and the forward transforms
-      of the products in rotational form (5), the gradient spectra and
-      the forward transforms in convective form (d^2), none in 1D
-      conservative form;
-    - ``_du``: the d^2 gradients d_j u_i (convective form only);
-    - ``_prod``: the products, nprod physical fields (the d components of
-      a u and then of u . grad u in 2D convective form, [a u, u^2/2] in
-      1D) or five in rotational form ([a u_1, a u_2, |u|^2/2, w u_2,
-      w u_1]).
+      2D, and the density of :meth:`density` (2 P in 1D, 4 P in 2D);
+    - ``_spec``: nprod half spectra, 3 in 1D and 5 in 2D: the
+      zero-padded kept columns of the inverse transforms, the half
+      spectra of the forward ones, the density spectrum of
+      :meth:`density`, and the scratch (m, c and one product) of the
+      linear update, for the box in a contiguous view at its start;
+    - ``_boxspec``: in 2D, the vorticity and the forward transforms of
+      the products (5 box spectra); none in 1D;
+    - ``_prod``: the products, [a u, u^2/2] in 1D and [a u_1, a u_2,
+      |u|^2/2, w u_2, w u_1] in 2D (nprod = 2 or 5 physical fields).
 
-    At 2D 256^2 in rotational form that is about 10.8 MiB, 2.7 of them
-    the stage buffers (13.1 MiB with stages over the whole lattice).  The
-    propagator factors and ``ie`` are kept both on the half lattice, for
-    the modes outside the box and :meth:`apply_linear`, and on the box.
-    The box factors live in one buffer that each build overwrites: fresh
-    arrays per build fragmented the heap of a many-segment run (c08's 33
-    builds raised the peak RSS of ``decay-1d`` by about 0.8 MiB).
-    ``rhs``, ``apply_linear`` and the steps take an
-    optional ``out``, which may be their input ``s`` and must not be a
-    workspace buffer; without it they return a fresh array.  They never
+    At 2D 256^2 that is about 10.8 MiB, 2.7 of them the stage buffers
+    (13.1 MiB with stages over the whole lattice).  The propagator
+    factors and ``ie`` are kept both on the half lattice, for the modes
+    outside the box and :meth:`apply_linear`, and on the box.  The box
+    factors live in one buffer that each build overwrites: fresh arrays
+    per build fragmented the heap of a many-segment run (c08's 33 builds
+    raised the peak RSS of ``decay-1d`` by about 0.8 MiB).  ``rhs``,
+    ``apply_linear`` and the steps take an optional ``out``, which may be
+    their input ``s`` and must not be a workspace buffer; without it they return a fresh array.  They never
     change ``s`` unless it is ``out``, and never return a workspace
     buffer.  Each operation takes the operands of the plain array
     expression it evaluates in that expression's order (NumPy's complex
@@ -234,38 +236,24 @@ class _Scheme:
             raise ValueError(f"params dim {params.dim} does not match grid dim {grid.dim}")
         self.grid = grid
         self.params = params
-        full_mask = grid.dealias_mask(dealias)
+        self.kept = _dealias_box(grid.modes, dealias)
         d = grid.dim
-        # the mask is a box that keeps 2 K_i + 1 indices along axis i;
-        # the alias-free rule 3 K_i < N_i of the module docstring
-        self.kept = tuple(int(np.count_nonzero(full_mask.any(axis=tuple(j for j in range(d) if j != i)))) // 2
-                          for i in range(d))
-        half = grid.half_xi_norm.shape
         box = self._box_part
         self.grad = tuple(box(k) for k in grid.half_grad)
-        if not all(3 * k < n for k, n in zip(self.kept, grid.modes)):
-            self.nonlinear_form = "convective"
-        elif d == 1:
-            self.nonlinear_form = "conservative"
-            self.minus_ddx = box(-grid.half_grad[0] * grid.half(full_mask))
-        else:
-            self.nonlinear_form = "rotational"
-            self.minus_grad = tuple(box(-k) for k in grid.half_grad)
+        self.minus_grad = tuple(box(-k) for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
         self.ie_box = box(self.ie)
         self._factors: dict = {}
         self.builds = 0
 
-        nprod = {"conservative": 2, "rotational": 5, "convective": d}[self.nonlinear_form]
-        nbox = {"conservative": 0, "rotational": 5, "convective": d * d}[self.nonlinear_form]
+        nprod = 2 if d == 1 else 5
         self._box_shape = grid._box_shape(self.kept)
         # the box parts of (p11, p12, q21, q22), overwritten by each build
         self._box_factors = np.empty((4,) + self._box_shape)
-        self._fields = np.empty((1 + d + (self.nonlinear_form == "rotational"),) + grid.shape)
-        self._spec = np.empty((max(d * d, 3, nprod),) + half, dtype=complex)
-        self._boxspec = np.empty((nbox,) + self._box_shape, dtype=complex) if nbox else None
-        self._du = np.empty((d * d,) + grid.shape) if self.nonlinear_form == "convective" else None
+        self._fields = np.empty((2 * d,) + grid.shape)
+        self._spec = np.empty((max(3, nprod),) + grid.half_xi_norm.shape, dtype=complex)
+        self._boxspec = np.empty((nprod,) + self._box_shape, dtype=complex) if d == 2 else None
         self._prod = np.empty((nprod,) + grid.shape)
         # the scratch (m, c, tmp) of the linear update on the box: contiguous
         # box arrays at the start of _spec
@@ -355,8 +343,10 @@ class _Scheme:
         return g._box_scatter(box, self.kept, out)
 
     def _rhs(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tendency of box arrays in the form the scheme picked."""
-        return getattr(self, "_rhs_" + self.nonlinear_form)(s, out)
+        """The tendency of box arrays: conservative in 1D, rotational in 2D."""
+        if self.grid.dim == 1:
+            return self._rhs_conservative(s, out)
+        return self._rhs_rotational(s, out)
 
     def _rhs_conservative(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The 1D tendency of box arrays, -(a u)_x and -(u^2/2)_x: two transform calls."""
@@ -365,7 +355,8 @@ class _Scheme:
         np.multiply(a, u, out=prod[0])
         np.multiply(0.5, u, out=prod[1])
         prod[1] *= u
-        return np.multiply(self.minus_ddx, g._box_rfft(prod, self.kept, out=out, work=self._spec[:2]), out=out)
+        return np.multiply(self.minus_grad[0], g._box_rfft(prod, self.kept, out=out, work=self._spec[:2]),
+                           out=out)
 
     def _rhs_rotational(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The 2D tendency of box arrays with u . grad u = grad(|u|^2/2) + w u_perp.
@@ -401,31 +392,17 @@ class _Scheme:
         out[2] -= wu1
         return out
 
-    def _rhs_convective(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tendency of box arrays in convective form, -div(a u) and -u . grad u."""
-        g, kept, d, spec = self.grid, self.kept, self.grid.dim, self._boxspec
-        fields = g._box_irfft(s, kept, out=self._fields, work=self._spec)
-        a, u = fields[0], fields[1:]
-        # du[i, j] = d_j u_i, all d^2 components in one transform
-        for i in range(d):
-            for j, k in enumerate(self.grad):
-                np.multiply(k, s[1 + i], out=spec[i * d + j])
-        du = g._box_irfft(spec, kept, out=self._du, work=self._spec).reshape((d, d) + g.shape)
-        # a u, then u . grad u, in the same d products; their forward
-        # transforms reuse the gradient spectra, read by now
-        prod = self._prod
-        vhat = g._box_rfft(np.multiply(a, u, out=prod), kept, out=spec[:d], work=self._spec[:d])
-        # -div(a u) and sum_j u_j d_j u_i are summed from zero, as
-        # sum() and np.sum do, so signed zeros come out the same
-        out[0] = 0
-        for k, v in zip(self.grad, vhat):
-            out[0] += np.multiply(k, v, out=v)
-        np.negative(out[0], out=out[0])
-        prod[...] = 0
-        for j in range(d):
-            prod += np.multiply(u[j], du[:, j], out=du[:, j])
-        np.negative(g._box_rfft(prod, kept, out=spec[:d], work=self._spec[:d]), out=out[1:])
-        return out
+    def density(self, s: np.ndarray) -> np.ndarray:
+        """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace.
+
+        The complex transforms over the leading axes run in place on a
+        copy of ``s[0]`` in ``_spec``, as in ``SpectralGrid._box_irfft``.
+        """
+        g, spec = self.grid, self._spec[0]
+        np.copyto(spec, s[0])
+        for axis in range(g.dim - 1):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        return np.fft.irfft(spec, n=g.modes[-1], out=self._fields[0])
 
     # -- steps ---------------------------------------------------------
 
@@ -489,7 +466,8 @@ def rhs_nonlinear(
     """Nonlinear tendency (-div(a u), -u . grad u) in physical space.
 
     The density tendency has exactly zero mean.  ``params`` only supplies
-    the dimension check and may be omitted.
+    the dimension check and may be omitted.  ``dealias`` is the fraction
+    f of the kept box, at most 2/3 (see the module docstring).
     """
     out = grid.irfft(_Scheme(grid, params, dealias).rhs(_state_spectrum(grid, state)))
     return out[0], out[1:]
@@ -574,7 +552,7 @@ def integrate(
             advance(s, h, out=s)
             steps += 1
             t = target if istep == nsteps - 1 else t + h
-            a_phys = grid.irfft(s[0], out=scheme._fields[0])
+            a_phys = scheme.density(s)
             if not (np.all(np.isfinite(a_phys)) and np.all(np.isfinite(s[1:]))):
                 status, abort_time, aborted = "blowup", t, True
                 break
@@ -583,8 +561,7 @@ def integrate(
                 break
         if not aborted:
             record(t)
-    stats = RunStats(steps=steps, step_sizes=tuple(step_sizes), propagator_builds=scheme.builds,
-                     nonlinear_form=scheme.nonlinear_form)
+    stats = RunStats(steps=steps, step_sizes=tuple(step_sizes), propagator_builds=scheme.builds)
     return Trajectory(snapshots=snapshots, diagnostics=diagnostics, status=status,
                       abort_time=abort_time, stats=stats)
 
@@ -603,7 +580,8 @@ def perturbation_presets(
     """Mean-zero initial data families, normalized to ||a||_inf = amplitude.
 
     "single-mode": a = amplitude cos(k x_1) with k the ``mode``-th
-    wavenumber of the first axis.  "smooth-bump": analytic periodic bump
+    wavenumber of the first axis, inside the solver's default box
+    (3 mode < N_1).  "smooth-bump": analytic periodic bump
     centered in the box with relative ``width``.
     "low-frequency-powerlaw": random-phase spectrum |a(xi)| proportional
     to |xi|^(-sigma1 - d/2) on 0 < |xi| <= cutoff, a sharp realization
@@ -619,8 +597,8 @@ def perturbation_presets(
         )
     coords = grid.coordinates()
     if kind == "single-mode":
-        if not (1 <= mode <= grid.modes[0] // 3):
-            raise ValueError(f"mode must stay below the dealias cutoff, got {mode}")
+        if not (1 <= mode <= _dealias_box(grid.modes)[0]):
+            raise ValueError(f"mode must stay below the dealias cutoff (3 mode < N_1), got {mode}")
         k = 2.0 * np.pi * mode / grid.lengths[0]
         a = amplitude * np.cos(k * coords[0])
         if grid.dim == 2:

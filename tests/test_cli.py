@@ -309,6 +309,12 @@ class TestSimulateCommand:
         assert "expected s:p:r:flavor" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_dealias_above_two_thirds_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("t_end = 1.0\n", "t_end = 1.0\ndealias = 1\n"))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[solver]" in err and "2/3 rule" in err
+
     def test_runtime_error_rolls_back(self, tmp_path, capsys):
         # a single-mode state at amplitude 0.6 starts below the 0.5 floor
         text = (
