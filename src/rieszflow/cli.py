@@ -263,40 +263,40 @@ def _besov_specs(cp, dim: int) -> tuple[int, list[BesovSpec]]:
 
 def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
                  workers: int) -> None:
+    """Write each snapshot and its diagnostics as the run reaches it; no state is kept."""
     params, solver_cfg, preset = resolve_run(cp, grid)
     state0 = perturbation_presets(grid=grid, seed=spec.seed, **preset)
-
-    traj = integrate(grid, state0, params, solver_cfg)
-
-    for i, st in enumerate(traj.snapshots):
-        writer.write_binary(f"snap_{i:04d}.bin", lambda p, s=st: write_snapshot(p, grid, s))
-
     j1, specs = _besov_specs(cp, grid.dim)
-    partition = build_partition(grid)
     want_energy = get_bool(cp, "diagnostics", "energy", True)
+    partition = build_partition(grid)
 
+    times = []
     norm_rows = []
     records = []
-    for st, diag in zip(traj.snapshots, traj.diagnostics):
-        for name in ("l2_a", "l2_u", "min_density", "mean_a"):
-            records.append({"t": st.t, "name": name, "value": diag[name]})
+
+    def sink(st, diag) -> None:
+        writer.write_binary(f"snap_{len(times):04d}.bin", lambda p: write_snapshot(p, grid, st))
+        t = st.t
+        times.append(t)
+        # (t, name, value) triples: a tuple takes a third of a dict's bytes
+        records.extend((t, name, diag[name]) for name in ("l2_a", "l2_u", "min_density", "mean_a"))
         if want_energy:
             rec = energy_functionals(grid, st, partition, params, j1=j1)
-            records.append({"t": st.t, "name": "energy", "value": rec.energy})
-            records.append({"t": st.t, "name": "dissipation", "value": rec.dissipation})
-            for key in sorted(rec.components):
-                records.append({"t": st.t, "name": f"energy_{key}", "value": rec.components[key]})
+            records.extend([(t, "energy", rec.energy), (t, "dissipation", rec.dissipation)])
+            records.extend((t, f"energy_{key}", rec.components[key]) for key in sorted(rec.components))
         for bs in specs:
-            norm_rows.append((st.t, bs.s, bs.p, bs.r, bs.flavor, j1,
-                              besov_norm(partition, st.a, bs)))
-    writer.write_ndjson("diagnostics.ndjson", records)
+            norm_rows.append((t, bs.s, bs.p, bs.r, bs.flavor, j1, besov_norm(partition, st.a, bs)))
+
+    traj = integrate(grid, state0, params, solver_cfg, sink=sink)
+    writer.write_ndjson("diagnostics.ndjson",
+                        ({"t": t, "name": name, "value": v} for t, name, v in records))
     writer.write_csv("norms.csv", ["t", "s", "p", "r", "flavor", "j1", "value"], norm_rows)
 
     summary = [
         ("status", traj.status),
         ("abort_time", "" if traj.abort_time is None else repr(traj.abort_time)),
-        ("final_t", repr(traj.snapshots[-1].t) if traj.snapshots else ""),
-        ("snapshots", len(traj.snapshots)),
+        ("final_t", repr(times[-1]) if times else ""),
+        ("snapshots", len(times)),
         ("integrator", solver_cfg.integrator),
     ]
     writer.write_csv("summary.csv", ["key", "value"], summary)
@@ -456,12 +456,14 @@ def _child_seed(base: int, index: int) -> int:
 def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
     """Run one child config on ``grid``; the row of its final state, with energy components if asked."""
     params, solver_cfg, preset = resolve_run(cp, grid)
-    traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg)
+    last = {}
+    traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg,
+                     sink=lambda st, diag: last.update(final=st, diag=diag))
     row = {"status": traj.status}
-    if traj.snapshots:
-        final = traj.snapshots[-1]
-        row.update(final_t=final.t, l2_a=lp_norm(grid, final.a, 2), l2_u=lp_norm(grid, final.u, 2),
-                   min_density=1.0 + float(np.min(final.a)), _final_a=final.a)
+    if last:
+        final, diag = last["final"], last["diag"]
+        row.update(final_t=final.t, l2_a=diag["l2_a"], l2_u=diag["l2_u"],
+                   min_density=diag["min_density"], _final_a=final.a)
         if energy:
             rec = energy_functionals(grid, final, build_partition(grid), params,
                                      j1=get_int(cp, "diagnostics", "j1", 0))

@@ -60,16 +60,25 @@ linear update and the steps write into it with ``out=``, the transforms
 included, and ``integrate`` advances one state array in place.  The
 complex transform over the first axis runs in place in the workspace,
 so a step allocates no state-sized array; what it allocates is NumPy's
-cast buffers for the real propagator factors.  The per-step positivity
-check transforms the density in the workspace too.  The memory of one
-step is thus reused by the next instead of being returned to the system
-and faulted in again.  Called without ``out``, every method returns a
-fresh array and leaves its input unchanged.
+cast buffers for the real propagator factors.  The per-step checks
+transform the density in the workspace too, and test finiteness by the
+minimum and maximum of the density and of the velocity spectra:
+reductions that allocate nothing and that any NaN or infinity reaches.
+The memory of one step is thus reused by the next instead of being
+returned to the system and faulted in again.  Called without ``out``,
+every method returns a fresh array and leaves its input unchanged.
+
+``integrate`` hands each snapshot to a sink, ``sink(state, diag)``, as
+the run reaches its time.  The default sink keeps every snapshot in the
+returned ``Trajectory``; a caller that writes or reduces each snapshot
+as it arrives passes its own, and then the run holds no snapshot beyond
+the one being handed over, so its memory does not grow with their count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -168,7 +177,12 @@ class RunStats:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots, per-snapshot diagnostics, termination status and run statistics."""
+    """Recorded snapshots, per-snapshot diagnostics, termination status and run statistics.
+
+    ``snapshots`` and ``diagnostics`` are filled by the default sink of
+    :func:`integrate`; a run given its own sink leaves them empty and
+    reports only ``status``, ``abort_time`` and ``stats``.
+    """
 
     snapshots: list
     diagnostics: list
@@ -450,9 +464,13 @@ class _Scheme:
 
 
 def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:
-    """Stacked half spectra of (a, u_1, ..., u_d), one transform."""
+    """Stacked half spectra of (a, u_1, ..., u_d), one transform.
+
+    The result is in C order whatever the input's layout, so that
+    ``integrate`` can view the velocity spectra as real numbers.
+    """
     a, u = state_fields(grid, state)
-    return grid.rfft(np.concatenate([a[None], u]))
+    return grid.rfft(np.ascontiguousarray(np.concatenate([a[None], u])))
 
 
 def _physical_state(grid: SpectralGrid, s: np.ndarray, t: float) -> FieldState:
@@ -492,13 +510,23 @@ def _basic_diagnostics(grid: SpectralGrid, state: FieldState) -> dict:
 
 
 def integrate(
-    grid: SpectralGrid, initial: FieldState, params: RieszParams, config: SolverConfig
+    grid: SpectralGrid,
+    initial: FieldState,
+    params: RieszParams,
+    config: SolverConfig,
+    sink: Callable[[FieldState, dict], object] | None = None,
 ) -> Trajectory:
-    """Run the fixed-step scheme, recording snapshots at the requested times.
+    """Run the fixed-step scheme, handing a snapshot to ``sink`` at each requested time.
 
-    On a NaN/Inf or a positivity-floor violation the run stops, the
-    trajectory keeps the snapshots recorded so far, and the status
-    reports the failure kind together with the abort time.
+    ``sink(state, diag)`` gets the physical state and its basic
+    diagnostics (``t``, ``l2_a``, ``l2_u``, ``min_density``, ``mean_a``),
+    in time order, as the run reaches each time; the state is a fresh
+    array the run does not keep.  Without a sink the snapshots and
+    diagnostics are appended to the returned trajectory's lists; with
+    one those lists stay empty.  On a NaN/Inf or a positivity-floor
+    violation the run stops, the sink has seen the snapshots before the
+    abort, and the status reports the failure kind together with the
+    abort time.
     """
     s = _state_spectrum(grid, initial)
     if float(1.0 + np.min(initial.a)) < config.positivity_floor:
@@ -518,6 +546,10 @@ def integrate(
 
     snapshots: list[FieldState] = []
     diagnostics: list[dict] = []
+    if sink is None:
+        def sink(state: FieldState, diag: dict) -> None:
+            snapshots.append(state)
+            diagnostics.append(diag)
     status = "completed"
     abort_time = None
 
@@ -529,9 +561,10 @@ def integrate(
 
     def record(time: float) -> None:
         st = _physical_state(grid, s, time)
-        snapshots.append(st)
-        diagnostics.append(_basic_diagnostics(grid, st))
+        sink(st, _basic_diagnostics(grid, st))
 
+    # the velocity spectra as real numbers, a view of the state advanced in place
+    u_parts = s[1:].view(np.float64)
     aborted = False
     for target in targets:
         target = t0 + float(target)
@@ -553,10 +586,13 @@ def integrate(
             steps += 1
             t = target if istep == nsteps - 1 else t + h
             a_phys = scheme.density(s)
-            if not (np.all(np.isfinite(a_phys)) and np.all(np.isfinite(s[1:]))):
+            # a NaN makes min and max NaN, an infinity one of them
+            low = float(np.min(a_phys))
+            bounds = (low, float(np.max(a_phys)), float(np.min(u_parts)), float(np.max(u_parts)))
+            if not all(map(math.isfinite, bounds)):
                 status, abort_time, aborted = "blowup", t, True
                 break
-            if float(1.0 + np.min(a_phys)) < config.positivity_floor:
+            if 1.0 + low < config.positivity_floor:
                 status, abort_time, aborted = "positivity_violation", t, True
                 break
         if not aborted:

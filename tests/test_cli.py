@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from rieszflow.config import (
     parse_preset,
     parse_schedule,
     parse_solver_config,
+    resolve_run,
 )
 
 SIMULATE_CFG = """\
@@ -302,7 +304,7 @@ class TestSimulateCommand:
         assert "config error" in capsys.readouterr().err
 
     def test_config_error_rolls_back(self, tmp_path, capsys):
-        # the bad besov spec is detected after snapshots were already written
+        # the bad besov spec is detected before the run starts
         cfg = write_cfg(tmp_path, SIMULATE_CFG + "\n[diagnostics]\nbesov = 0.5:2:1\n")
         out = tmp_path / "out"
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
@@ -461,6 +463,68 @@ class TestOutputDirectory:
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
         assert "read-only file system" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+STREAM_CFG = """\
+[experiment]
+kind = simulate
+seed = 4
+
+[grid]
+dim = 2
+length = 50.26548245743669
+modes = {modes}
+
+[params]
+s_star = 0.5
+
+[preset]
+kind = low-frequency-powerlaw
+amplitude = 0.05
+sigma1 = -1
+cutoff = 1
+
+[solver]
+dt = 0.05
+t_end = 1.0
+snapshot_times = linspace:0,1,{count}
+"""
+
+
+class TestStreamedSimulate:
+    """simulate writes each snapshot and its diagnostics as the run reaches it, keeping no state."""
+
+    def test_traced_peak_is_flat_in_the_snapshot_count(self, tmp_path):
+        peaks = {}
+        # the first run fills the caches every later run reuses
+        for run, count in enumerate((6, 6, 41)):
+            cfg = write_cfg(tmp_path, STREAM_CFG.format(modes=64, count=count), f"s{run}.ini")
+            tracemalloc.start()
+            try:
+                assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / f"out{run}"]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # what grows is the diagnostics rows, which stay in lists (1 to 2 kB a snapshot);
+        # a snapshot is three 64x64 float64 fields
+        snapshot_bytes = 3 * 64 * 64 * 8
+        assert peaks[41] - peaks[6] < snapshot_bytes
+
+    def test_snapshots_equal_those_of_a_run_that_keeps_them(self, tmp_path):
+        cfg = write_cfg(tmp_path, STREAM_CFG.format(modes=32, count=6))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        cp = load_config(cfg)
+        grid = parse_grid(cp)
+        params, solver_cfg, preset = resolve_run(cp, grid)
+        traj = integrate(grid, perturbation_presets(grid=grid, seed=4, **preset), params, solver_cfg)
+        assert len(traj.snapshots) == 6
+        assert sorted(p.name for p in out.glob("snap_*.bin")) == [f"snap_{i:04d}.bin" for i in range(6)]
+        for i, state in enumerate(traj.snapshots):
+            write_snapshot(tmp_path / "ref.bin", grid, state)
+            assert (out / f"snap_{i:04d}.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        summary = dict(read_csv_file(out / "summary.csv")[1])
+        assert summary["snapshots"] == "6" and summary["final_t"] == repr(traj.snapshots[-1].t)
 
 
 class TestAnalysisCommands:

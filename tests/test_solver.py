@@ -498,6 +498,92 @@ class TestRunStats:
         assert (stats.steps, stats.step_sizes, stats.propagator_builds) == (0, (), 0)
 
 
+class TestSnapshotSink:
+    """integrate hands each snapshot to a sink as it reaches the snapshot's time."""
+
+    @staticmethod
+    def run(sink=None):
+        g = make_grid(dim=2, lengths=16 * np.pi, modes=32)
+        p = RieszParams.from_s_star(2, 0.5)
+        st = perturbation_presets("low-frequency-powerlaw", 0.05, g, sigma1=-1.0, cutoff=1.0, seed=2)
+        times = tuple(float(t) for t in np.linspace(0.0, 1.0, 9))
+        return integrate(g, st, p, SolverConfig(dt=0.05, t_end=1.0, snapshot_times=times), sink=sink), times
+
+    def test_sink_sees_the_default_snapshots_in_time_order(self):
+        kept, times = self.run()
+        seen = []
+        traj, _ = self.run(lambda state, diag: seen.append((state, diag)))
+        assert [state.t for state, _ in seen] == list(times)
+        assert len(seen) == len(kept.snapshots)
+        for (state, diag), ref, ref_diag in zip(seen, kept.snapshots, kept.diagnostics):
+            assert state.a.tobytes() == ref.a.tobytes() and state.u.tobytes() == ref.u.tobytes()
+            assert diag == ref_diag
+        assert traj.stats == kept.stats
+
+    def test_a_sink_leaves_the_trajectory_without_states(self):
+        count = []
+        traj, times = self.run(lambda state, diag: count.append(state.t))
+        assert traj.snapshots == [] and traj.diagnostics == []
+        assert traj.status == "completed" and traj.abort_time is None
+        assert traj.stats.steps == 24 and traj.stats.propagator_builds == 1
+        assert len(count) == len(times)
+
+    def test_an_aborted_run_passed_exactly_the_snapshots_before_the_abort(self):
+        # the data of TestRunStats.test_counts_stop_at_an_abort, which falls below the floor
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        p = RieszParams.from_s_star(1, 0.5)
+        st = perturbation_presets("single-mode", 0.3, g, mode=1)
+        st = FieldState(a=st.a, u=-2.0 * np.sin(g.coordinates()[0])[None], t=0.0)
+        times = tuple(float(t) for t in np.linspace(0.0, 2.0, 17))
+        cfg = SolverConfig(dt=0.01, t_end=2.0, snapshot_times=times, positivity_floor=0.5)
+        ref = integrate(g, st, p, cfg)
+        seen = []
+        traj = integrate(g, st, p, cfg, sink=lambda state, diag: seen.append(state.t))
+        assert traj.status == ref.status == "positivity_violation"
+        assert traj.abort_time == ref.abort_time and traj.stats == ref.stats
+        assert seen == [s.t for s in ref.snapshots] == [t for t in times if t < traj.abort_time]
+        assert 0 < len(seen) < len(times)
+
+
+class TestFiniteCheck:
+    """A NaN or an infinity in the density or the velocity spectra stops the run as a blowup."""
+
+    @pytest.mark.parametrize("where, value", [
+        ("velocity", complex(np.inf, 0.0)),
+        ("velocity", complex(0.0, -np.inf)),
+        ("velocity", complex(np.nan, 0.0)),
+        ("density", np.nan),
+        ("density", np.inf),
+        ("density", -np.inf),
+    ])
+    def test_one_value_aborts(self, monkeypatch, where, value):
+        g = make_grid(dim=2, lengths=16 * np.pi, modes=32)
+        p = RieszParams.from_s_star(2, 0.5)
+        st = perturbation_presets("smooth-bump", 0.05, g)
+        steps = []
+
+        class Injecting(solver._Scheme):
+            """Puts ``value`` into one velocity mode or one density point after the third step."""
+
+            def step_ifrk4(self, s, h, out=None):
+                out = super().step_ifrk4(s, h, out=out)
+                steps.append(h)
+                if len(steps) == 3 and where == "velocity":
+                    out[2, 5, 3] = value
+                return out
+
+            def density(self, s):
+                a = super().density(s)
+                if len(steps) == 3 and where == "density":
+                    a[7, 11] = value
+                return a
+
+        monkeypatch.setattr(solver, "_Scheme", Injecting)
+        traj = integrate(g, st, p, SolverConfig(dt=0.1, t_end=0.5))
+        assert traj.status == "blowup"
+        assert traj.abort_time == pytest.approx(0.3) and traj.stats.steps == 3
+
+
 def dft_coefficients(f):
     """Centered Fourier coefficients c_k (k in [-N/2, N/2) per axis) by explicit DFT sums."""
     out = np.asarray(f, dtype=complex)
@@ -983,8 +1069,9 @@ class TestStepAllocation:
         state_bytes = 3 * half_points * 16
         # after the first step, which allocates the stage buffers, a step in place stays
         # within one state array (as in test_traced_peak_of_one_step); the checks between
-        # steps transform the density in the workspace, and what they allocate is the
-        # boolean result of np.isfinite on the velocity spectra (one byte per value; the
-        # complex intermediate of irfftn would be 33,792 B here)
+        # steps transform the density in the workspace and reduce it and the velocity
+        # spectra to their minima and maxima, so they allocate no array: what is left is
+        # Python scalars, 1,600 B here (the boolean np.isfinite of the velocity spectra
+        # alone would be 4,224 B, the complex intermediate of irfftn 33,792 B)
         assert max(steps[1:]) <= state_bytes
-        assert max(between) <= 2 * half_points + 2048
+        assert max(between) <= 2048
