@@ -15,6 +15,10 @@ Conventions shared by every module in the package:
   f -> irfftn(m(xi) * rfftn(f)).  The zero mode carries the spatial mean.
   A symbol that is singular at xi = 0 may only be applied to a mean-zero
   field; the zero mode is then mapped to 0.
+* ``SpectralGrid.rfft`` and ``irfft`` are the one forward and inverse
+  transform, ``rfftn``'s and ``irfftn``'s steps written out so that no
+  second complex array is made.  ``dealias_box`` is the one truncation
+  rule, and ``dealias_mask`` is its box on the full lattice.
 * A multiplier symbol must be Hermitian, m(-xi) = conj(m(xi)), off the
   Nyquist region (lattice points with an unpaired Nyquist coordinate,
   plus the self-conjugate points); this is checked on the symbol itself.
@@ -241,22 +245,29 @@ class SpectralGrid:
         """Half-lattice view ``m[..., :N_d/2 + 1]`` of a full-lattice array."""
         return m[..., : self.modes[-1] // 2 + 1]
 
-    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Half spectrum of a real scalar or vector field, one transform over the trailing axes.
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real scalar or vector field: ``rfftn``'s steps, bit for bit."""
+        return self._rfft(np.asarray(f, dtype=float))
 
-        ``out``, if given, receives the result (complex, of the half
-        spectrum's shape) and is returned.
+    def _rfft(self, f: np.ndarray, ncols: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """``rfft`` into ``out``, then in 2D ``fft`` over the first axis in place on ``ncols`` columns."""
+        spec = np.fft.rfft(f, axis=-1, out=out)
+        if self.dim == 2:
+            cols = spec[..., :ncols]
+            np.fft.fft(cols, axis=-2, out=cols)
+        return spec
+
+    def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`rfft`, leading component axes kept: ``irfftn``'s steps, bit for bit.
+
+        In 2D ``ifft`` over the first axis runs into ``work`` (complex, of ``fhat``'s shape, may be
+        ``fhat``; allocated when not given), then ``irfft`` with n = N_d into ``out``.  ``fhat``
+        may hold only the first columns of the half spectra; the rest count as zero.
         """
-        return np.fft.rfftn(np.asarray(f, dtype=float), axes=tuple(range(-self.dim, 0)), out=out)
-
-    def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse of :meth:`rfft`; leading component axes are kept.
-
-        ``out``, if given, receives the real result and is returned.  In
-        2D the transform over the first axis still makes one complex
-        intermediate of ``fhat``'s size.
-        """
-        return np.fft.irfftn(fhat, s=self.modes, axes=tuple(range(-self.dim, 0)), out=out)
+        if self.dim == 2:
+            fhat = np.fft.ifft(fhat, axis=-2, out=work)
+        return np.fft.irfft(fhat, n=self.modes[-1], out=out)
 
     # -- the box |k_i| <= K_i: half spectra that vanish outside it ---------
     #
@@ -298,16 +309,14 @@ class SpectralGrid:
                    work: np.ndarray | None = None) -> np.ndarray:
         """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
 
-        The result equals ``irfft`` of the zero-extended half spectra bit
-        for bit.  In 1D it is ``irfft(box, n=N)``.  In 2D ``box`` is a
-        stack of F box arrays or a sequence of them; the complex transform
-        over the first axis runs on the K_2 + 1 kept columns only, in place
-        in ``work[:F, :, :K_2 + 1]`` (complex, with the half lattice's rows;
-        overwritten; allocated when not given), and ``irfft`` then runs over
-        the last axis.
+        In 1D this is ``irfft(box)``.  In 2D ``box`` is a stack of F box
+        arrays or a sequence of them, zero-filled and scattered onto the
+        K_2 + 1 kept columns of ``work[:F, :, :K_2 + 1]`` (complex, with the
+        half lattice's rows; overwritten; allocated when not given), which
+        ``irfft`` then transforms in place.
         """
         if self.dim == 1:
-            return np.fft.irfft(box, n=self.modes[0], out=out)
+            return self.irfft(box, out=out)
         k, n, ncols = kept[0], self.modes[0], kept[1] + 1
         if work is None:
             work = np.empty((len(box), n, ncols), dtype=complex)
@@ -315,8 +324,7 @@ class SpectralGrid:
         cols[:, k + 1:n - k] = 0
         for c, b in zip(cols, box):
             self._box_scatter(b, kept, c)
-        np.fft.ifft(cols, axis=-2, out=cols)
-        return np.fft.irfft(cols, n=self.modes[1], axis=-1, out=out)
+        return self.irfft(cols, out=out, work=cols)
 
     def _box_rfft(self, f: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
@@ -327,11 +335,7 @@ class SpectralGrid:
         2D the complex transform over the first axis then runs in place on
         the K_2 + 1 kept columns only.
         """
-        spec = np.fft.rfft(f, axis=-1, out=work)
-        if self.dim == 2:
-            cols = spec[..., :kept[1] + 1]
-            np.fft.fft(cols, axis=-2, out=cols)
-        return self._box_gather(spec, kept, out)
+        return self._box_gather(self._rfft(f, kept[-1] + 1, out=work), kept, out)
 
     def min_nonzero_wavenumber(self) -> float:
         return float(min(2.0 * np.pi / L for L in self.lengths))
@@ -339,21 +343,23 @@ class SpectralGrid:
     def max_wavenumber(self) -> float:
         return float(np.max(self.half_xi_norm))
 
-    def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        """Boolean mask keeping |k_i| <= floor(fraction * N_i / 2) per axis.
+    def dealias_box(self, fraction: float = 2.0 / 3.0) -> tuple[int, ...]:
+        """The kept box (K_1, ..., K_d) of a dealias fraction f: K_i = min(floor(f N_i / 2), cap).
 
-        The Nyquist index is always removed, even at fraction 1.0.
+        For f <= 2/3 the cap is ceil(N_i / 3) - 1, the largest alias-free
+        box (3 K_i < N_i, Orszag's 2/3 rule); above 2/3 it is N_i / 2 - 1.
         """
         if not (0 < fraction <= 1):
             raise ValueError(f"dealias fraction must lie in (0, 1], got {fraction}")
+        caps = [-(-n // 3) - 1 if fraction <= 2.0 / 3.0 else n // 2 - 1 for n in self.modes]
+        return tuple(min(math.floor(fraction * n / 2), cap) for n, cap in zip(self.modes, caps))
+
+    def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
+        """Boolean mask of :meth:`dealias_box` on the full lattice, |k_i| <= K_i per axis."""
         mask = np.ones(self.shape, dtype=bool)
-        for ax, n in enumerate(self.modes):
-            kept = min(int(math.floor(fraction * n / 2)), n // 2 - 1)
-            k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-            keep_1d = np.abs(k) <= kept
-            sl: list = [None] * self.dim
-            sl[ax] = slice(None)
-            mask &= keep_1d[tuple(sl)] if self.dim == 2 else keep_1d
+        for ax, (n, kept) in enumerate(zip(self.modes, self.dealias_box(fraction))):
+            index = np.arange(n)
+            mask &= (np.minimum(index, n - index) <= kept).reshape((-1,) + (1,) * (self.dim - 1 - ax))
         return mask
 
 

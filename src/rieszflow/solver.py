@@ -15,14 +15,15 @@ frozen and the velocity purely damped; the zero mode of ``a`` is
 therefore conserved exactly.
 
 Nonlinear products are formed in physical space and kept on the dealias
-box |k_i| <= K_i with K_i = min(floor(f N_i / 2), ceil(N_i / 3) - 1):
-the largest box within the fraction f whose products are alias-free,
-3 K_i < N_i (Orszag's 2/3 rule, so f may not exceed 2/3).  No product
-of kept modes (|k_i| <= 2 K_i) then aliases onto a kept mode, and the
-velocity tendency is taken in a form built from products of fields
-rather than of gradients: conservative in 1D, -(u^2/2)_x, and
-rotational in 2D, -grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1
-and u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u.  A
+box |k_i| <= K_i of ``SpectralGrid.dealias_box``, with
+K_i = min(floor(f N_i / 2), ceil(N_i / 3) - 1): the largest box within
+the fraction f whose products are alias-free, 3 K_i < N_i (Orszag's 2/3
+rule, so the solver refuses an f above 2/3).  No product of kept modes
+(|k_i| <= 2 K_i) then aliases onto a kept mode, and the velocity
+tendency is taken in a form built from products of fields rather than
+of gradients: conservative in 1D, -(u^2/2)_x, and rotational in 2D,
+-grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1 and
+u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u.  A
 tendency makes one inverse and one forward transform, the inverse of
 (a, u) (and, in 2D, of the vorticity) and the forward of [a u, |u|^2/2]
 (and, in 2D, of [w u_2, w u_1]).
@@ -46,12 +47,11 @@ the box by the propagator alone: E_{h/2} E_{h/2} for IFRK4, E_h for
 exponential Euler.  The transforms of a tendency are pruned to the box
 (``SpectralGrid._box_irfft`` and ``_box_rfft``).  In 2D the complex
 transform over the first axis runs on the K_2 + 1 kept columns only;
-the real transform over the last axis runs on every row.  In 1D the
-inverse is ``irfft`` of the box.  Both equal ``irfftn``/``rfftn`` of
-the masked spectra bit for bit, so no mask multiply is left, and a step
-equals the full-lattice step bit for bit apart from the sign of zeros.
-At fraction 2/3 the box is 4/9 of the 2D half spectrum and 2/3 of the
-1D one.
+the real transform over the last axis runs on every row.  Both equal
+``irfftn``/``rfftn`` of the masked spectra bit for bit, so no mask
+multiply is left, and a step equals the full-lattice step bit for bit
+apart from the sign of zeros.  At fraction 2/3 the box is 4/9 of the 2D
+half spectrum and 2/3 of the 1D one.
 
 Each scheme allocates its workspace once: four box-sized stage buffers
 for the IFRK4 step and the physical fields, spectra and products of a
@@ -61,7 +61,8 @@ included, and ``integrate`` advances one state array in place.  The
 complex transform over the first axis runs in place in the workspace,
 so a step allocates no state-sized array; what it allocates is NumPy's
 cast buffers for the real propagator factors.  The per-step checks
-transform the density in the workspace too, and test finiteness by the
+transform the density in the workspace too, as a recorded snapshot does
+(whose only fresh array is the snapshot); they test finiteness by the
 minimum and maximum of the density and of the velocity spectra:
 reductions that allocate nothing and that any NaN or infinity reaches.
 The memory of one step is thus reused by the next instead of being
@@ -114,16 +115,6 @@ def _check_dealias(fraction: float) -> None:
                          f"(3 K < N, the 2/3 rule), got {fraction}")
 
 
-def _dealias_box(modes: tuple[int, ...], fraction: float = 2.0 / 3.0) -> tuple[int, ...]:
-    """The kept box (K_1, ..., K_d): K_i = min(floor(f N_i / 2), ceil(N_i / 3) - 1).
-
-    The largest box within the fraction whose products are alias-free,
-    3 K_i < N_i; it never keeps the Nyquist index, ceil(N/3) - 1 < N/2.
-    """
-    _check_dealias(fraction)
-    return tuple(min(math.floor(fraction * n / 2), -(-n // 3) - 1) for n in modes)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-step integration settings.
@@ -144,10 +135,10 @@ class SolverConfig:
     linear_only: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end >= 0):
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         _check_dealias(self.dealias)
@@ -200,7 +191,7 @@ class _Scheme:
     propagates only by h/2, exponential Euler and linear-only runs by h,
     so each segment of a run builds its factors once.
 
-    The dealias box is |k_i| <= K_i (``kept``, from :func:`_dealias_box`),
+    The dealias box is |k_i| <= K_i (``kept``, ``SpectralGrid.dealias_box``),
     held by box arrays in the layout of ``SpectralGrid._box_index``.
     Every tendency vanishes outside the box and reads only the box part of
     its input, so a step advances the box part of the state through the
@@ -220,8 +211,9 @@ class _Scheme:
       2D, and the density of :meth:`density` (2 P in 1D, 4 P in 2D);
     - ``_spec``: nprod half spectra, 3 in 1D and 5 in 2D: the
       zero-padded kept columns of the inverse transforms, the half
-      spectra of the forward ones, the density spectrum of
-      :meth:`density`, and the scratch (m, c and one product) of the
+      spectra of the forward ones, the first-axis transform of
+      :meth:`density` and, in ``integrate``, of each recorded snapshot
+      (1 + d of them), and the scratch (m, c and one product) of the
       linear update, for the box in a contiguous view at its start;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
@@ -231,10 +223,10 @@ class _Scheme:
     At 2D 256^2 that is about 10.8 MiB, 2.7 of them the stage buffers
     (13.1 MiB with stages over the whole lattice).  The propagator
     factors and ``ie`` are kept both on the half lattice, for the modes
-    outside the box and :meth:`apply_linear`, and on the box.  The box
-    factors live in one buffer that each build overwrites: fresh arrays
-    per build fragmented the heap of a many-segment run (c08's 33 builds
-    raised the peak RSS of ``decay-1d`` by about 0.8 MiB).  ``rhs``,
+    outside the box and :meth:`apply_linear`, and on the box, each set in
+    one buffer that every build overwrites: fresh arrays per build
+    fragmented the heap of c08's 33 builds (the peak RSS of ``decay-1d``
+    rose 0.8 MiB for the box factors, 2 MiB for the others).  ``rhs``,
     ``apply_linear`` and the steps take an optional ``out``, which may be
     their input ``s`` and must not be a workspace buffer; without it they return a fresh array.  They never
     change ``s`` unless it is ``out``, and never return a workspace
@@ -250,7 +242,8 @@ class _Scheme:
             raise ValueError(f"params dim {params.dim} does not match grid dim {grid.dim}")
         self.grid = grid
         self.params = params
-        self.kept = _dealias_box(grid.modes, dealias)
+        _check_dealias(dealias)
+        self.kept = grid.dealias_box(dealias)
         d = grid.dim
         box = self._box_part
         self.grad = tuple(box(k) for k in grid.half_grad)
@@ -263,7 +256,8 @@ class _Scheme:
 
         nprod = 2 if d == 1 else 5
         self._box_shape = grid._box_shape(self.kept)
-        # the box parts of (p11, p12, q21, q22), overwritten by each build
+        # (p11, p12, q21, q22) on the half lattice and on the box, overwritten by each build
+        self._half_factors = np.empty((4,) + grid.half_xi_norm.shape)
         self._box_factors = np.empty((4,) + self._box_shape)
         self._fields = np.empty((2 * d,) + grid.shape)
         self._spec = np.empty((max(3, nprod),) + grid.half_xi_norm.shape, dtype=complex)
@@ -308,8 +302,11 @@ class _Scheme:
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
             P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
-            (p11, p12), (p21, p22) = np.moveaxis(P, (-2, -1), (0, 1)).copy()
-            fac = (p11, p12, -p21, rot - p22, rot)
+            p11, p12, q21, q22 = self._half_factors
+            np.copyto(self._half_factors[:2], np.moveaxis(P[..., 0, :], -1, 0))
+            np.negative(P[..., 1, 0], out=q21)
+            np.subtract(rot, P[..., 1, 1], out=q22)
+            fac = (p11, p12, q21, q22, rot)
             for f, b in zip(fac[:4], self._box_factors):
                 g._box_gather(f, self.kept, out=b)
             pair = (fac, tuple(self._box_factors) + (rot,))
@@ -407,16 +404,8 @@ class _Scheme:
         return out
 
     def density(self, s: np.ndarray) -> np.ndarray:
-        """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace.
-
-        The complex transforms over the leading axes run in place on a
-        copy of ``s[0]`` in ``_spec``, as in ``SpectralGrid._box_irfft``.
-        """
-        g, spec = self.grid, self._spec[0]
-        np.copyto(spec, s[0])
-        for axis in range(g.dim - 1):
-            np.fft.ifft(spec, axis=axis, out=spec)
-        return np.fft.irfft(spec, n=g.modes[-1], out=self._fields[0])
+        """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace."""
+        return self.grid.irfft(s[0], out=self._fields[0], work=self._spec[0])
 
     # -- steps ---------------------------------------------------------
 
@@ -473,11 +462,6 @@ def _state_spectrum(grid: SpectralGrid, state: FieldState) -> np.ndarray:
     return grid.rfft(np.ascontiguousarray(np.concatenate([a[None], u])))
 
 
-def _physical_state(grid: SpectralGrid, s: np.ndarray, t: float) -> FieldState:
-    fields = grid.irfft(s)
-    return FieldState(a=fields[0], u=fields[1:], t=t)
-
-
 def rhs_nonlinear(
     grid: SpectralGrid, state: FieldState, params: RieszParams | None = None, dealias: float = 2.0 / 3.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -495,8 +479,8 @@ def linear_step(grid: SpectralGrid, state: FieldState, params: RieszParams, dt: 
     """Advance the state by the exact linear propagator over one step."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    s = _Scheme(grid, params).apply_linear(_state_spectrum(grid, state), dt)
-    return _physical_state(grid, s, state.t + dt)
+    fields = grid.irfft(_Scheme(grid, params).apply_linear(_state_spectrum(grid, state), dt))
+    return FieldState(a=fields[0], u=fields[1:], t=state.t + dt)
 
 
 def _basic_diagnostics(grid: SpectralGrid, state: FieldState) -> dict:
@@ -523,14 +507,19 @@ def integrate(
     in time order, as the run reaches each time; the state is a fresh
     array the run does not keep.  Without a sink the snapshots and
     diagnostics are appended to the returned trajectory's lists; with
-    one those lists stay empty.  On a NaN/Inf or a positivity-floor
-    violation the run stops, the sink has seen the snapshots before the
-    abort, and the status reports the failure kind together with the
-    abort time.
+    one those lists stay empty.  Initial data with a NaN or an infinity,
+    or with a density below the positivity floor, are refused with a
+    ``ValueError``.  On a NaN/Inf or a positivity-floor violation during
+    the run it stops, the sink has seen the snapshots before the abort,
+    and the status reports the failure kind together with the abort time.
     """
-    s = _state_spectrum(grid, initial)
-    if float(1.0 + np.min(initial.a)) < config.positivity_floor:
+    a, u = state_fields(grid, initial)
+    for name, f in (("density", a), ("velocity", u)):
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"initial {name} is not finite (NaN or infinity)")
+    if float(1.0 + np.min(a)) < config.positivity_floor:
         raise ValueError("initial density already below the positivity floor")
+    s = _state_spectrum(grid, initial)
 
     scheme = _Scheme(grid, params, config.dealias)
     if config.linear_only:
@@ -560,7 +549,8 @@ def integrate(
     h = None
 
     def record(time: float) -> None:
-        st = _physical_state(grid, s, time)
+        fields = grid.irfft(s, work=scheme._spec[:1 + grid.dim])
+        st = FieldState(a=fields[0], u=fields[1:], t=time)
         sink(st, _basic_diagnostics(grid, st))
 
     # the velocity spectra as real numbers, a view of the state advanced in place
@@ -633,7 +623,7 @@ def perturbation_presets(
         )
     coords = grid.coordinates()
     if kind == "single-mode":
-        if not (1 <= mode <= _dealias_box(grid.modes)[0]):
+        if not (1 <= mode <= grid.dealias_box()[0]):
             raise ValueError(f"mode must stay below the dealias cutoff (3 mode < N_1), got {mode}")
         k = 2.0 * np.pi * mode / grid.lengths[0]
         a = amplitude * np.cos(k * coords[0])

@@ -317,6 +317,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "[solver]" in err and "2/3 rule" in err
 
+    @pytest.mark.parametrize("key, line", [("dt", "dt = 0.1\n"), ("t_end", "t_end = 1.0\n")],
+                             ids=["dt", "t_end"])
+    def test_non_finite_time_is_a_config_error(self, tmp_path, capsys, key, line):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace(line, f"{key} = inf\n"))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [solver] {key} must be" in err and "finite" in err
+
     def test_runtime_error_rolls_back(self, tmp_path, capsys):
         # a single-mode state at amplitude 0.6 starts below the 0.5 floor
         text = (

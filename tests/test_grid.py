@@ -83,11 +83,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             make_grid(dim=3, lengths=(1.0, 1.0, 1.0), modes=(8, 8, 8))
 
-    def test_dealias_mask_two_thirds(self):
-        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
+    @pytest.mark.parametrize("modes, largest", [(64, 21), (48, 15)])
+    def test_dealias_mask_two_thirds(self, modes, largest):
+        # the solver's box: on 48 points the modes +-16 would alias (3 K < N)
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=modes)
         mask = g.dealias_mask()
-        kept = np.fft.fftfreq(64, 1 / 64).astype(int)[mask]
-        assert kept.max() == 21 and kept.min() == -21
+        kept = np.fft.fftfreq(modes, 1 / modes).astype(int)[mask]
+        assert kept.max() == largest and kept.min() == -largest
 
     def test_dealias_mask_never_keeps_nyquist(self):
         g = make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
@@ -405,9 +407,9 @@ BOX_CASES = [((32,), 2.0 / 3.0), ((48,), 2.0 / 3.0), ((32,), 1.0), ((16, 24), 2.
 
 
 def box_case(modes, fraction, seed=0):
-    """Grid, kept (K_i = min(floor(f N_i / 2), N_i/2 - 1), rederived), box rows and columns."""
+    """Grid, kept (the grid's ``dealias_box``, the box the solver uses), box rows and columns."""
     g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
-    kept = tuple(min(int(fraction * n / 2), n // 2 - 1) for n in modes)
+    kept = g.dealias_box(fraction)
     # the box's half-lattice indices per axis: k = 0..K, then -K..-1 on the first axis in 2D
     index = [np.r_[0:k + 1, n - k:n] for k, n in zip(kept[:-1], modes[:-1])] + [np.arange(kept[-1] + 1)]
     return g, kept, np.ix_(*index), np.random.default_rng(seed)
@@ -418,7 +420,7 @@ def bit_equal(x, y):
 
 
 class TestBoxTransforms:
-    """The box-pruned transforms equal irfftn/rfftn of the masked half spectra bit for bit."""
+    """The inverse and the box-pruned transforms equal irfftn/rfftn of the masked half spectra bit for bit."""
 
     @pytest.mark.parametrize("modes, fraction", BOX_CASES)
     def test_box_layout(self, modes, fraction):
@@ -434,7 +436,15 @@ class TestBoxTransforms:
     def test_inverse_equals_irfftn_of_the_masked_spectra(self, modes, fraction):
         g, kept, at, rng = box_case(modes, fraction)
         s = g.rfft(rng.standard_normal((4,) + g.shape))
-        want = g.irfft(s * g.half(g.dealias_mask(fraction)))
+        axes = tuple(range(-g.dim, 0))
+        masked = s * g.half(g.dealias_mask(fraction))
+        want = np.fft.irfftn(masked, s=g.modes, axes=axes)
+        # the one inverse, on whole and on column-cut half spectra, fresh and into buffers
+        for fhat, ref in ((s, np.fft.irfftn(s, s=g.modes, axes=axes)), (masked[..., :kept[-1] + 1], want)):
+            assert bit_equal(g.irfft(fhat), ref)
+            out, work = np.empty(ref.shape), np.empty_like(fhat)
+            assert g.irfft(fhat, out=out, work=work) is out
+            assert bit_equal(out, ref)
         box = s[(slice(None),) + at]
         assert bit_equal(g._box_irfft(box, kept), want)
         out, work = np.empty(want.shape), np.empty_like(s)
@@ -444,11 +454,35 @@ class TestBoxTransforms:
             # a sequence of box arrays, into the same workspace
             assert bit_equal(g._box_irfft(list(box), kept, out=out, work=work), want)
 
+    def test_transforms_allocate_only_their_output(self):
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=64)
+        f = np.random.default_rng(0).standard_normal((3,) + g.shape)
+        s = g.rfft(f)
+        work = np.empty_like(s)
+        g.irfft(s, work=work)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for transform in (lambda: g.rfft(f), lambda: g.irfft(s, work=work)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                result = transform()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start - result.nbytes)
+                del result
+        finally:
+            tracemalloc.stop()
+        # what comes on top of the output is NumPy's per-call Python objects, about 1.5 kB at
+        # any grid size; a second complex array of the half spectra (s.nbytes, 101,376 B here:
+        # rfftn's own second step, or the inverse's first-axis transform without work) is not
+        assert max(peaks) <= 2048
+
     @pytest.mark.parametrize("modes, fraction", BOX_CASES)
     def test_forward_equals_rfftn_on_the_box(self, modes, fraction):
         g, kept, at, rng = box_case(modes, fraction)
         f = rng.standard_normal((5,) + g.shape)
-        want = g.rfft(f)[(slice(None),) + at]
+        whole = np.fft.rfftn(f, axes=tuple(range(-g.dim, 0)))
+        assert bit_equal(g.rfft(f), whole)
+        want = whole[(slice(None),) + at]
         assert bit_equal(g._box_rfft(f, kept), want)
         out, work = np.empty_like(want), np.empty((5,) + g.half_xi_norm.shape, dtype=complex)
         assert g._box_rfft(f, kept, out=out, work=work) is out

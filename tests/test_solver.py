@@ -44,6 +44,12 @@ class TestSolverConfig:
             SolverConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(dt=0.1, t_end=-1.0)
+        # an infinite t_end would reach math.ceil as an OverflowError
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                SolverConfig(dt=bad, t_end=1.0)
+            with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
+                SolverConfig(dt=0.1, t_end=bad)
         with pytest.raises(ValueError, match="integrator"):
             SolverConfig(dt=0.1, t_end=1.0, integrator="rk45")
         with pytest.raises(ValueError, match="dealias"):
@@ -305,6 +311,19 @@ class TestIntegrate:
         tr = integrate(g, st, p, SolverConfig(dt=0.01, t_end=1.0))
         assert tr.status == "blowup"
         assert tr.abort_time is not None
+
+    @pytest.mark.parametrize("where", ["density", "velocity"])
+    def test_non_finite_initial_data_refused(self, where):
+        # a NaN density has a NaN minimum, which the positivity check lets through
+        g = make_grid(dim=1, lengths=2.0 * np.pi, modes=32)
+        p = RieszParams.from_s_star(1, 0.5)
+        st = perturbation_presets("smooth-bump", 0.1, g)
+        if where == "density":
+            st.a[5] = np.nan
+        else:
+            st.u[0, 7] = np.inf
+        with pytest.raises(ValueError, match=f"initial {where} is not finite"):
+            integrate(g, st, p, SolverConfig(dt=0.1, t_end=0.5))
 
     def test_initial_floor_checked(self):
         g = make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
@@ -694,13 +713,16 @@ class TestTransformCount:
             before, passes, points_before = dict(fft_calls), fft_calls.passes, fft_calls.points
             integrate(g, st, p, SolverConfig(dt=1.0 / nsteps, t_end=1.0))
             made = {name: fft_calls[name] - before[name] for name in FFT_NAMES}
-            # one rfftn of the initial state, one irfftn per recorded snapshot (t = 0 and 1)
-            setup = {"rfftn": 1, "irfftn": 2}
+            # one forward transform of the initial state (rfft, then fft over the first axis
+            # in 2D) and one inverse per recorded snapshot, t = 0 and 1 (irfft, after ifft over
+            # the first axis in 2D)
+            setup = {"rfft": 1, "irfft": 2, "fft": dim - 1, "ifft": 2 * (dim - 1)}
             assert made == {name: setup.get(name, 0) + nsteps * self.PER_STEP[dim].get(name, 0)
                             for name in FFT_NAMES}
             assert fft_calls.passes - passes == 3 * dim + nsteps * self.PASSES_PER_STEP[dim]
             half = (1 + dim) * n ** (dim - 1) * (n // 2 + 1)
-            assert fft_calls.points - points_before == (1 + dim) * n**dim + 2 * half + nsteps * points[dim]
+            setup_points = (1 + dim) * n**dim + (3 * dim - 1) * half
+            assert fft_calls.points - points_before == setup_points + nsteps * points[dim]
 
 
 class TestAliasFreeRule:
