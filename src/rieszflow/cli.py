@@ -232,12 +232,13 @@ def _header(spec: ExperimentSpec, digest: str, grid: SpectralGrid | None) -> lis
 
 
 def _smooth_sample(grid: SpectralGrid, rng: np.random.Generator, decay: float = 4.0) -> np.ndarray:
-    """Mean-zero random field with analytic spectral decay, Nyquist-free."""
-    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    spec *= np.exp(-((grid.xi_norm / decay) ** 2))
-    spec[~grid.dealias_mask(1.0)] = 0.0
-    f = np.fft.ifftn(spec).real
-    return f - float(f.mean())
+    """Mean-zero random field with analytic spectral decay, Nyquist-free, drawn on the half lattice."""
+    shape = grid.half_xi_norm.shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec *= np.exp(-((grid.half_xi_norm / decay) ** 2))
+    # the Nyquist planes and the zero mode
+    spec[grid.half_nyquist_region] = 0.0
+    return grid.irfft(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,12 @@ def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactW
     j1, specs = _besov_specs(cp, grid.dim)
     want_energy = get_bool(cp, "diagnostics", "energy", True)
     partition = build_partition(grid)
+    if want_energy or any(bs.flavor != "full" for bs in specs):
+        # refused here rather than by the first snapshot's diagnostics
+        try:
+            partition.check_j(j1)
+        except ValueError as exc:
+            raise ConfigError(f"[diagnostics] j1 = {j1}: {exc}") from exc
 
     times = []
     norm_rows = []
@@ -318,11 +325,13 @@ def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, w
 
     xi = np.geomspace(xi_min, xi_max, points)
     for s in s_values:
-        rows = []
-        for x in xi:
-            pair = eigenvalues(float(x), s)
-            rows.append((float(x), pair.lambda1.real, pair.lambda1.imag,
-                         pair.lambda2.real, pair.lambda2.imag, int(pair.degenerate)))
+        try:
+            pairs = [eigenvalues(float(x), s) for x in xi]
+        except ValueError as exc:
+            raise ConfigError(f"[spectrum] s_star = {s}: {exc}") from exc
+        rows = [(float(x), pair.lambda1.real, pair.lambda1.imag,
+                 pair.lambda2.real, pair.lambda2.imag, int(pair.degenerate))
+                for x, pair in zip(xi, pairs)]
         writer.write_csv(f"eigen_scan_s{s:g}.csv",
                          ["xi", "re1", "im1", "re2", "im2", "degenerate"], rows)
 
@@ -393,8 +402,11 @@ def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: Artifac
     partition = build_partition(grid)
     rng = np.random.default_rng(spec.seed)
 
-    nonzero = grid.xi_norm > 0
-    pou = float(np.max(np.abs(partition.partition_sum()[nonzero] - 1.0)))
+    # partition_sum() on the half lattice, in its order of shells
+    total = np.zeros(grid.half_xi_norm.shape)
+    for j in partition.js:
+        total += partition.half_shell(j)
+    pou = float(np.max(np.abs(total[grid.half_xi_norm > 0] - 1.0)))
 
     quasi = 0.0
     for _ in range(samples):
@@ -433,7 +445,10 @@ def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: Artifac
                                   int(lower <= ratio <= upper)))
             for aw in alpha_list:
                 lo, hi = SHELL_INNER ** (2 * aw), SHELL_OUTER ** (2 * aw)
-                ratio = verify_wu_lower_bound(partition, block, j, 2, aw)
+                try:
+                    ratio = verify_wu_lower_bound(partition, block, j, 2, aw)
+                except ValueError as exc:
+                    raise ConfigError(f"[lp] alpha_w = {aw}: {exc}") from exc
                 wu_rows.append((sample, j, 2, aw, ratio, lo, hi, int(lo <= ratio <= hi)))
             ratio4 = verify_wu_lower_bound(partition, block, j, 4, 0.5)
             wu_rows.append((sample, j, 4, 0.5, ratio4, 0.0, np.inf, int(ratio4 > 0)))

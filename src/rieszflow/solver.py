@@ -21,9 +21,10 @@ the fraction f whose products are alias-free, 3 K_i < N_i (Orszag's 2/3
 rule, so the solver refuses an f above 2/3).  No product of kept modes
 (|k_i| <= 2 K_i) then aliases onto a kept mode, and the velocity
 tendency is taken in a form built from products of fields rather than
-of gradients: conservative in 1D, -(u^2/2)_x, and rotational in 2D,
--grad(|u|^2/2) - w u_perp with w = d_1 u_2 - d_2 u_1 and
-u_perp = (-u_2, u_1).  Both equal the dealiased -u . grad u.  A
+of gradients, the rotational form -grad(|u|^2/2) - w u_perp with
+w = d_1 u_2 - d_2 u_1 and u_perp = (-u_2, u_1).  It equals the
+dealiased -u . grad u.  The vorticity exists only in 2D, so in 1D the
+form is the conservative -(u^2/2)_x; one method computes both.  A
 tendency makes one inverse and one forward transform, the inverse of
 (a, u) (and, in 2D, of the vorticity) and the forward of [a u, |u|^2/2]
 (and, in 2D, of [w u_2, w u_1]).
@@ -217,8 +218,9 @@ class _Scheme:
       linear update, for the box in a contiguous view at its start;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
-    - ``_prod``: the products, [a u, u^2/2] in 1D and [a u_1, a u_2,
-      |u|^2/2, w u_2, w u_1] in 2D (nprod = 2 or 5 physical fields).
+    - ``_prod``: the products [a u_1, ..., a u_d, |u|^2/2] of
+      :meth:`_rhs`, with [w u_2, w u_1] after them in 2D (nprod = 2 or
+      5 physical fields).
 
     At 2D 256^2 that is about 10.8 MiB, 2.7 of them the stage buffers
     (13.1 MiB with stages over the whole lattice).  The propagator
@@ -246,7 +248,6 @@ class _Scheme:
         self.kept = grid.dealias_box(dealias)
         d = grid.dim
         box = self._box_part
-        self.grad = tuple(box(k) for k in grid.half_grad)
         self.minus_grad = tuple(box(-k) for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
@@ -354,53 +355,48 @@ class _Scheme:
         return g._box_scatter(box, self.kept, out)
 
     def _rhs(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tendency of box arrays: conservative in 1D, rotational in 2D."""
-        if self.grid.dim == 1:
-            return self._rhs_conservative(s, out)
-        return self._rhs_rotational(s, out)
+        """The tendency of box arrays: -div(a u), and -grad(|u|^2/2) - w u_perp.
 
-    def _rhs_conservative(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The 1D tendency of box arrays, -(a u)_x and -(u^2/2)_x: two transform calls."""
-        g, prod = self.grid, self._prod
-        a, u = g._box_irfft(s, self.kept, out=self._fields)
-        np.multiply(a, u, out=prod[0])
-        np.multiply(0.5, u, out=prod[1])
-        prod[1] *= u
-        return np.multiply(self.minus_grad[0], g._box_rfft(prod, self.kept, out=out, work=self._spec[:2]),
-                           out=out)
-
-    def _rhs_rotational(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The 2D tendency of box arrays with u . grad u = grad(|u|^2/2) + w u_perp.
-
-        w = d_1 u_2 - d_2 u_1 is the vorticity and u_perp = (-u_2, u_1).
-        The inverse transform takes (a, u_1, u_2) and the vorticity
-        spectrum, the forward one the products
-        [a u_1, a u_2, |u|^2/2, w u_2, w u_1].
+        w = d_1 u_2 - d_2 u_1 is the vorticity and u_perp = (-u_2, u_1);
+        both exist only in 2D, so in 1D the velocity tendency is
+        -(u^2/2)_x.  The inverse transform takes (a, u) and, in 2D, the
+        vorticity spectrum; the forward one the products
+        [a u_1, ..., a u_d, |u|^2/2] and, in 2D, [w u_2, w u_1].
         """
-        g, kept, spec, prod = self.grid, self.kept, self._boxspec, self._prod
-        k1, k2 = self.grad
-        w = np.multiply(k1, s[2], out=spec[0])
-        w -= np.multiply(k2, s[1], out=spec[1])
-        a, u1, u2, w = g._box_irfft((s[0], s[1], s[2], w), kept, out=self._fields, work=self._spec)
-        np.multiply(a, u1, out=prod[0])
-        np.multiply(a, u2, out=prod[1])
-        q, tmp = prod[2], prod[3]
-        np.multiply(0.5, u1, out=q)
-        q *= u1
-        np.multiply(0.5, u2, out=tmp)
-        tmp *= u2
-        q += tmp
-        np.multiply(w, u2, out=prod[3])
-        np.multiply(w, u1, out=prod[4])
-        v1, v2, q, wu2, wu1 = g._box_rfft(prod, kept, out=spec, work=self._spec)
-        # -div(a u), and -grad(|u|^2/2) - w u_perp = -grad(|u|^2/2) + (w u_2, -w u_1)
-        m1, m2 = self.minus_grad
-        np.multiply(m1, v1, out=out[0])
-        out[0] += np.multiply(m2, v2, out=v2)
-        np.multiply(m1, q, out=out[1])
-        out[1] += wu2
-        np.multiply(m2, q, out=out[2])
-        out[2] -= wu1
+        g, kept, prod, m = self.grid, self.kept, self._prod, self.minus_grad
+        d = g.dim
+        fields = s
+        if d == 2:
+            # w = m_2 u_1 - m_1 u_2, which is k_1 u_2 - k_2 u_1 bit for bit
+            w = np.multiply(m[1], s[1], out=self._boxspec[0])
+            w -= np.multiply(m[0], s[2], out=self._boxspec[1])
+            fields = (*s, w)
+        phys = g._box_irfft(fields, kept, out=self._fields, work=self._spec)
+        a, u = phys[0], phys[1:1 + d]
+        for i in range(d):
+            np.multiply(a, u[i], out=prod[i])
+        q = prod[d]
+        np.multiply(0.5, u[0], out=q)
+        q *= u[0]
+        for ui in u[1:]:
+            tmp = prod[d + 1]
+            np.multiply(0.5, ui, out=tmp)
+            tmp *= ui
+            q += tmp
+        if d == 2:
+            w = phys[3]
+            np.multiply(w, u[1], out=prod[3])
+            np.multiply(w, u[0], out=prod[4])
+        v = g._box_rfft(prod, kept, out=out if d == 1 else self._boxspec, work=self._spec[:len(prod)])
+        # out[0] = sum_i m_i v_i and out[1 + i] = m_i q: the two m_1 terms in one call
+        np.multiply(m[0], v[0:d + 1:d], out=out[:2])
+        for i in range(1, d):
+            out[0] += np.multiply(m[i], v[i], out=v[i])
+            np.multiply(m[i], v[d], out=out[1 + i])
+        if d == 2:
+            # -w u_perp = (w u_2, -w u_1)
+            out[1] += v[3]
+            out[2] -= v[4]
         return out
 
     def density(self, s: np.ndarray) -> np.ndarray:

@@ -610,6 +610,49 @@ class TestAnalysisCommands:
             assert rows, name
             assert all(r[-1] == "1" for r in rows)
 
+    def test_lp_inspect_2d_builds_only_the_half_lattice(self, tmp_path, monkeypatch):
+        extents = []
+        builder = grid_module._build_lattice
+
+        def recording_builder(axes, extent):
+            extents.append(extent)
+            return builder(axes, extent)
+
+        monkeypatch.setattr(grid_module, "_build_lattice", recording_builder)
+        cfg = write_cfg(
+            tmp_path,
+            "[experiment]\nkind = lp-inspect\n"
+            "[grid]\ndim = 2\nlength = 6.283185307179586\nmodes = 32\n"
+            "[lp]\nsamples = 2\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli(["lp-inspect", "--config", cfg, "--out", out]) == 0
+        assert extents == [32 // 2 + 1]
+        _, report = read_csv_file(out / "partition_report.csv")
+        assert float(dict(report)["quasi_orthogonality"]) < 1e-12
+
+
+class TestOutOfRangeValues:
+    """A value the library refuses is a config error naming its key (exit 2), not a run failure."""
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("linear-analyze", "[experiment]\nkind = linear-analyze\n"
+         "[spectrum]\ns_star = 0.5,1.5\npoints = 8\ndecades = 2\n", "[spectrum] s_star = 1.5"),
+        ("lp-inspect", "[experiment]\nkind = lp-inspect\n"
+         "[grid]\ndim = 1\nlength = 6.283185307179586\nmodes = 32\n"
+         "[lp]\nsamples = 1\nalpha_w = -0.5\n", "[lp] alpha_w = -0.5"),
+        # refused before the run starts, not by the first snapshot's diagnostics
+        ("simulate", SIMULATE_CFG.replace("modes = 64", "modes = 32") + "[diagnostics]\nj1 = 99\n",
+         "[diagnostics] j1 = 99"),
+    ], ids=["linear-analyze", "lp-inspect", "simulate"])
+    def test_config_error(self, tmp_path, capsys, kind, text, key):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_cli([kind, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}"), err
+        assert not any(out.iterdir())
+
 
 class TestSweepCommand:
     """One-axis parameter sweeps."""

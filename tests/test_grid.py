@@ -1,7 +1,9 @@
 """Grid construction, Fourier multipliers, Hodge split, and norms."""
 
+import ast
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +419,42 @@ def box_case(modes, fraction, seed=0):
 
 def bit_equal(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def numpy_fft_uses(source: str) -> list[str]:
+    """Dotted names of the ``numpy.fft`` calls and imports in ``source``."""
+    def dotted(node):
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else None
+
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            names.append(dotted(node.func) or "")
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return [n for n in names if n == "numpy.fft" or n.startswith(("np.fft.", "numpy.fft."))]
+
+
+class TestTransformOwnership:
+    """Only ``grid.py`` calls ``numpy.fft``: every transform goes through ``SpectralGrid``."""
+
+    def test_no_other_module_calls_numpy_fft(self):
+        package = Path(grid_module.__file__).parent
+        uses = {path.name: numpy_fft_uses(path.read_text()) for path in sorted(package.glob("*.py"))
+                if path.name != "grid.py"}
+        assert len(uses) >= 8
+        assert {name: found for name, found in uses.items() if found} == {}
+
+    def test_detects_calls_and_imports(self):
+        assert numpy_fft_uses("import numpy as np\nf = np.fft.ifftn(x).real\n") == ["np.fft.ifftn"]
+        assert numpy_fft_uses("from numpy import fft\n") == ["numpy.fft"]
+        assert numpy_fft_uses("from numpy.fft import rfft\n") == ["numpy.fft.rfft"]
+        assert numpy_fft_uses("y = grid.irfft(x)\nz = np.abs(x)\n") == []
 
 
 class TestBoxTransforms:

@@ -41,6 +41,23 @@ class TestRoundTrip:
         n = grid_1d.npoints
         assert path.stat().st_size == 8 + 16 + 8 + 8 + 2 * 8 * n
 
+    def test_write_copies_no_field(self, tmp_path, rng):
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=256)
+        st = FieldState(a=rng.standard_normal(g.shape), u=rng.standard_normal((2,) + g.shape), t=1.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, g, st)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_snapshot(path, g, st)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # one field is 512 KiB: a bytes copy of it per write peaked at 529,826 B
+        assert peak <= 64 * 1024
+        _, back = read_snapshot(path)
+        assert np.array_equal(back.a, st.a) and np.array_equal(back.u, st.u)
+
 
 class TestValidation:
     """Malformed inputs and files are rejected."""

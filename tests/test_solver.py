@@ -165,6 +165,24 @@ class TestNonlinearTendency:
         spec = np.abs(np.fft.fftn(da))
         assert np.max(spec[np.abs(g.xi[0]) > 21.5]) < 1e-12
 
+    @pytest.mark.parametrize("modes", [(32, 16), (48, 24), (30, 16)])
+    def test_plane_wave_state_gives_the_1d_tendency(self, modes, rng):
+        # a state of x_1 alone with u_2 = 0 has no vorticity, so the 2D
+        # rotational form reduces to the 1D one, -(a u_1)_1 and -(u_1^2/2)_1
+        L = 2.0 * np.pi
+        g1 = make_grid(dim=1, lengths=L, modes=modes[0])
+        g2 = make_grid(dim=2, lengths=(L, 3.0 * np.pi), modes=modes)
+        a, u = 0.1 * smooth_field(g1, rng), smooth_field(g1, rng)
+        da1, du1 = rhs_nonlinear(g1, FieldState(a=a, u=u[None, :], t=0.0))
+        plane = (modes[0], 1)
+        st = FieldState(a=np.broadcast_to(a.reshape(plane), modes).copy(),
+                        u=np.stack([np.broadcast_to(u.reshape(plane), modes), np.zeros(modes)]), t=0.0)
+        da2, du2 = rhs_nonlinear(g2, st)
+        for got, want in ((da2, da1), (du2[0], du1[0])):
+            want = np.broadcast_to(want.reshape(plane), modes)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.all(du2[1] == 0.0)
+
 
 class TestLinearPropagation:
     """The exact linear stepping against the mode propagator."""
