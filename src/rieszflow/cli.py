@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +33,12 @@ from .config import (
     SWEEP_AXES,
     ConfigError,
     ExperimentSpec,
+    check_keys,
     config_digest,
-    get_bool,
-    get_float,
-    get_int,
-    get_str,
+    get,
     load_config,
     override,
-    parse_entries,
-    parse_float_list,
     parse_grid,
-    parse_int_list,
-    parse_schedule,
     resolve_run,
 )
 from .diagnostics import energy_functionals, fit_decay
@@ -245,21 +240,15 @@ def _smooth_sample(grid: SpectralGrid, rng: np.random.Generator, decay: float = 
 # simulate
 
 
-def _besov_specs(cp, dim: int) -> tuple[int, list[BesovSpec]]:
-    j1 = get_int(cp, "diagnostics", "j1", 0)
-    raw = get_str(cp, "diagnostics", "besov", "")
-    if raw:
-        specs = parse_entries(
-            raw, "s:p:r:flavor",
-            lambda s, p, r, flavor: BesovSpec(float(s), float(p), float(r), flavor, j1),
-            what="[diagnostics] besov",
-        )
-    else:
-        specs = [
-            BesovSpec(dim / 2.0 - 1.0, 2, 1, "low", j1),
-            BesovSpec(dim / 2.0 + 1.0, 2, 1, "high", j1),
-        ]
-    return j1, specs
+def _partition_and_j1(cp, grid: SpectralGrid, needed: bool = True):
+    """Partition of ``grid`` and ``[diagnostics] j1``; if ``needed``, j1 must be one of its shells."""
+    partition, j1 = build_partition(grid), get(cp, "diagnostics", "j1")
+    if needed:
+        try:
+            partition.check_j(j1)
+        except ValueError as exc:
+            raise ConfigError(f"[diagnostics] j1 = {j1}: {exc}") from exc
+    return partition, j1
 
 
 def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
@@ -267,15 +256,14 @@ def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactW
     """Write each snapshot and its diagnostics as the run reaches it; no state is kept."""
     params, solver_cfg, preset = resolve_run(cp, grid)
     state0 = perturbation_presets(grid=grid, seed=spec.seed, **preset)
-    j1, specs = _besov_specs(cp, grid.dim)
-    want_energy = get_bool(cp, "diagnostics", "energy", True)
-    partition = build_partition(grid)
-    if want_energy or any(bs.flavor != "full" for bs in specs):
-        # refused here rather than by the first snapshot's diagnostics
-        try:
-            partition.check_j(j1)
-        except ValueError as exc:
-            raise ConfigError(f"[diagnostics] j1 = {j1}: {exc}") from exc
+    want_energy = get(cp, "diagnostics", "energy")
+    specs = get(cp, "diagnostics", "besov") or [
+        BesovSpec(grid.dim / 2.0 - 1.0, 2, 1, "low"),
+        BesovSpec(grid.dim / 2.0 + 1.0, 2, 1, "high"),
+    ]
+    partition, j1 = _partition_and_j1(
+        cp, grid, needed=want_energy or any(bs.flavor != "full" for bs in specs))
+    specs = [replace(bs, j1=j1) for bs in specs]
 
     times = []
     norm_rows = []
@@ -314,14 +302,10 @@ def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactW
 
 
 def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
-    raw = get_str(cp, "spectrum", "s_star", "0.25,0.5,0.75")
-    s_values = parse_float_list(raw, what="[spectrum] s_star")
-    xi_min = get_float(cp, "spectrum", "xi_min", 1e-4)
-    xi_max = get_float(cp, "spectrum", "xi_max", 1e4)
-    points = get_int(cp, "spectrum", "points", 200)
-    decades = get_int(cp, "spectrum", "decades", 6)
-    if not (0 < xi_min < xi_max) or points < 2:
-        raise ConfigError("[spectrum] needs 0 < xi_min < xi_max and points >= 2")
+    s_values, xi_min, xi_max, points, decades = (
+        get(cp, "spectrum", key) for key in ("s_star", "xi_min", "xi_max", "points", "decades"))
+    if not (0 < xi_min < xi_max):
+        raise ConfigError("[spectrum] needs 0 < xi_min < xi_max")
 
     xi = np.geomspace(xi_min, xi_max, points)
     for s in s_values:
@@ -354,14 +338,9 @@ def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, w
 
 
 def cmd_decay_verify(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
-    s_values = parse_float_list(get_str(cp, "decay", "s_star", "0.25,0.75"),
-                                what="[decay] s_star")
-    dim = get_int(cp, "decay", "dim", 1)
-    cutoff = get_float(cp, "decay", "cutoff", 1.0)
-    times = parse_schedule(get_str(cp, "decay", "times", "logspace:100,10000,25"),
-                           what="[decay] times")
-    pairs = parse_entries(get_str(cp, "decay", "pairs", f"{-dim / 2.0:g}:0"), "sigma1:sigma",
-                          lambda s1, s: (float(s1), float(s)), what="[decay] pairs")
+    s_values, dim, cutoff, times = (
+        get(cp, "decay", key) for key in ("s_star", "dim", "cutoff", "times"))
+    pairs = get(cp, "decay", "pairs") or [(-dim / 2.0, 0.0)]
 
     t = np.asarray(times, dtype=float)
     fit_rows = []
@@ -394,11 +373,7 @@ def cmd_decay_verify(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, wor
 
 def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
                    workers: int) -> None:
-    samples = get_int(cp, "lp", "samples", 20)
-    alpha_list = parse_float_list(get_str(cp, "lp", "alpha_w", "0.25,0.75"),
-                                  what="[lp] alpha_w")
-    if samples < 1:
-        raise ConfigError("[lp] samples must be >= 1")
+    samples, alpha_list = get(cp, "lp", "samples"), get(cp, "lp", "alpha_w")
     partition = build_partition(grid)
     rng = np.random.default_rng(spec.seed)
 
@@ -445,10 +420,7 @@ def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: Artifac
                                   int(lower <= ratio <= upper)))
             for aw in alpha_list:
                 lo, hi = SHELL_INNER ** (2 * aw), SHELL_OUTER ** (2 * aw)
-                try:
-                    ratio = verify_wu_lower_bound(partition, block, j, 2, aw)
-                except ValueError as exc:
-                    raise ConfigError(f"[lp] alpha_w = {aw}: {exc}") from exc
+                ratio = verify_wu_lower_bound(partition, block, j, 2, aw)
                 wu_rows.append((sample, j, 2, aw, ratio, lo, hi, int(lo <= ratio <= hi)))
             ratio4 = verify_wu_lower_bound(partition, block, j, 4, 0.5)
             wu_rows.append((sample, j, 4, 0.5, ratio4, 0.0, np.inf, int(ratio4 > 0)))
@@ -471,6 +443,8 @@ def _child_seed(base: int, index: int) -> int:
 def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
     """Run one child config on ``grid``; the row of its final state, with energy components if asked."""
     params, solver_cfg, preset = resolve_run(cp, grid)
+    if energy:
+        partition, j1 = _partition_and_j1(cp, grid)
     last = {}
     traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg,
                      sink=lambda st, diag: last.update(final=st, diag=diag))
@@ -480,20 +454,16 @@ def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
         row.update(final_t=final.t, l2_a=diag["l2_a"], l2_u=diag["l2_u"],
                    min_density=diag["min_density"], _final_a=final.a)
         if energy:
-            rec = energy_functionals(grid, final, build_partition(grid), params,
-                                     j1=get_int(cp, "diagnostics", "j1", 0))
+            rec = energy_functionals(grid, final, partition, params, j1=j1)
             row.update({f"E_{k}": v for k, v in sorted(rec.components.items())})
     return row
 
 
 def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
               workers: int) -> None:
-    axis = get_str(cp, "sweep", "axis")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"[sweep] axis = {axis!r}; expected one of {tuple(SWEEP_AXES)}")
-    parse_values = parse_int_list if axis in ("grid", "J1") else parse_float_list
-    values = parse_values(get_str(cp, "sweep", "values"), what="[sweep] values")
-    section, key = SWEEP_AXES[axis]
+    axis = get(cp, "sweep", "axis")
+    section, key, parse_values = SWEEP_AXES[axis]
+    values = parse_values(get(cp, "sweep", "values"), what="[sweep] values")
     resolve_run(cp, grid)  # a broken base config stops the sweep before any child runs
 
     def child(iv):
@@ -508,11 +478,8 @@ def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWrit
             row["status"] = f"error: {exc}"
         return row
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(child, enumerate(values)))
-    else:
-        rows = [child(iv) for iv in enumerate(values)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(child, enumerate(values)))
 
     extra: list[str] = []
     if axis == "J1":
@@ -559,9 +526,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
     """Execute one experiment; returns a process exit status."""
     try:
         cp = load_config(spec.config_path)
+        check_keys(cp, spec.kind)
         digest = config_digest(spec.config_path)
-        declared = get_str(cp, "experiment", "kind", spec.kind)
-        if declared != spec.kind:
+        declared = get(cp, "experiment", "kind")
+        if declared not in (None, spec.kind):
             raise ConfigError(
                 f"config declares kind = {declared!r} but the {spec.kind!r} subcommand was invoked"
             )
@@ -598,9 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the INI run configuration")
         p.add_argument("--out", required=True, help="output directory for artifacts")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized pieces (default: [experiment] seed or 0)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent child runs (sweep only)")
+                       help="seed for randomized pieces (default: [experiment] seed)")
+        if kind == "sweep":
+            p.add_argument("--workers", type=int, default=1, help="concurrent child runs")
     return parser
 
 
@@ -608,19 +576,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cp = load_config(args.config)
-        seed = args.seed
-        if seed is None:
-            seed = get_int(cp, "experiment", "seed", 0)
-        name = get_str(cp, "experiment", "name", Path(args.config).stem)
+        seed = get(cp, "experiment", "seed") if args.seed is None else args.seed
+        name = get(cp, "experiment", "name") or Path(args.config).stem
         spec = ExperimentSpec(name=name, kind=args.kind, config_path=args.config,
                               out_dir=args.out, seed=seed)
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("config error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    return run_experiment(spec, workers=args.workers)
+    return run_experiment(spec, workers=workers)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Flat INI-style configuration parsing for the command-line harness.
 
-A run is described by a declarative key/value file with sections named
-after the things they configure ([grid], [params], [preset], [solver],
-[lp], [diagnostics], [spectrum], [decay], [sweep]) plus an optional
-[experiment] section carrying the run name and default seed.  There is
-no programmatic configuration; everything a run needs is in the file.
+A run is described by one declarative key/value file; there is no
+programmatic configuration.  :data:`KEYS` declares every key the file
+may hold: how its text is read (type, range or choices), its default,
+and the commands that read it.  :func:`get` reads a value through it,
+and :func:`check_keys` refuses a section or key that the invoked
+command does not read.
 
 Values are plain scalars, comma lists, or schedule strings.  A schedule
 is either an explicit comma list of floats, ``linspace:start,stop,n``
@@ -15,18 +16,25 @@ endpoints).
 from __future__ import annotations
 
 import configparser
+import difflib
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import RieszParams, SpectralGrid, make_grid
+from .littlewood_paley import BesovSpec, check_wu_range
 from .solver import INTEGRATORS, PRESETS, SolverConfig
 
 __all__ = [
     "ConfigError",
     "ExperimentSpec",
+    "KEYS",
+    "check_keys",
+    "get",
     "load_config",
     "config_digest",
     "parse_schedule",
@@ -42,15 +50,6 @@ __all__ = [
 ]
 
 KINDS = ("simulate", "linear-analyze", "decay-verify", "lp-inspect", "sweep")
-
-#: sweep axis -> the (section, key) each child run overrides
-SWEEP_AXES = {
-    "s_star": ("params", "s_star"),
-    "amplitude": ("preset", "amplitude"),
-    "J1": ("diagnostics", "j1"),
-    "grid": ("grid", "modes"),
-    "dt": ("solver", "dt"),
-}
 
 
 class ConfigError(ValueError):
@@ -91,54 +90,6 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
 def config_digest(path: str | Path) -> str:
     """Hex sha256 of the raw config file bytes."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _raw(cp: configparser.ConfigParser, section: str, key: str, default=None) -> str:
-    if not cp.has_section(section):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing section [{section}]")
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {key!r} in section [{section}]")
-    return cp.get(section, key)
-
-
-def get_str(cp, section, key, default=None) -> str:
-    return _raw(cp, section, key, default).strip()
-
-
-def get_float(cp, section, key, default=None) -> float:
-    raw = _raw(cp, section, key, None if default is None else repr(default))
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-
-def get_int(cp, section, key, default=None) -> int:
-    raw = _raw(cp, section, key, None if default is None else repr(default))
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
-def get_bool(cp, section, key, default: bool) -> bool:
-    raw = get_str(cp, section, key, "true" if default else "false").lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
-
-
-def get_choice(cp, section, key, choices, default=None) -> str:
-    val = get_str(cp, section, key, default)
-    if val not in choices:
-        raise ConfigError(f"[{section}] {key} = {val!r}; expected one of {tuple(choices)}")
-    return val
 
 
 def parse_float_list(text: str, *, what: str = "list") -> tuple[float, ...]:
@@ -196,16 +147,167 @@ def parse_schedule(text: str, *, what: str = "schedule") -> tuple[float, ...]:
     return parse_float_list(text, what=what)
 
 
+def _typed(convert, noun: str):
+    """``convert(text)``; its ValueError or KeyError is "[section] key = 'text' is not {noun}"."""
+    def parse(text: str, *, what: str):
+        try:
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{what} = {text!r} is not {noun}") from None
+    return parse
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_number = _typed(float, "a number")
+_integer = _typed(int, "an integer")
+_boolean = _typed(lambda text: _BOOLEANS[text.lower()], "a boolean")
+_text = _typed(str, "text")
+
+
+def _choice(*choices: str):
+    def parse(text: str, *, what: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"{what} = {text!r}; expected one of {choices}")
+        return text
+    return parse
+
+
+def _ranged(parse, ok, rule: str):
+    """``parse``, then refuse a value for which ``ok`` is false: "[section] key must {rule}"."""
+    def ranged(text: str, *, what: str):
+        value = parse(text, what=what)
+        if not ok(value):
+            raise ConfigError(f"{what} must {rule}, got {value}")
+        return value
+    return ranged
+
+
+def _dissipation_orders(text: str, *, what: str) -> tuple[float, ...]:
+    """Comma list of ``alpha_w``, each inside the p = 2 range of the Wu bracket."""
+    orders = parse_float_list(text, what=what)
+    for alpha_w in orders:
+        try:
+            check_wu_range(2, alpha_w)
+        except ValueError as exc:
+            raise ConfigError(f"{what} = {alpha_w}: {exc}") from exc
+    return orders
+
+
+_besov = partial(parse_entries, form="s:p:r:flavor",
+                 build=lambda s, p, r, flavor: BesovSpec(float(s), float(p), float(r), flavor))
+_pairs = partial(parse_entries, form="sigma1:sigma", build=lambda s1, s: (float(s1), float(s)))
+_dimension = _ranged(_integer, lambda d: d in (1, 2), "be 1 or 2")
+
+#: sweep axis -> the (section, key) each child run overrides, and how [sweep] values are read
+SWEEP_AXES = {
+    "s_star": ("params", "s_star", parse_float_list),
+    "amplitude": ("preset", "amplitude", parse_float_list),
+    "J1": ("diagnostics", "j1", parse_int_list),
+    "grid": ("grid", "modes", parse_int_list),
+    "dt": ("solver", "dt", parse_float_list),
+}
+
+#: default of a key a run cannot do without
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """A key: ``parse(text, what="[section] key")``, default text (None: computed), its readers."""
+
+    parse: Callable[..., object]
+    default: object
+    kinds: tuple[str, ...]
+
+
+_RUN = ("simulate", "sweep")
+
+KEYS: dict[tuple[str, str], Key] = {
+    ("experiment", "kind"): Key(_choice(*KINDS), None, KINDS),
+    ("experiment", "name"): Key(_text, None, KINDS),
+    ("experiment", "seed"): Key(_integer, "0", KINDS),
+    # every command puts a [grid] it is given into its artifact headers
+    ("grid", "dim"): Key(_dimension, REQUIRED, KINDS),
+    ("grid", "length"): Key(parse_float_list, REQUIRED, KINDS),
+    ("grid", "modes"): Key(parse_int_list, REQUIRED, KINDS),
+    ("params", "alpha"): Key(_number, None, _RUN),
+    ("params", "s_star"): Key(_number, None, _RUN),
+    ("params", "lam"): Key(_number, "1.0", _RUN),
+    ("params", "kappa"): Key(_number, "1.0", _RUN),
+    ("params", "rho_bar"): Key(_number, "1.0", _RUN),
+    ("preset", "kind"): Key(_choice(*PRESETS), REQUIRED, _RUN),
+    ("preset", "amplitude"): Key(_ranged(_number, lambda a: 0.0 < a < 1.0, "lie in (0, 1)"),
+                                 REQUIRED, _RUN),
+    ("preset", "sigma1"): Key(_number, "-0.5", _RUN),
+    ("preset", "cutoff"): Key(_number, "1.0", _RUN),
+    ("preset", "mode"): Key(_integer, "1", _RUN),
+    ("preset", "width"): Key(_number, "0.25", _RUN),
+    ("solver", "dt"): Key(_number, REQUIRED, _RUN),
+    ("solver", "t_end"): Key(_number, REQUIRED, _RUN),
+    ("solver", "integrator"): Key(_choice(*INTEGRATORS), "ifrk4", _RUN),
+    ("solver", "dealias"): Key(_number, repr(2 / 3), _RUN),
+    ("solver", "positivity_floor"): Key(_number, "0.01", _RUN),
+    ("solver", "linear_only"): Key(_boolean, "false", _RUN),
+    ("solver", "snapshot_times"): Key(parse_schedule, None, _RUN),
+    ("diagnostics", "j1"): Key(_integer, "0", ("simulate",)),
+    ("diagnostics", "energy"): Key(_boolean, "true", ("simulate",)),
+    ("diagnostics", "besov"): Key(_besov, None, ("simulate",)),
+    ("spectrum", "s_star"): Key(parse_float_list, "0.25,0.5,0.75", ("linear-analyze",)),
+    ("spectrum", "xi_min"): Key(_number, "1e-4", ("linear-analyze",)),
+    ("spectrum", "xi_max"): Key(_number, "1e4", ("linear-analyze",)),
+    ("spectrum", "points"): Key(_ranged(_integer, lambda n: n >= 2, "be >= 2"), "200",
+                                ("linear-analyze",)),
+    ("spectrum", "decades"): Key(_ranged(_integer, lambda n: n >= 1, "be >= 1"), "6",
+                                 ("linear-analyze",)),
+    ("decay", "s_star"): Key(parse_float_list, "0.25,0.75", ("decay-verify",)),
+    ("decay", "dim"): Key(_dimension, "1", ("decay-verify",)),
+    ("decay", "cutoff"): Key(_number, "1.0", ("decay-verify",)),
+    ("decay", "times"): Key(parse_schedule, "logspace:100,10000,25", ("decay-verify",)),
+    ("decay", "pairs"): Key(_pairs, None, ("decay-verify",)),
+    ("lp", "samples"): Key(_ranged(_integer, lambda n: n >= 1, "be >= 1"), "20", ("lp-inspect",)),
+    ("lp", "alpha_w"): Key(_dissipation_orders, "0.25,0.75", ("lp-inspect",)),
+    ("sweep", "axis"): Key(_choice(*SWEEP_AXES), REQUIRED, ("sweep",)),
+    # read by the axis's parser in SWEEP_AXES
+    ("sweep", "values"): Key(_text, REQUIRED, ("sweep",)),
+}
+
+
+def get(cp: configparser.ConfigParser, section: str, key: str):
+    """``[section] key`` read through :data:`KEYS`; an absent or empty key gives its default."""
+    row = KEYS[section, key]
+    text = cp.get(section, key, fallback="").strip() or row.default
+    if text is REQUIRED:
+        raise ConfigError(f"missing key {key!r} in section [{section}]" if cp.has_section(section)
+                          else f"missing section [{section}]")
+    return None if text is None else row.parse(text, what=f"[{section}] {key}")
+
+
+def _hint(name: str, known) -> str:
+    close = difflib.get_close_matches(name, known, n=1)
+    return f" (did you mean {close[0]}?)" if close else ""
+
+
+def check_keys(cp: configparser.ConfigParser, kind: str) -> None:
+    """Refuse every section and key of ``cp`` that the command ``kind`` does not read."""
+    problems = []
+    for section in cp.sections():
+        known = [key for name, key in KEYS if name == section]
+        if not known:
+            sections = [f"[{name}]" for name, _ in KEYS]
+            problems.append(f"[{section}] is not a config section{_hint(f'[{section}]', sections)}")
+        for key in cp.options(section):
+            if key not in known:
+                problems.append(f"[{section}] {key} is not a config key{_hint(key, known)}")
+            elif kind not in KEYS[section, key].kinds:
+                problems.append(f"[{section}] {key} is not read by {kind}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
 def parse_grid(cp: configparser.ConfigParser) -> SpectralGrid:
-    dim = get_int(cp, "grid", "dim")
-    if dim not in (1, 2):
-        raise ConfigError(f"[grid] dim must be 1 or 2, got {dim}")
-    lengths = parse_float_list(get_str(cp, "grid", "length"), what="[grid] length")
-    modes = parse_int_list(get_str(cp, "grid", "modes"), what="[grid] modes")
-    if len(lengths) == 1:
-        lengths = lengths * dim
-    if len(modes) == 1:
-        modes = modes * dim
+    dim, lengths, modes = (get(cp, "grid", key) for key in ("dim", "length", "modes"))
+    # one entry stands for every axis
+    lengths, modes = (entries * dim if len(entries) == 1 else entries for entries in (lengths, modes))
     if len(lengths) != dim or len(modes) != dim:
         raise ConfigError(f"[grid] length and modes need one entry, or one per axis of dim = {dim}")
     try:
@@ -215,51 +317,30 @@ def parse_grid(cp: configparser.ConfigParser) -> SpectralGrid:
 
 
 def parse_params(cp: configparser.ConfigParser, dim: int) -> RieszParams:
-    has_alpha = cp.has_option("params", "alpha")
-    has_sstar = cp.has_option("params", "s_star")
-    if has_alpha == has_sstar:
+    alpha, s_star = get(cp, "params", "alpha"), get(cp, "params", "s_star")
+    if (alpha is None) == (s_star is None):
         raise ConfigError("[params] needs exactly one of alpha or s_star")
-    coefficients = {key: get_float(cp, "params", key, 1.0) for key in ("lam", "kappa", "rho_bar")}
+    coefficients = {key: get(cp, "params", key) for key in ("lam", "kappa", "rho_bar")}
     try:
-        if has_alpha:
-            return RieszParams(dim=dim, alpha=get_float(cp, "params", "alpha"), **coefficients)
-        return RieszParams.from_s_star(dim=dim, s_star=get_float(cp, "params", "s_star"),
-                                       **coefficients)
+        if s_star is None:
+            return RieszParams(dim=dim, alpha=alpha, **coefficients)
+        return RieszParams.from_s_star(dim=dim, s_star=s_star, **coefficients)
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from exc
 
 
 def parse_solver_config(cp: configparser.ConfigParser) -> SolverConfig:
-    dt = get_float(cp, "solver", "dt")
-    t_end = get_float(cp, "solver", "t_end")
-    integrator = get_choice(cp, "solver", "integrator", INTEGRATORS, "ifrk4")
-    dealias = get_float(cp, "solver", "dealias", 2.0 / 3.0)
-    floor = get_float(cp, "solver", "positivity_floor", 0.01)
-    linear_only = get_bool(cp, "solver", "linear_only", False)
-    raw_times = get_str(cp, "solver", "snapshot_times", "")
-    times = parse_schedule(raw_times, what="snapshot_times") if raw_times else (t_end,)
+    values = {key: get(cp, "solver", key) for section, key in KEYS if section == "solver"}
+    values["snapshot_times"] = values["snapshot_times"] or (values["t_end"],)
     try:
-        return SolverConfig(dt=dt, t_end=t_end, integrator=integrator, dealias=dealias,
-                            snapshot_times=times, positivity_floor=floor,
-                            linear_only=linear_only)
+        return SolverConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
 
 
 def parse_preset(cp: configparser.ConfigParser) -> dict:
     """Initial-data preset keys, validated: the keyword arguments of ``perturbation_presets``."""
-    kind = get_choice(cp, "preset", "kind", PRESETS)
-    out = {
-        "kind": kind,
-        "amplitude": get_float(cp, "preset", "amplitude"),
-        "sigma1": get_float(cp, "preset", "sigma1", -0.5),
-        "cutoff": get_float(cp, "preset", "cutoff", 1.0),
-        "mode": get_int(cp, "preset", "mode", 1),
-        "width": get_float(cp, "preset", "width", 0.25),
-    }
-    if not (0.0 < out["amplitude"] < 1.0):
-        raise ConfigError(f"[preset] amplitude must lie in (0, 1), got {out['amplitude']}")
-    return out
+    return {key: get(cp, "preset", key) for section, key in KEYS if section == "preset"}
 
 
 def resolve_run(cp: configparser.ConfigParser,
@@ -277,9 +358,7 @@ def override(cp: configparser.ConfigParser, section: str, key: str,
     """
     child = configparser.ConfigParser()
     child.read_dict({name: dict(cp.items(name, raw=True)) for name in cp.sections()})
-    if not child.has_section(section):
-        child.add_section(section)
-    child.set(section, key, value)
+    child.read_dict({section: {key: value}})
     if section == "params" and key in ("alpha", "s_star"):
         child.remove_option(section, "s_star" if key == "alpha" else "alpha")
     return child

@@ -42,6 +42,7 @@ __all__ = [
     "besov_norm",
     "chemin_lerner_norm",
     "verify_bernstein",
+    "check_wu_range",
     "verify_wu_lower_bound",
 ]
 
@@ -364,6 +365,15 @@ def verify_bernstein(
     return num / den
 
 
+def check_wu_range(p: float, alpha_w: float) -> None:
+    """Refuse a (p, alpha_w) outside the validity range of :func:`verify_wu_lower_bound`."""
+    if not ((p == 2 and alpha_w >= 0) or (2 < p < np.inf and 0 <= alpha_w <= 1)):
+        raise ValueError(
+            f"parameters outside validity range: p={p}, alpha_w={alpha_w} "
+            "(need p=2 with alpha_w>=0, or 2<p<inf with 0<=alpha_w<=1)"
+        )
+
+
 def verify_wu_lower_bound(
     partition: LPPartition,
     f: np.ndarray,
@@ -377,11 +387,7 @@ def verify_wu_lower_bound(
     [(3/4)^(2 alpha_w), (8/3)^(2 alpha_w)]) and for 2 < p < inf with
     0 <= alpha_w <= 1 (positivity).
     """
-    if not ((p == 2 and alpha_w >= 0) or (2 < p < np.inf and 0 <= alpha_w <= 1)):
-        raise ValueError(
-            f"parameters outside validity range: p={p}, alpha_w={alpha_w} "
-            "(need p=2 with alpha_w>=0, or 2<p<inf with 0<=alpha_w<=1)"
-        )
+    check_wu_range(p, alpha_w)
     _check_shell_support(partition, f, j, "verify_wu_lower_bound")
     grid = partition.grid
     f = np.asarray(f, dtype=float)

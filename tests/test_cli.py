@@ -19,13 +19,15 @@ from rieszflow.cli import main, run_experiment
 from rieszflow.grid import RieszParams, lp_norm, make_grid
 from rieszflow.solver import SolverConfig, integrate, perturbation_presets
 from rieszflow.config import (
+    KEYS,
+    KINDS,
+    REQUIRED,
     ConfigError,
     ExperimentSpec,
     config_digest,
-    get_bool,
-    get_choice,
-    get_float,
+    get,
     load_config,
+    override,
     parse_float_list,
     parse_grid,
     parse_params,
@@ -72,7 +74,7 @@ def read_csv_file(path):
 
 
 class TestConfigHelpers:
-    """Typed accessors and their diagnostics."""
+    """The table accessor ``get`` and its diagnostics."""
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -86,33 +88,37 @@ class TestConfigHelpers:
     def test_inline_comments_stripped(self, tmp_path):
         path = write_cfg(tmp_path, "[solver]\ndt = 0.5  # half\n")
         cp = load_config(path)
-        assert get_float(cp, "solver", "dt") == 0.5
+        assert get(cp, "solver", "dt") == 0.5
 
     def test_error_names_section_and_key(self, tmp_path):
         path = write_cfg(tmp_path, "[solver]\ndt = fast\n")
         cp = load_config(path)
         with pytest.raises(ConfigError, match=r"\[solver\] dt = 'fast' is not a number"):
-            get_float(cp, "solver", "dt")
+            get(cp, "solver", "dt")
 
     def test_missing_key_and_section(self, tmp_path):
         cp = load_config(write_cfg(tmp_path, "[solver]\ndt = 1\n"))
         with pytest.raises(ConfigError, match="missing key 't_end'"):
-            get_float(cp, "solver", "t_end")
+            get(cp, "solver", "t_end")
         with pytest.raises(ConfigError, match=r"missing section \[grid\]"):
-            get_float(cp, "grid", "dim")
+            get(cp, "grid", "dim")
 
     def test_bool_parsing(self, tmp_path):
-        cp = load_config(write_cfg(tmp_path, "[x]\na = yes\nb = OFF\nc = maybe\n"))
-        assert get_bool(cp, "x", "a", False) is True
-        assert get_bool(cp, "x", "b", True) is False
-        assert get_bool(cp, "x", "missing", True) is True
-        with pytest.raises(ConfigError, match="not a boolean"):
-            get_bool(cp, "x", "c", False)
+        cp = load_config(write_cfg(tmp_path, "[solver]\nlinear_only = yes\n[diagnostics]\nenergy = OFF\n"))
+        assert get(cp, "solver", "linear_only") is True
+        assert get(cp, "diagnostics", "energy") is False
+        # the defaults: linear_only false, energy true
+        cp = load_config(write_cfg(tmp_path, "[solver]\n[diagnostics]\n", "defaults.ini"))
+        assert get(cp, "solver", "linear_only") is False
+        assert get(cp, "diagnostics", "energy") is True
+        cp = load_config(write_cfg(tmp_path, "[solver]\nlinear_only = maybe\n", "maybe.ini"))
+        with pytest.raises(ConfigError, match=r"\[solver\] linear_only = 'maybe' is not a boolean"):
+            get(cp, "solver", "linear_only")
 
     def test_choice_rejection(self, tmp_path):
         cp = load_config(write_cfg(tmp_path, "[solver]\nintegrator = rk45\n"))
         with pytest.raises(ConfigError, match="expected one of"):
-            get_choice(cp, "solver", "integrator", ("ifrk4", "exp-euler"))
+            get(cp, "solver", "integrator")
 
     def test_digest_is_sha256_of_bytes(self, tmp_path):
         path = write_cfg(tmp_path, SIMULATE_CFG)
@@ -337,11 +343,6 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
         assert "run failed" in capsys.readouterr().err
         assert list(out.iterdir()) == []
-
-    def test_workers_validated(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SIMULATE_CFG)
-        code = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o", "--workers", 0])
-        assert code == 2
 
 
 def snapshot_config(tmp_path, count, name):
@@ -644,14 +645,148 @@ class TestOutOfRangeValues:
         # refused before the run starts, not by the first snapshot's diagnostics
         ("simulate", SIMULATE_CFG.replace("modes = 64", "modes = 32") + "[diagnostics]\nj1 = 99\n",
          "[diagnostics] j1 = 99"),
-    ], ids=["linear-analyze", "lp-inspect", "simulate"])
-    def test_config_error(self, tmp_path, capsys, kind, text, key):
+        # decades = 0 would write an asymptotics.csv that holds only its header
+        ("linear-analyze", "[experiment]\nkind = linear-analyze\n"
+         "[spectrum]\ns_star = 0.5\npoints = 8\ndecades = 0\n", "[spectrum] decades must be >= 1"),
+        ("decay-verify", "[experiment]\nkind = decay-verify\n"
+         "[decay]\ns_star = 0.5\ndim = 3\ntimes = 1,2,3\n", "[decay] dim must be 1 or 2"),
+    ], ids=["linear-analyze", "lp-inspect", "simulate", "spectrum-decades", "decay-dim"])
+    def test_config_error(self, tmp_path, capsys, monkeypatch, kind, text, key):
+        drawn = []
+        draw = cli._smooth_sample
+        monkeypatch.setattr(cli, "_smooth_sample", lambda *a, **k: drawn.append(1) or draw(*a, **k))
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert run_cli([kind, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}"), err
         assert not any(out.iterdir())
+        # lp-inspect refuses alpha_w before it draws a sample
+        assert drawn == []
+
+
+#: a valid config of each command
+BASE_CFGS = {
+    "simulate": SIMULATE_CFG,
+    "linear-analyze": "[experiment]\nkind = linear-analyze\n"
+                      "[spectrum]\ns_star = 0.5\npoints = 8\ndecades = 2\n",
+    "decay-verify": "[experiment]\nkind = decay-verify\n"
+                    "[decay]\ns_star = 0.5\ntimes = logspace:100,1000,9\n",
+    "lp-inspect": "[experiment]\nkind = lp-inspect\n"
+                  "[grid]\ndim = 1\nlength = 6.283185307179586\nmodes = 32\n"
+                  "[lp]\nsamples = 1\n",
+    "sweep": "[experiment]\nkind = sweep\n"
+             "[grid]\ndim = 1\nlength = 6.283185307179586\nmodes = 32\n"
+             "[params]\ns_star = 0.5\n"
+             "[solver]\ndt = 0.05\nt_end = 0.1\n"
+             "[preset]\nkind = smooth-bump\namplitude = 0.1\n"
+             "[sweep]\naxis = dt\nvalues = 0.05\n",
+}
+
+#: the simulate-2d benchmark config at 32x32
+SIMULATE_2D_CFG = """\
+[experiment]
+name = bench-simulate-2d
+kind = simulate
+
+[grid]
+dim = 2
+length = 50.26548245743669
+modes = 32
+
+[params]
+s_star = 0.5
+
+[preset]
+kind = low-frequency-powerlaw
+amplitude = 0.05
+sigma1 = -1
+cutoff = 1
+
+[solver]
+integrator = ifrk4
+dt = 0.05
+t_end = 1.0
+snapshot_times = linspace:0,1,6
+
+[diagnostics]
+energy = true
+"""
+
+
+def run_with(tmp_path, kind, cp, capsys):
+    """Run ``kind`` on config ``cp`` into a fresh empty ``--out``: (exit code, stderr, out)."""
+    path = tmp_path / "edited.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run_cli([kind, "--config", path, "--out", out])
+    return code, capsys.readouterr().err, out
+
+
+class TestKeyTable:
+    """Every config key is declared once; a file holds only keys its command reads."""
+
+    @pytest.mark.parametrize("kind", sorted(BASE_CFGS))
+    def test_base_configs_run(self, tmp_path, kind):
+        cfg = write_cfg(tmp_path, BASE_CFGS[kind])
+        assert run_cli([kind, "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+    # any text is a name
+    MALFORMED = [section_key for section_key in KEYS if section_key != ("experiment", "name")]
+
+    @pytest.mark.parametrize("section, key", MALFORMED, ids=[f"{s}.{k}" for s, k in MALFORMED])
+    def test_malformed_value_is_refused(self, tmp_path, capsys, section, key):
+        kind = KEYS[section, key].kinds[0]
+        cp = override(load_config(write_cfg(tmp_path, BASE_CFGS[kind])), section, key, "x")
+        code, err, out = run_with(tmp_path, kind, cp, capsys)
+        assert code == 2
+        assert err.startswith("config error: ") and f"[{section}] {key}" in err, err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("section", sorted({section for section, _ in KEYS}))
+    def test_misspelt_key_is_refused_with_a_hint(self, tmp_path, capsys, section):
+        key = next(k for s, k in KEYS if s == section)
+        kind = KEYS[section, key].kinds[0]
+        cp = override(load_config(write_cfg(tmp_path, BASE_CFGS[kind])), section, key + key[-1],
+                      "1")
+        code, err, out = run_with(tmp_path, kind, cp, capsys)
+        assert code == 2
+        assert (f"config error: [{section}] {key + key[-1]} is not a config key "
+                f"(did you mean {key}?)") in err, err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, extra, named", [
+        ("simulate", "[lp]\nsamples = 2\n", "[lp] samples is not read by simulate"),
+        ("sweep", "[diagnostics]\nenergy = true\n", "[diagnostics] energy is not read by sweep"),
+        ("linear-analyze", "[decay]\ndim = 1\n", "[decay] dim is not read by linear-analyze"),
+    ], ids=["simulate", "sweep", "linear-analyze"])
+    def test_key_another_command_reads_is_refused(self, tmp_path, capsys, kind, extra, named):
+        cp = load_config(write_cfg(tmp_path, BASE_CFGS[kind] + extra))
+        code, err, out = run_with(tmp_path, kind, cp, capsys)
+        assert code == 2 and named in err, err
+        assert list(out.iterdir()) == []
+
+    def test_four_typos_of_the_simulate_2d_config(self, tmp_path, capsys):
+        text = (SIMULATE_2D_CFG.replace("snapshot_times", "snapshot_time")
+                .replace("integrator = ifrk4", "integrater = exp-euler")
+                .replace("energy = true", "enrgy = false")
+                + "\n[solvr]\ndt = 0.05\n")
+        code, err, out = run_with(tmp_path, "simulate", load_config(write_cfg(tmp_path, text)),
+                                  capsys)
+        assert code == 2
+        for named in ("[solver] snapshot_time is not a config key (did you mean snapshot_times?)",
+                      "[solver] integrater is not a config key (did you mean integrator?)",
+                      "[diagnostics] enrgy is not a config key (did you mean energy?)",
+                      "[solvr] is not a config section (did you mean [solver]?)",
+                      "[solvr] dt is not a config key"):
+            assert named in err, err
+        assert list(out.iterdir()) == []
+
+    def test_simulate_2d_config_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, SIMULATE_2D_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 class TestSweepCommand:
@@ -692,6 +827,34 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", cfg, "--out", out1, "--workers", 1]) == 0
         assert run_cli(["sweep", "--config", cfg, "--out", out2, "--workers", 4]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    def test_workers_validated(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + "[sweep]\naxis = dt\nvalues = 0.05\n")
+        code = run_cli(["sweep", "--config", cfg, "--out", tmp_path / "o", "--workers", 0])
+        assert code == 2
+        assert "config error: --workers must be >= 1" in capsys.readouterr().err
+        # only sweep takes --workers
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG, "sim.ini"),
+                     "--out", tmp_path / "s", "--workers", 2])
+        assert exc.value.code == 2
+
+    def test_out_of_range_j1_child_does_not_integrate(self, tmp_path, monkeypatch):
+        def sweep_rows(values, name):
+            cfg = write_cfg(tmp_path, self.SWEEP_BASE.replace("modes = 64", "modes = 32")
+                            + f"[sweep]\naxis = J1\nvalues = {values}\n", f"{name}.ini")
+            assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / name]) == 0
+            cols, rows = read_csv_file(tmp_path / name / "sweep.csv")
+            return [dict(zip(cols, r)) for r in rows]
+
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        good, bad = sweep_rows("0,99", "both")
+        # the child of j1 = 99 is refused before its integration
+        assert len(calls) == 1
+        assert bad["status"].startswith("error: [diagnostics] j1 = 99: "), bad["status"]
+        assert bad["final_t"] == ""
+        assert [good] == sweep_rows("0", "alone")
 
     def test_child_seeds_differ_per_index(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SWEEP_BASE + "[sweep]\naxis = J1\nvalues = 0,1\n")
@@ -771,6 +934,40 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 0
         # only the grid axis builds a grid per child
         assert built == extents
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.skipif(not README.is_file(), reason="no README.md next to tests/")
+class TestReadme:
+    """The README's config reference and example config agree with the code."""
+
+    def test_config_reference_lists_every_key(self):
+        text = README.read_text()
+        reference = text[text.index("### Config reference"):text.index("### Artifacts")]
+        rows = {}
+        for line in reference.splitlines():
+            if line.startswith("| `["):
+                name, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+                rows[name] = cells
+        assert len(rows) == len(KEYS)
+        for (section, key), row in KEYS.items():
+            default, read_by, _ = rows[f"`[{section}] {key}`"]
+            assert read_by == ("all" if row.kinds == KINDS else ", ".join(row.kinds)), key
+            if row.default is REQUIRED:
+                assert default == "required", key
+            elif row.default is None:
+                assert default and default != "required", key
+            else:
+                assert default.startswith(f"`{row.default}`"), key
+
+    def test_example_simulate_config_runs(self, tmp_path):
+        text = README.read_text()
+        example = text[text.index("Example `simulate` config:"):]
+        ini = example[example.index("```ini\n") + len("```ini\n"):example.index("```\n\n")]
+        cfg = write_cfg(tmp_path, ini)
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
