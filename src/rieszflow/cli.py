@@ -91,11 +91,13 @@ class ArtifactWriter:
     """Accumulates run artifacts and can either finalize or roll back.
 
     The output directory must be missing, empty, or hold exactly a
-    previous run's manifest and the files it lists; those are deleted
-    before this run writes, so a directory never mixes two runs.
-    Anything else is refused and left untouched.  Each file is written
-    under a temporary name in the directory and renamed into place, so
-    a failed write never leaves a partial artifact under its own name.
+    previous run's manifest and the files it lists; anything else is
+    refused and left untouched.  The previous run's files are deleted
+    at this run's first write, so a directory never mixes two runs and
+    a run refused before it writes leaves the previous one as it was.
+    Each file is written under a temporary name in the directory and
+    renamed into place, so a failed write never leaves a partial
+    artifact under its own name.
     """
 
     def __init__(self, out_dir: str | Path, header: list[str]):
@@ -104,18 +106,19 @@ class ArtifactWriter:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}") from exc
-        self._clear_previous_run()
+        self._previous_run = self._find_previous_run()
         self.header = header
         self.created: list[Path] = []
         self._partial: Path | None = None
 
-    def _clear_previous_run(self) -> None:
+    def _find_previous_run(self) -> list[str]:
+        """The previous run's files, manifest last; refuses a directory that holds anything else."""
         try:
             present = {p.name for p in self.out_dir.iterdir()}
         except OSError as exc:
             raise ConfigError(f"cannot list output directory {self.out_dir}: {exc}") from exc
         if not present:
-            return
+            return []
         listed = _manifest_listing(self.out_dir / MANIFEST) if MANIFEST in present else None
         if listed is None:
             raise ConfigError(
@@ -129,16 +132,21 @@ class ArtifactWriter:
                 f"output directory {self.out_dir} holds files its {MANIFEST} does not list "
                 f"({', '.join(sorted(stray))}); refusing to mix runs"
             )
-        for name in sorted(stale) + [MANIFEST]:
+        return sorted(stale) + [MANIFEST]
+
+    def _clear_previous_run(self) -> None:
+        for name in self._previous_run:
             try:
                 (self.out_dir / name).unlink()
             except OSError as exc:
                 raise ConfigError(
                     f"cannot remove {name} of the previous run in {self.out_dir}: {exc}"
                 ) from exc
+        self._previous_run = []
 
     def _replace_into(self, name: str, writer_fn) -> Path:
         """Run ``writer_fn`` on a temporary path in the directory, then rename it to ``name``."""
+        self._clear_previous_run()
         path = self.out_dir / name
         self._partial = self.out_dir / f".{name}.partial"
         writer_fn(self._partial)
@@ -576,6 +584,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cp = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         seed = get(cp, "experiment", "seed") if args.seed is None else args.seed
         name = get(cp, "experiment", "name") or Path(args.config).stem
         spec = ExperimentSpec(name=name, kind=args.kind, config_path=args.config,

@@ -225,7 +225,7 @@ _RUN = ("simulate", "sweep")
 KEYS: dict[tuple[str, str], Key] = {
     ("experiment", "kind"): Key(_choice(*KINDS), None, KINDS),
     ("experiment", "name"): Key(_text, None, KINDS),
-    ("experiment", "seed"): Key(_integer, "0", KINDS),
+    ("experiment", "seed"): Key(_ranged(_integer, lambda s: s >= 0, "be non-negative"), "0", KINDS),
     # every command puts a [grid] it is given into its artifact headers
     ("grid", "dim"): Key(_dimension, REQUIRED, KINDS),
     ("grid", "length"): Key(parse_float_list, REQUIRED, KINDS),

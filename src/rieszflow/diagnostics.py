@@ -27,7 +27,6 @@ from .grid import (
     half_l2,
     lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
     spectral_inner,
-    spectral_power,
     state_fields,
 )
 from .littlewood_paley import (  # noqa: F401  (besov_norm, dyadic_block: as lp_norm above)
@@ -228,19 +227,58 @@ def _lyapunov_parts(
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     partition.check_j(j)
     a, u = state_fields(grid, state)
-    a_hat = grid.rfft(a)
-    m = partition.half_shell(j)
-    a_j = m * a_hat
-    u_j = m * grid.rfft(u)
-    k = grid.half_xi_norm
-    lam_u_hat = k * u_j
-    quad = float(np.sum(spectral_power(grid, k**params.s_star * a_j))) + float(
-        np.sum(spectral_power(grid, lam_u_hat))
-    )
-    low_a = grid.irfft(partition.half_low_pass(j - 1) * a_hat)
-    lam_u = grid.irfft(lam_u_hat)
-    cubic = grid.cell_volume * float(np.sum(low_a * np.sum(lam_u**2, axis=0)))
-    cross = -2.0 * c_tilde * spectral_inner(grid, a_j, half_divergence(grid, u_j))
+    kept, modes = _lyapunov_lattice(partition, j)
+    return _lyapunov_kernel(partition, j, kept, modes, grid._box_rfft(a, kept), grid._box_rfft(u, kept),
+                            c_tilde, params)
+
+
+def _lyapunov_lattice(partition: LPPartition, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The box of the supports of shell j and S_(j-1), and the alias-free lattice of the cubic term."""
+    shell, low = partition.shell_box(j), partition.low_box(j - 1)
+    return tuple(map(max, shell, low)), partition.grid._product_modes(low, shell, shell)
+
+
+def _lyapunov_kernel(
+    partition: LPPartition,
+    j: int,
+    kept: tuple[int, ...],
+    modes: tuple[int, ...],
+    a_box: np.ndarray,
+    u_box: np.ndarray,
+    c_tilde: float,
+    params: RieszParams,
+) -> tuple[float, float]:
+    """Quadratic part and L_j^2 from the box arrays of a and u, on ``_lyapunov_lattice``'s box and lattice.
+
+    The quadratic and cross terms are Parseval sums over the box.  The
+    cubic term samples S_(j-1) a and |nabla| u_j in one inverse onto the
+    lattice of ``modes``, where their triple product does not alias.
+    ``a_box`` and ``u_box`` are overwritten.
+    """
+    grid = partition.grid
+    half = grid.half_xi_norm.shape
+
+    def box(m: np.ndarray) -> np.ndarray:
+        return grid._box_gather(np.broadcast_to(m, half), kept)
+
+    m = box(partition.half_shell(j))
+    k = box(grid.half_xi_norm)
+    # the stacked spectra of S_(j-1) a and |nabla| u_j, for the one inverse
+    spectra = np.empty((1 + grid.dim,) + a_box.shape, dtype=complex)
+    np.multiply(box(partition.half_low_pass(j - 1)), a_box, out=spectra[0])
+    a_j = np.multiply(m, a_box, out=a_box)
+    u_j = np.multiply(m, u_box, out=u_box)
+    lam_u = np.multiply(k, u_j, out=spectra[1:])
+    lam_a = k**params.s_star * a_j
+    quad = spectral_inner(grid, lam_a, lam_a) + spectral_inner(grid, lam_u, lam_u)
+    div_u_j = sum(box(g) * c for g, c in zip(grid.half_grad, u_j))
+    cross = -2.0 * c_tilde * spectral_inner(grid, a_j, div_u_j)
+    # free the box arrays before the inverse allocates its workspace and samples
+    del a_box, u_box, a_j, u_j, lam_a, div_u_j
+    fields = grid._box_irfft(spectra, kept, modes=modes)
+    squares = np.square(fields[1:], out=fields[1:]).reshape(grid.dim, -1)
+    weight = float(np.prod([L / n for L, n in zip(grid.lengths, modes)]))
+    cubic = weight * float(np.sum(squares @ fields[0].ravel()))
     return quad, quad + cubic + cross
 
 
@@ -260,9 +298,12 @@ def lyapunov_block(
             - 2 c_tilde int a_j div u_j dx,
 
     where a_j, u_j are the shell-j blocks and S_(j-1) is the smooth
-    projection onto shells strictly below j - 1.  The quadratic and
-    cross terms are Parseval sums; the cubic term takes two inverse
-    transforms.
+    projection onto shells strictly below j - 1.  Every term lives on the
+    box of the supports of shell j and S_(j-1): a and u are transformed
+    onto it once each, the quadratic and cross terms are Parseval sums
+    over it, and the cubic term takes one stacked inverse transform onto
+    the smallest alias-free lattice of its triple product (the grid's own
+    once the box reaches a Nyquist index), so it is exact up to roundoff.
     """
     return _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)[1]
 

@@ -84,6 +84,19 @@ def check_mode_count(n: int) -> None:
         raise ValueError(f"mode count must be even and >= 8, got {n}")
 
 
+def _fft_size(n: int) -> int:
+    """The smallest even integer >= ``n`` with no prime factor above 5."""
+    m = max(n + n % 2, 2)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 2
+
+
 def _build_lattice(axes: tuple, extent: int) -> dict:
     """Symbols on the lattice whose last axis keeps its first ``extent`` indices.
 
@@ -265,66 +278,96 @@ class SpectralGrid:
         ``fhat``; allocated when not given), then ``irfft`` with n = N_d into ``out``.  ``fhat``
         may hold only the first columns of the half spectra; the rest count as zero.
         """
+        return self._irfft(fhat, self.modes[-1], out, work)
+
+    def _irfft(self, fhat: np.ndarray, n: int, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`irfft` onto ``n`` points along the last axis and ``fhat``'s rows along the first."""
         if self.dim == 2:
             fhat = np.fft.ifft(fhat, axis=-2, out=work)
-        return np.fft.irfft(fhat, n=self.modes[-1], out=out)
+        return np.fft.irfft(fhat, n=n, out=out)
 
     # -- the box |k_i| <= K_i: half spectra that vanish outside it ---------
     #
     # A box array keeps last-axis indices 0..K_d and, in 2D, the rows
     # 0..K_1 followed by N_1 - K_1..N_1 - 1 (k_1 = -K_1..-1), in the half
-    # lattice's order.  ``kept`` is the tuple (K_1, ..., K_d), K_i < N_i/2.
+    # lattice's order.  ``kept`` is the tuple (K_1, ..., K_d), K_i <= N_i/2;
+    # K_i = N_i/2 keeps the whole axis, Nyquist index included (in 2D all
+    # N_1 rows, in the half lattice's order).
+    #
+    # The coarse inverse, ``_box_irfft`` with ``modes`` = (M_1, ..., M_d),
+    # samples the field of box spectra on the lattice of M_i points per axis
+    # over the same box.  A product of fields with boxes K^(1), ..., K^(n)
+    # holds |k_i| <= sum_f K^(f)_i, so on that lattice no aliased term
+    # reaches its zero mode and its sum times prod(L_i/M_i) is its integral,
+    # exact up to roundoff, once M_i > sum_f K^(f)_i.  ``_product_modes``
+    # gives the smallest such M_i that is even and 2*3*5-smooth (and holds
+    # each box, M_i > 2 K^(f)_i), capped at N_i: there the sum is the
+    # grid's own, aliased as on the grid.
 
     def _box_shape(self, kept: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(2 * k + 1 for k in kept[:-1]) + (kept[-1] + 1,)
+        return tuple(min(2 * k + 1, n) for k, n in zip(kept[:-1], self.modes)) + (kept[-1] + 1,)
 
-    def _box_index(self, kept: tuple[int, ...]) -> list:
-        """(box index, half-lattice index) pairs, one per slab of rows.
+    def _box_index(self, kept: tuple[int, ...], rows: int) -> list:
+        """(box index, index into an array of ``rows`` rows) pairs, one per slab of rows.
 
-        The half-lattice index also applies to any array of the half
-        lattice's rows with at least K_d + 1 columns.
+        The second index applies to half spectra on the grid (``rows`` = N_1)
+        or on a coarse lattice (M_1), of at least K_d + 1 columns.
         """
         cols = slice(0, kept[-1] + 1)
         if self.dim == 1:
             return [((slice(None),), (cols,))]
-        k, n = kept[0], self.modes[0]
+        k = kept[0]
+        if 2 * k >= rows:
+            return [((slice(None), slice(None)), (slice(None), cols))]
         return [((slice(0, k + 1), slice(None)), (slice(0, k + 1), cols)),
-                ((slice(k + 1, None), slice(None)), (slice(n - k, n), cols))]
+                ((slice(k + 1, None), slice(None)), (slice(rows - k, rows), cols))]
 
     def _box_gather(self, x: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
         """The box part of half spectra ``x`` (leading component axes kept)."""
         if out is None:
             out = np.empty(x.shape[:-self.dim] + self._box_shape(kept), dtype=x.dtype)
-        for b, h in self._box_index(kept):
+        for b, h in self._box_index(kept, x.shape[-self.dim]):
             out[(Ellipsis,) + b] = x[(Ellipsis,) + h]
         return out
 
     def _box_scatter(self, box: np.ndarray, kept: tuple[int, ...], out: np.ndarray) -> np.ndarray:
         """Write ``box`` into the box part of half spectra ``out``; the rest is left as it is."""
-        for b, h in self._box_index(kept):
+        for b, h in self._box_index(kept, out.shape[-self.dim]):
             out[(Ellipsis,) + h] = box[(Ellipsis,) + b]
         return out
 
     def _box_irfft(self, box, kept: tuple[int, ...], out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
+                   work: np.ndarray | None = None, modes: tuple[int, ...] | None = None) -> np.ndarray:
         """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
 
         In 1D this is ``irfft(box)``.  In 2D ``box`` is a stack of F box
         arrays or a sequence of them, zero-filled and scattered onto the
-        K_2 + 1 kept columns of ``work[:F, :, :K_2 + 1]`` (complex, with the
-        half lattice's rows; overwritten; allocated when not given), which
-        ``irfft`` then transforms in place.
+        K_2 + 1 kept columns of ``work[:F, :M_1, :K_2 + 1]`` (complex;
+        overwritten; allocated when not given), which ``irfft`` then
+        transforms in place.  With ``modes`` = (M_1, ..., M_d) other than the
+        grid's, the result is the field's samples on the coarse lattice of
+        M_i points per axis (see the box section); each M_i must exceed 2 K_i,
+        or equal N_i.
         """
+        modes = self.modes if modes is None else tuple(modes)
+        for k, m, n in zip(kept, modes, self.modes):
+            if not (2 * k < m <= n or m == n):
+                raise ValueError(f"a box of K = {kept} does not fit a lattice of {modes} points")
         if self.dim == 1:
-            return self.irfft(box, out=out)
-        k, n, ncols = kept[0], self.modes[0], kept[1] + 1
-        if work is None:
-            work = np.empty((len(box), n, ncols), dtype=complex)
-        cols = work[:len(box), :, :ncols]
-        cols[:, k + 1:n - k] = 0
-        for c, b in zip(cols, box):
-            self._box_scatter(b, kept, c)
-        return self.irfft(cols, out=out, work=cols)
+            f = self._irfft(box, modes[0], out=out)
+        else:
+            k, m, ncols = kept[0], modes[0], kept[1] + 1
+            if work is None:
+                work = np.empty((len(box), m, ncols), dtype=complex)
+            cols = work[:len(box), :m, :ncols]
+            cols[:, k + 1:m - k] = 0
+            for c, b in zip(cols, box):
+                self._box_scatter(b, kept, c)
+            f = self._irfft(cols, modes[1], out=out, work=cols)
+        if modes != self.modes:
+            f *= math.prod(modes) / self.npoints
+        return f
 
     def _box_rfft(self, f: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
@@ -336,6 +379,26 @@ class SpectralGrid:
         the K_2 + 1 kept columns only.
         """
         return self._box_gather(self._rfft(f, kept[-1] + 1, out=work), kept, out)
+
+    def _support_box(self, m: np.ndarray) -> tuple[int, ...]:
+        """The box of half-lattice array ``m``'s support: K_i = max |k_i| where m != 0 (0 if none).
+
+        K_i = N_i/2 where the support reaches axis i's Nyquist index.
+        """
+        nonzero = m != 0
+        kept = []
+        for ax, n in enumerate(self.modes):
+            others = tuple(i for i in range(self.dim) if i != ax)
+            index = np.flatnonzero(nonzero.any(axis=others) if others else nonzero)
+            if ax < self.dim - 1:
+                index = np.minimum(index, n - index)
+            kept.append(int(index.max()) if index.size else 0)
+        return tuple(kept)
+
+    def _product_modes(self, *boxes: tuple[int, ...]) -> tuple[int, ...]:
+        """The smallest alias-free lattice of the product of fields with these boxes (box section)."""
+        return tuple(min(_fft_size(max(sum(ks), 2 * max(ks)) + 1), n)
+                     for ks, n in zip(zip(*boxes), self.modes))
 
     def min_nonzero_wavenumber(self) -> float:
         return float(min(2.0 * np.pi / L for L in self.lengths))
@@ -642,9 +705,12 @@ def spectral_power(grid: SpectralGrid, fhat: np.ndarray) -> np.ndarray:
 
 
 def spectral_inner(grid: SpectralGrid, fhat: np.ndarray, ghat: np.ndarray) -> float:
-    """Integral of f . g over the box from two half spectra (Parseval)."""
-    prod = (fhat.real * ghat.real + fhat.imag * ghat.imag).reshape(-1, grid.half_weights.size)
-    return grid.cell_volume / grid.npoints * float(prod.sum(axis=0) @ grid.half_weights)
+    """Integral of f . g over the domain from two half spectra or two box arrays (Parseval)."""
+    # the interior columns weigh 2: twice the whole sum, less the k = 0 and k = N_d/2 columns
+    total = 2.0 * np.vdot(fhat, ghat).real - np.vdot(fhat[..., 0], ghat[..., 0]).real
+    if fhat.shape[-1] == grid.half_weights.size:
+        total -= np.vdot(fhat[..., -1], ghat[..., -1]).real
+    return grid.cell_volume / grid.npoints * float(total)
 
 
 def half_l2(grid: SpectralGrid, fhat: np.ndarray) -> float:

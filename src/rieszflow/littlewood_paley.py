@@ -87,7 +87,9 @@ class LPPartition:
 
     ``half_shell(j)`` returns the spectral shell mask phi(|xi| / 2^j)
     and ``half_low_pass(j)`` returns chi(|xi| / 2^j), the projector onto
-    shells strictly below j, both on the half lattice and cached.
+    shells strictly below j, both on the half lattice and cached;
+    ``shell_box(j)`` and ``low_box(j)`` are the boxes of their supports
+    (``SpectralGrid._support_box``), read off the cached masks.
     ``multiplier(j)``, ``low_pass_multiplier(j)`` and ``partition_sum()``
     give the same masks on the full lattice, recomputed on every call:
     they are the reference form, which the library's own operators do
@@ -99,6 +101,7 @@ class LPPartition:
     j_max: int
     _shells: dict = field(init=False, repr=False, default_factory=dict)
     _low: dict = field(init=False, repr=False, default_factory=dict)
+    _boxes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.j_max - self.j_min + 1 < 3:
@@ -120,6 +123,18 @@ class LPPartition:
         if j not in self._low:
             self._low[j] = chi_profile(self.grid.half_xi_norm / 2.0**j)
         return self._low[j]
+
+    def shell_box(self, j: int) -> tuple[int, ...]:
+        return self._box(self.half_shell, j)
+
+    def low_box(self, j: int) -> tuple[int, ...]:
+        return self._box(self.half_low_pass, j)
+
+    def _box(self, mask, j: int) -> tuple[int, ...]:
+        key = (mask.__name__, j)
+        if key not in self._boxes:
+            self._boxes[key] = self.grid._support_box(mask(j))
+        return self._boxes[key]
 
     def multiplier(self, j: int) -> np.ndarray:
         return phi_profile(self.grid.xi_norm / 2.0**j)

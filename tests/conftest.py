@@ -79,7 +79,10 @@ FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn",
 
 
 class FFTCounts(dict):
-    """Calls per numpy.fft transform name; ``passes`` and ``points`` add up over all of them."""
+    """Calls per numpy.fft transform name; ``passes`` and ``points`` add up over all of them.
+
+    ``log`` lists every call as (name, input shape, ``n`` keyword or None).
+    """
 
     passes = 0
     points = 0
@@ -96,6 +99,7 @@ def fft_calls(monkeypatch):
     call made by the caller counts once.
     """
     counts = FFTCounts({name: 0 for name in FFT_NAMES})
+    counts.log = []
     for name in FFT_NAMES:
         original = getattr(np.fft, name)
 
@@ -108,6 +112,7 @@ def fft_calls(monkeypatch):
             else:
                 counts.passes += np.ndim(a) if _name.endswith("n") else 1
             counts.points += np.size(a)
+            counts.log.append((_name, np.shape(a), kwargs.get("n")))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

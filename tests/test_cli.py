@@ -303,6 +303,18 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", cfg, "--out", out2, "--seed", 2]) == 0
         assert (out1 / "snap_0000.bin").read_bytes() != (out2 / "snap_0000.bin").read_bytes()
 
+    @pytest.mark.parametrize("source", ["--seed", "[experiment] seed"])
+    def test_negative_seed_names_its_source(self, tmp_path, capsys, source):
+        if source == "--seed":
+            args = ["--seed", -1]
+            cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        else:
+            args = []
+            cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("seed = 3", "seed = -1"))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"] + args) == 2
+        assert f"config error: {source} must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_kind_cross_check(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SIMULATE_CFG)
         code = run_cli(["linear-analyze", "--config", cfg, "--out", tmp_path / "x"])
@@ -375,6 +387,17 @@ class TestOutputDirectory:
         listed = {entry["path"] for entry in manifest["files"]}
         assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
         assert sorted(n for n in listed if n.startswith("snap_")) == ["snap_0000.bin", "snap_0001.bin"]
+
+    def test_config_refused_by_the_command_keeps_the_previous_run(self, tmp_path, capsys):
+        out = tmp_path / "prev"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG), "--out", out]) == 0
+        before = directory_bytes(out)
+        assert "manifest.json" in before and len(before) > 1
+        # the command reads [diagnostics] besov only after the output directory was checked
+        cfg = write_cfg(tmp_path, SIMULATE_CFG + "\n[diagnostics]\nbesov = 0.5:2:1\n", "bad.ini")
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "[diagnostics] besov entry" in capsys.readouterr().err
+        assert directory_bytes(out) == before
 
     @pytest.mark.parametrize("files", [
         {"notes.txt": b"keep me\n"},

@@ -347,6 +347,89 @@ class TestHalfSpectrumOracle:
             z_equation_residual(grid, shifted, params)
 
 
+def smooth_even_at_least(need):
+    """The smallest even integer >= need with no prime factor above 5."""
+    m = need + need % 2
+    while True:
+        r = m
+        for q in (2, 3, 5):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            return m
+        m += 2
+
+
+def support_box(grid, m):
+    """max |k_i| over the nonzero entries of half-lattice array m, per axis."""
+    index = np.nonzero(m)
+    rows = [np.max(np.minimum(i, n - i)) for i, n in zip(index[:-1], grid.modes[:-1])]
+    return tuple(int(k) for k in rows + [np.max(index[-1])])
+
+
+def lyapunov_lattice(grid, part, j):
+    """The box of shell j and the alias-free lattice of S_(j-1) a |Lambda u_j|^2, capped at the grid."""
+    shell, low = support_box(grid, part.half_shell(j)), support_box(grid, part.half_low_pass(j - 1))
+    return shell, tuple(min(smooth_even_at_least(kl + 2 * k + 1), n)
+                        for kl, k, n in zip(low, shell, grid.modes))
+
+
+def analyze_2d_states(grid, seed, count):
+    """Smooth mean-zero states scaled to max 0.05, as the analyze-2d benchmark stores them."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in range(count):
+        a = smooth_field(grid, rng)
+        u = np.stack([smooth_field(grid, rng) for _ in range(grid.dim)])
+        states.append(FieldState(0.05 * a / np.max(np.abs(a)), 0.05 * u / np.max(np.abs(u)), 0.2 * k))
+    return states
+
+
+class TestBandedLyapunov:
+    """The box kernel of the Lyapunov blocks against the full-lattice ``ref_lyapunov``.
+
+    Each case names the shells whose stacked inverse runs on a lattice smaller
+    than the grid, read off the transforms it makes, so the comparison covers
+    the banded path and not only the shells whose box is the whole lattice.
+    """
+
+    @pytest.mark.parametrize("case, banded", [
+        ("1d", {-1, 0, 1, 2, 3}),
+        # (32, 24) on (2 pi, 3 pi): shell 2 reaches the axis-2 Nyquist index and is banded on axis 1 only
+        ("2d-rect", {-1, 0, 1, 2}),
+        ("analyze-2d", {-1, 0, 1, 2}),
+    ])
+    def test_matches_the_full_lattice_reference(self, case, banded, fft_calls):
+        if case == "analyze-2d":
+            grid = make_grid(dim=2, lengths=16 * np.pi, modes=256)
+            params = RieszParams.from_s_star(2, 0.5)
+            state = analyze_2d_states(grid, 31, 1)[0]
+        else:
+            grid = make_grid(dim=1, lengths=2 * np.pi, modes=64) if case == "1d" else \
+                make_grid(dim=2, lengths=(2 * np.pi, 3 * np.pi), modes=(32, 24))
+            params = RieszParams.from_s_star(grid.dim, 0.3, lam=0.8, kappa=1.5)
+            rng = np.random.default_rng(5)
+            a = rng.standard_normal(grid.shape)
+            state = FieldState(0.1 * (a - a.mean()), 0.1 * rng.standard_normal((grid.dim,) + grid.shape))
+        part = build_partition(grid)
+        took_a_box = set()
+        for j in range(max(-1, part.j_min), part.j_max + 1):
+            start = len(fft_calls.log)
+            got = lyapunov_block(grid, state, j, 0.3, part, params)
+            name, shape, n = fft_calls.log[-1]
+            lattice = shape[-2:-1] + (n,) if grid.dim == 2 else (n,)
+            assert name == "irfft" and shape[0] == 1 + grid.dim
+            assert lattice == lyapunov_lattice(grid, part, j)[1]
+            if lattice != grid.modes:
+                took_a_box.add(j)
+            total, quad = ref_lyapunov(grid, state, j, 0.3, part, params)
+            assert got == pytest.approx(total, rel=1e-12)
+            assert lyapunov_equivalence(grid, state, j, 0.3, part, params) == pytest.approx(
+                total / quad, rel=1e-12)
+            del fft_calls.log[start:]
+        assert took_a_box == banded
+
+
 class TestTransformCount:
     """Each diagnostic transforms each input field once, whatever the shell."""
 
@@ -369,6 +452,23 @@ class TestTransformCount:
             counts.append(sum(fft_calls.values()) - before)
         assert fft_calls["fftn"] == fft_calls["ifftn"] == 0
         assert len(set(counts)) == 1
+
+    def test_lyapunov_block_transforms_a_low_shell_on_its_box(self, grid_2d, rng, fft_calls):
+        part = build_partition(grid_2d)
+        st = FieldState(a=rng.standard_normal(grid_2d.shape),
+                        u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
+        (n1, n2), j = grid_2d.modes, 1
+        kept, (m1, m2) = lyapunov_lattice(grid_2d, part, j)
+        assert kept[1] < n2 // 2 and m1 < n1 and m2 < n2
+        lyapunov_block(grid_2d, st, j, 0.25, part, RieszParams(dim=2, alpha=1.0))
+        cols = kept[1] + 1
+        # the column passes of a and u run on the box's K_2 + 1 columns; the one inverse of
+        # [S_(j-1) a, |nabla| u_j] runs on the M_1 x (M_2/2 + 1) half lattice
+        assert fft_calls.log == [
+            ("rfft", (n1, n2), None), ("fft", (n1, cols), None),
+            ("rfft", (2, n1, n2), None), ("fft", (2, n1, cols), None),
+            ("ifft", (3, m1, cols), None), ("irfft", (3, m1, cols), m2),
+        ]
 
 
 class TestDecayFit:

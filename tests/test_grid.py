@@ -515,6 +515,43 @@ class TestBoxTransforms:
         assert max(peaks) <= 2048
 
     @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    def test_support_box_of_the_dealias_mask(self, modes, fraction):
+        g, kept, _, _ = box_case(modes, fraction)
+        assert g._support_box(g.half(g.dealias_mask(fraction))) == kept
+        whole = tuple(n // 2 for n in modes)
+        assert g._support_box(np.ones(g.half_xi_norm.shape)) == whole
+        assert g._support_box(np.zeros(g.half_xi_norm.shape)) == (0,) * g.dim
+
+    @pytest.mark.parametrize("modes, low, shell, coarse", [
+        ((64,), (3,), (6,), (16,)),
+        ((48, 40), (3, 1), (6, 4), (16, 10)),
+        # the shell box reaches the axis-2 Nyquist index: that axis keeps the grid's lattice
+        ((48, 16), (3, 2), (6, 8), (16, 16)),
+    ])
+    def test_coarse_product_sums_to_the_grid_integral(self, modes, low, shell, coarse):
+        """One field on the box ``low`` times two on ``shell``, summed on the alias-free lattice."""
+        g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
+        assert g._product_modes(low, shell, shell) == coarse
+        spectra = g.rfft(np.random.default_rng(1).standard_normal((3,) + g.shape))
+        for f, box in zip(spectra, (low, shell, shell)):
+            inside = np.ones(f.shape, dtype=bool)
+            for ax, (k, n) in enumerate(zip(box, modes)):
+                index = np.arange(f.shape[ax])
+                if ax < g.dim - 1:
+                    index = np.minimum(index, n - index)
+                inside &= (index <= k).reshape((-1,) + (1,) * (g.dim - 1 - ax))
+            f[~inside] = 0
+        fields = g.irfft(spectra)
+        want = g.cell_volume * np.sum(fields[0] * fields[1] * fields[2])
+        samples = g._box_irfft(g._box_gather(spectra, shell), shell, modes=coarse)
+        weight = np.prod([L / m for L, m in zip(g.lengths, coarse)])
+        assert weight * np.sum(samples[0] * samples[1] * samples[2]) == pytest.approx(want, rel=1e-12)
+        # on the grid's own lattice the coarse inverse is the inverse
+        assert bit_equal(g._box_irfft(g._box_gather(spectra, shell), shell, modes=modes), fields)
+        with pytest.raises(ValueError, match="does not fit"):
+            g._box_irfft(g._box_gather(spectra, shell), shell, modes=tuple(2 * k for k in shell))
+
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
     def test_forward_equals_rfftn_on_the_box(self, modes, fraction):
         g, kept, at, rng = box_case(modes, fraction)
         f = rng.standard_normal((5,) + g.shape)
