@@ -247,7 +247,6 @@ KEYS: dict[tuple[str, str], Key] = {
     ("solver", "integrator"): Key(_choice(*INTEGRATORS), "ifrk4", _RUN),
     ("solver", "dealias"): Key(_number, repr(2 / 3), _RUN),
     ("solver", "positivity_floor"): Key(_number, "0.01", _RUN),
-    ("solver", "linear_only"): Key(_boolean, "false", _RUN),
     ("solver", "snapshot_times"): Key(parse_schedule, None, _RUN),
     ("diagnostics", "j1"): Key(_integer, "0", ("simulate",)),
     ("diagnostics", "energy"): Key(_boolean, "true", ("simulate",)),
@@ -339,8 +338,18 @@ def parse_solver_config(cp: configparser.ConfigParser) -> SolverConfig:
 
 
 def parse_preset(cp: configparser.ConfigParser) -> dict:
-    """Initial-data preset keys, validated: the keyword arguments of ``perturbation_presets``."""
-    return {key: get(cp, "preset", key) for section, key in KEYS if section == "preset"}
+    """Initial-data preset keys, validated: the keyword arguments of ``perturbation_presets``.
+
+    Each kind reads ``kind``, ``amplitude`` and its own keys in
+    :data:`~rieszflow.solver.PRESETS`; a key of another kind is refused.
+    """
+    kind = get(cp, "preset", "kind")
+    keys = ("kind", "amplitude") + PRESETS[kind]
+    foreign = [key for key in cp.options("preset") if key not in keys]
+    if foreign:
+        raise ConfigError("; ".join(f"[preset] {key} is not read by kind = {kind} (it reads "
+                                    f"{', '.join(PRESETS[kind])})" for key in foreign))
+    return {key: get(cp, "preset", key) for key in keys}
 
 
 def resolve_run(cp: configparser.ConfigParser,

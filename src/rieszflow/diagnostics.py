@@ -256,10 +256,9 @@ def _lyapunov_kernel(
     ``a_box`` and ``u_box`` are overwritten.
     """
     grid = partition.grid
-    half = grid.half_xi_norm.shape
 
     def box(m: np.ndarray) -> np.ndarray:
-        return grid._box_gather(np.broadcast_to(m, half), kept)
+        return grid._box_symbol(m, kept)
 
     m = box(partition.half_shell(j))
     k = box(grid.half_xi_norm)

@@ -331,6 +331,11 @@ class SpectralGrid:
             out[(Ellipsis,) + b] = x[(Ellipsis,) + h]
         return out
 
+    def _box_symbol(self, m: np.ndarray, kept: tuple[int, ...]) -> np.ndarray:
+        """The box part of half-lattice symbol ``m``; axes it is constant along stay of length 1."""
+        b = self._box_gather(np.broadcast_to(m, m.shape[:-self.dim] + self.half_xi_norm.shape), kept)
+        return np.ascontiguousarray(b[tuple(slice(0, 1) if n == 1 else slice(None) for n in m.shape)])
+
     def _box_scatter(self, box: np.ndarray, kept: tuple[int, ...], out: np.ndarray) -> np.ndarray:
         """Write ``box`` into the box part of half spectra ``out``; the rest is left as it is."""
         for b, h in self._box_index(kept, out.shape[-self.dim]):

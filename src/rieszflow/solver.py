@@ -29,11 +29,13 @@ tendency makes one inverse and one forward transform, the inverse of
 (a, u) (and, in 2D, of the vorticity) and the forward of [a u, |u|^2/2]
 (and, in 2D, of [w u_2, w u_1]).
 
-Two integrators are available: the integrating-factor RK4 scheme of
-Lawson (default) and a first-order exponential Euler cross-check.  The
-exact propagator is a semigroup, E_h = E_{h/2} E_{h/2}, so an RK4 step
-is written with the half-step propagator alone: four propagations by
-h/2 and four nonlinear tendencies per step, and one propagator build
+Three steppers are available, one per entry of :data:`INTEGRATORS`: the
+integrating-factor RK4 scheme of Lawson (default), a first-order
+exponential Euler cross-check, and the exact linear propagator alone
+(``linear``, the nonlinear terms dropped).  The exact propagator is a
+semigroup, E_h = E_{h/2} E_{h/2}, so an RK4 step is written with the
+half-step propagator alone: four propagations by h/2 and four
+nonlinear tendencies per step, and one propagator build
 per run of segments with equal steps.  A segment whose step would differ
 from the previous one only by the rounding of its end points keeps the
 previous step, so equally spaced snapshot times build the propagator
@@ -45,8 +47,9 @@ box part reads only the box part of the state.  A step therefore runs
 the stages on box-sized arrays, with the propagator factors and symbols
 gathered onto the box once per build, and advances every mode outside
 the box by the propagator alone: E_{h/2} E_{h/2} for IFRK4, E_h for
-exponential Euler.  The transforms of a tendency are pruned to the box
-(``SpectralGrid._box_irfft`` and ``_box_rfft``).  In 2D the complex
+exponential Euler (a linear step is E_h on every mode).  The transforms
+of a tendency are pruned to the box (``SpectralGrid._box_irfft`` and
+``_box_rfft``).  In 2D the complex
 transform over the first axis runs on the K_2 + 1 kept columns only;
 the real transform over the last axis runs on every row.  Both equal
 ``irfftn``/``rfftn`` of the masked spectra bit for bit, so no mask
@@ -63,7 +66,8 @@ complex transform over the first axis runs in place in the workspace,
 so a step allocates no state-sized array; what it allocates is NumPy's
 cast buffers for the real propagator factors.  The per-step checks
 transform the density in the workspace too, as a recorded snapshot does
-(whose only fresh array is the snapshot); they test finiteness by the
+(whose only fresh array is the snapshot, its L^2 norms being formed in
+the workspace as well); they test finiteness by the
 minimum and maximum of the density and of the velocity spectra:
 reductions that allocate nothing and that any NaN or infinity reaches.
 The memory of one step is thus reused by the next instead of being
@@ -91,7 +95,7 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _negate_lattice,
-    lp_norm,
+    lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
     state_fields,
 )
 from .spectrum import propagator
@@ -106,8 +110,14 @@ __all__ = [
     "integrate",
 ]
 
-INTEGRATORS = ("ifrk4", "exp-euler")
-PRESETS = ("single-mode", "smooth-bump", "low-frequency-powerlaw")
+#: the steppers a run can take: integrator name -> the ``_Scheme`` method that advances a state
+INTEGRATORS = {"ifrk4": "step_ifrk4", "exp-euler": "step_exp_euler", "linear": "apply_linear"}
+#: initial-data preset kind -> the keywords of ``perturbation_presets`` it reads besides the amplitude
+PRESETS = {
+    "single-mode": ("mode",),
+    "smooth-bump": ("width",),
+    "low-frequency-powerlaw": ("sigma1", "cutoff"),
+}
 
 
 def _check_dealias(fraction: float) -> None:
@@ -120,6 +130,8 @@ def _check_dealias(fraction: float) -> None:
 class SolverConfig:
     """Fixed-step integration settings.
 
+    ``integrator`` names one of the three steppers of :data:`INTEGRATORS`:
+    ``ifrk4``, ``exp-euler`` or ``linear`` (the exact propagator alone).
     ``snapshot_times`` defaults to (0, t_end).  Requested times are hit
     exactly by subdividing each segment into an integer number of steps
     of size at most ``dt``.  A guideline for choosing ``dt`` is
@@ -133,7 +145,6 @@ class SolverConfig:
     dealias: float = 2.0 / 3.0
     snapshot_times: tuple | None = None
     positivity_floor: float = 0.01
-    linear_only: bool = False
 
     def __post_init__(self) -> None:
         if not (0 < self.dt < math.inf):
@@ -141,7 +152,7 @@ class SolverConfig:
         if not (0 <= self.t_end < math.inf):
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
+            raise ValueError(f"integrator must be one of {tuple(INTEGRATORS)}, got {self.integrator!r}")
         _check_dealias(self.dealias)
         if not (0 < self.positivity_floor < 1):
             raise ValueError(f"positivity floor must lie in (0, 1), got {self.positivity_floor}")
@@ -189,7 +200,7 @@ class _Scheme:
     The state is one complex array of shape (1 + dim, *half_shape): the
     half spectra of the density fluctuation and of the velocity components.
     Propagator factors are cached for the one step size in use: IFRK4
-    propagates only by h/2, exponential Euler and linear-only runs by h,
+    propagates only by h/2, exponential Euler and linear runs by h,
     so each segment of a run builds its factors once.
 
     The dealias box is |k_i| <= K_i (``kept``, ``SpectralGrid.dealias_box``),
@@ -220,7 +231,8 @@ class _Scheme:
       the products (5 box spectra); none in 1D;
     - ``_prod``: the products [a u_1, ..., a u_d, |u|^2/2] of
       :meth:`_rhs`, with [w u_2, w u_1] after them in 2D (nprod = 2 or
-      5 physical fields).
+      5 physical fields); between steps, the squares of the L^2 norms
+      of :meth:`diagnostics` (d + 1 fields).
 
     At 2D 256^2 that is about 10.8 MiB, 2.7 of them the stage buffers
     (13.1 MiB with stages over the whole lattice).  The propagator
@@ -247,11 +259,10 @@ class _Scheme:
         _check_dealias(dealias)
         self.kept = grid.dealias_box(dealias)
         d = grid.dim
-        box = self._box_part
-        self.minus_grad = tuple(box(-k) for k in grid.half_grad)
+        self.minus_grad = tuple(grid._box_symbol(-k, self.kept) for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
-        self.ie_box = box(self.ie)
+        self.ie_box = grid._box_symbol(self.ie, self.kept)
         self._factors: dict = {}
         self.builds = 0
 
@@ -267,12 +278,6 @@ class _Scheme:
         # the scratch (m, c, tmp) of the linear update on the box: contiguous
         # box arrays at the start of _spec
         self._box_work = self._spec.reshape(-1)[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
-
-    def _box_part(self, m: np.ndarray) -> np.ndarray:
-        """The box part of a half-lattice symbol; axes it is constant along stay of length 1."""
-        g = self.grid
-        b = g._box_gather(np.broadcast_to(m, m.shape[:-g.dim] + g.half_xi_norm.shape), self.kept)
-        return np.ascontiguousarray(b[tuple(slice(0, 1) if n == 1 else slice(None) for n in m.shape)])
 
     @cached_property
     def _stage(self) -> np.ndarray:
@@ -403,6 +408,28 @@ class _Scheme:
         """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace."""
         return self.grid.irfft(s[0], out=self._fields[0], work=self._spec[0])
 
+    def diagnostics(self, state: FieldState) -> dict:
+        """``t``, ``l2_a``, ``l2_u``, ``min_density`` and ``mean_a`` of a physical state.
+
+        The L^2 norms equal ``lp_norm(grid, ., 2)`` bit for bit: the same
+        operations in its order (|a|, or the root of the sum of u_i u_i;
+        the square; the sum), written into ``_prod``, which is idle
+        between steps, so a record allocates no field.
+        """
+        g, w = self.grid, self._prod
+        mag = np.abs(state.a, out=w[0])
+        sum_a = np.sum(np.square(mag, out=mag))
+        uu = np.multiply(state.u, state.u, out=w[1:1 + g.dim])
+        mag = np.sqrt(np.sum(uu, axis=0, out=w[0]), out=w[0])
+        sum_u = np.sum(np.square(mag, out=mag))
+        return {
+            "t": state.t,
+            "l2_a": float((g.cell_volume * sum_a) ** 0.5),
+            "l2_u": float((g.cell_volume * sum_u) ** 0.5),
+            "min_density": float(1.0 + np.min(state.a)),
+            "mean_a": float(np.mean(state.a)),
+        }
+
     # -- steps ---------------------------------------------------------
 
     def step_exp_euler(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -479,16 +506,6 @@ def linear_step(grid: SpectralGrid, state: FieldState, params: RieszParams, dt: 
     return FieldState(a=fields[0], u=fields[1:], t=state.t + dt)
 
 
-def _basic_diagnostics(grid: SpectralGrid, state: FieldState) -> dict:
-    return {
-        "t": state.t,
-        "l2_a": lp_norm(grid, state.a, 2),
-        "l2_u": lp_norm(grid, state.u, 2),
-        "min_density": float(1.0 + np.min(state.a)),
-        "mean_a": float(np.mean(state.a)),
-    }
-
-
 def integrate(
     grid: SpectralGrid,
     initial: FieldState,
@@ -518,12 +535,7 @@ def integrate(
     s = _state_spectrum(grid, initial)
 
     scheme = _Scheme(grid, params, config.dealias)
-    if config.linear_only:
-        advance = scheme.apply_linear
-    elif config.integrator == "exp-euler":
-        advance = scheme.step_exp_euler
-    else:
-        advance = scheme.step_ifrk4
+    advance = getattr(scheme, INTEGRATORS[config.integrator])
 
     targets = config.snapshot_times
     if targets is None:
@@ -547,7 +559,7 @@ def integrate(
     def record(time: float) -> None:
         fields = grid.irfft(s, work=scheme._spec[:1 + grid.dim])
         st = FieldState(a=fields[0], u=fields[1:], t=time)
-        sink(st, _basic_diagnostics(grid, st))
+        sink(st, scheme.diagnostics(st))
 
     # the velocity spectra as real numbers, a view of the state advanced in place
     u_parts = s[1:].view(np.float64)
@@ -612,7 +624,7 @@ def perturbation_presets(
     The velocity starts at zero in all presets.
     """
     if kind not in PRESETS:
-        raise ValueError(f"unknown preset {kind!r}; choose from {PRESETS}")
+        raise ValueError(f"unknown preset {kind!r}; choose from {tuple(PRESETS)}")
     if not (0 < amplitude < 1):
         raise ValueError(
             f"amplitude must lie in (0, 1) to keep 1 + a positive, got {amplitude}"

@@ -249,7 +249,7 @@ def test_c06_solver_linear_consistency():
     state = FieldState(a=state.a, u=u0[np.newaxis], t=0.0)
 
     times = (1.0, 2.5, 5.0, 10.0)
-    cfg = SolverConfig(dt=0.05, t_end=10.0, snapshot_times=times, linear_only=True)
+    cfg = SolverConfig(dt=0.05, t_end=10.0, snapshot_times=times, integrator="linear")
     traj = integrate(grid, state, params, cfg)
     assert traj.status == "completed"
 
@@ -415,7 +415,7 @@ def test_c10_lyapunov_monotonicity():
     params = RieszParams.from_s_star(1, 0.5)
     state = perturbation_presets("smooth-bump", 1e-3, grid)
     times = tuple(np.linspace(0.0, 5.0, 51))
-    cfg = SolverConfig(dt=0.01, t_end=5.0, snapshot_times=times, linear_only=True)
+    cfg = SolverConfig(dt=0.01, t_end=5.0, snapshot_times=times, integrator="linear")
     traj = integrate(grid, state, params, cfg)
     assert traj.status == "completed"
 

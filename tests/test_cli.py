@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,11 +18,12 @@ from rieszflow import cli, read_snapshot, write_snapshot
 from rieszflow import grid as grid_module
 from rieszflow.cli import main, run_experiment
 from rieszflow.grid import RieszParams, lp_norm, make_grid
-from rieszflow.solver import SolverConfig, integrate, perturbation_presets
+from rieszflow.solver import INTEGRATORS, PRESETS, SolverConfig, integrate, perturbation_presets
 from rieszflow.config import (
     KEYS,
     KINDS,
     REQUIRED,
+    SWEEP_AXES,
     ConfigError,
     ExperimentSpec,
     config_digest,
@@ -104,16 +106,16 @@ class TestConfigHelpers:
             get(cp, "grid", "dim")
 
     def test_bool_parsing(self, tmp_path):
-        cp = load_config(write_cfg(tmp_path, "[solver]\nlinear_only = yes\n[diagnostics]\nenergy = OFF\n"))
-        assert get(cp, "solver", "linear_only") is True
+        cp = load_config(write_cfg(tmp_path, "[diagnostics]\nenergy = OFF\n"))
         assert get(cp, "diagnostics", "energy") is False
-        # the defaults: linear_only false, energy true
-        cp = load_config(write_cfg(tmp_path, "[solver]\n[diagnostics]\n", "defaults.ini"))
-        assert get(cp, "solver", "linear_only") is False
+        cp = load_config(write_cfg(tmp_path, "[diagnostics]\nenergy = yes\n", "yes.ini"))
         assert get(cp, "diagnostics", "energy") is True
-        cp = load_config(write_cfg(tmp_path, "[solver]\nlinear_only = maybe\n", "maybe.ini"))
-        with pytest.raises(ConfigError, match=r"\[solver\] linear_only = 'maybe' is not a boolean"):
-            get(cp, "solver", "linear_only")
+        # the default: energy true
+        cp = load_config(write_cfg(tmp_path, "[diagnostics]\n", "defaults.ini"))
+        assert get(cp, "diagnostics", "energy") is True
+        cp = load_config(write_cfg(tmp_path, "[diagnostics]\nenergy = maybe\n", "maybe.ini"))
+        with pytest.raises(ConfigError, match=r"\[diagnostics\] energy = 'maybe' is not a boolean"):
+            get(cp, "diagnostics", "energy")
 
     def test_choice_rejection(self, tmp_path):
         cp = load_config(write_cfg(tmp_path, "[solver]\nintegrator = rk45\n"))
@@ -812,6 +814,59 @@ class TestKeyTable:
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
 
+class TestDeclaredChoices:
+    """A run reads what its choices declare: the stepper it names, and its preset kind's own keys."""
+
+    def test_linear_run_reports_its_stepper(self, tmp_path):
+        text = SIMULATE_CFG.replace("[solver]\n", "[solver]\nintegrator = linear\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+        _, rows = read_csv_file(out / "summary.csv")
+        assert dict(rows)["integrator"] == "linear"
+
+    def test_linear_only_is_refused_and_keeps_the_previous_run(self, tmp_path, capsys):
+        out = tmp_path / "prev"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG), "--out", out]) == 0
+        before = directory_bytes(out)
+        text = SIMULATE_CFG.replace("[solver]\n", "[solver]\nlinear_only = true\n")
+        cfg = write_cfg(tmp_path, text, "linear_only.ini")
+        for target in (out, tmp_path / "fresh"):
+            assert run_cli(["simulate", "--config", cfg, "--out", target]) == 2
+            assert "config error: [solver] linear_only is not a config key" in capsys.readouterr().err
+        assert directory_bytes(out) == before
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("kind, line", [
+        ("smooth-bump", "mode = 3"),
+        ("smooth-bump", "sigma1 = -1"),
+        ("single-mode", "width = 0.5"),
+        ("low-frequency-powerlaw", "mode = 2"),
+    ])
+    def test_key_of_another_preset_kind_is_refused(self, tmp_path, capsys, kind, line):
+        out = tmp_path / "prev"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG), "--out", out]) == 0
+        before = directory_bytes(out)
+        text = SIMULATE_CFG.replace("kind = smooth-bump", f"kind = {kind}") + line + "\n"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, text, "bad.ini"), "--out", out]) == 2
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [preset] {key} is not read by kind = {kind}"), err
+        assert directory_bytes(out) == before
+
+    @pytest.mark.parametrize("kind", list(PRESETS))
+    def test_each_kind_reads_its_own_keys(self, tmp_path, kind):
+        cp = load_config(write_cfg(tmp_path, f"[preset]\nkind = {kind}\namplitude = 0.1\n"))
+        assert list(parse_preset(cp)) == ["kind", "amplitude", *PRESETS[kind]]
+
+    OWN_KEYS = [(kind, key) for kind, keys in PRESETS.items() for key in keys]
+
+    @pytest.mark.parametrize("kind, key", OWN_KEYS, ids=[f"{k}.{key}" for k, key in OWN_KEYS])
+    def test_malformed_own_key_is_refused(self, tmp_path, kind, key):
+        cp = load_config(write_cfg(tmp_path, f"[preset]\nkind = {kind}\namplitude = 0.1\n{key} = x\n"))
+        with pytest.raises(ConfigError, match=rf"\[preset\] {key} = 'x' is not"):
+            parse_preset(cp)
+
+
 class TestSweepCommand:
     """One-axis parameter sweeps."""
 
@@ -900,6 +955,17 @@ class TestSweepCommand:
         assert "config error: [params] needs exactly one of alpha or s_star" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_key_of_another_preset_kind_in_the_base_runs_no_child(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + "mode = 3\n[sweep]\naxis = amplitude\nvalues = 0.1,0.2\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+        assert ("config error: [preset] mode is not read by kind = smooth-bump"
+                in capsys.readouterr().err)
+        assert calls == [] and list(out.iterdir()) == []
+
     def test_s_star_axis_replaces_a_declared_alpha(self, tmp_path):
         sweep = "[sweep]\naxis = s_star\nvalues = 0.25,0.75\n"
         declared = {}
@@ -962,6 +1028,18 @@ class TestSweepCommand:
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_reference_rows():
+    """The README's config reference table: "`[section] key`" -> its default, read-by and value cells."""
+    text = README.read_text()
+    reference = text[text.index("### Config reference"):text.index("### Artifacts")]
+    rows = {}
+    for line in reference.splitlines():
+        if line.startswith("| `["):
+            name, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[name] = cells
+    return rows
+
+
 @pytest.mark.skipif(not README.is_file(), reason="no README.md next to tests/")
 class TestReadme:
     """The README's config reference and example config agree with the code."""
@@ -984,6 +1062,22 @@ class TestReadme:
                 assert default and default != "required", key
             else:
                 assert default.startswith(f"`{row.default}`"), key
+
+    @pytest.mark.parametrize("name, choices", [
+        ("[solver] integrator", INTEGRATORS),
+        ("[preset] kind", PRESETS),
+        ("[sweep] axis", SWEEP_AXES),
+    ])
+    def test_choice_rows_name_the_table_choices(self, name, choices):
+        value = readme_reference_rows()[f"`{name}`"][2]
+        assert re.findall(r"`([^`]+)`", value) == list(choices), value
+
+    def test_preset_rows_name_the_kinds_that_read_them(self):
+        rows = readme_reference_rows()
+        for key in {key for keys in PRESETS.values() for key in keys}:
+            readers = [kind for kind, keys in PRESETS.items() if key in keys]
+            value = rows[f"`[preset] {key}`"][2]
+            assert re.findall(r"`([^`]+)`", value) == readers, value
 
     def test_example_simulate_config_runs(self, tmp_path):
         text = README.read_text()

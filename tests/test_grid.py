@@ -471,6 +471,17 @@ class TestBoxTransforms:
         assert bit_equal(back, np.where(mask, s, 0))
 
     @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    def test_box_symbol_keeps_constant_axes(self, modes, fraction):
+        g, kept, at, _ = box_case(modes, fraction)
+        box_shape = g._box_shape(kept)
+        for m in (*g.half_grad, g.half_xi_norm, 1j * np.stack(g.half_xi_unit)):
+            b = g._box_symbol(m, kept)
+            assert b.flags.c_contiguous
+            assert b.shape == tuple(1 if n == 1 else k for n, k in zip(m.shape, m.shape[:-g.dim] + box_shape))
+            full = np.broadcast_to(m, m.shape[:-g.dim] + g.half_xi_norm.shape)
+            assert bit_equal(np.broadcast_to(b, full[(Ellipsis,) + at].shape), full[(Ellipsis,) + at])
+
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
     def test_inverse_equals_irfftn_of_the_masked_spectra(self, modes, fraction):
         g, kept, at, rng = box_case(modes, fraction)
         s = g.rfft(rng.standard_normal((4,) + g.shape))

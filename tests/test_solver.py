@@ -206,7 +206,7 @@ class TestLinearPropagation:
         p = RieszParams.from_s_star(1, 0.5)
         a0 = 0.1 * smooth_field(g, rng)
         u0 = 0.1 * smooth_vector(g, rng)
-        cfg = SolverConfig(dt=0.37, t_end=3.0, linear_only=True)
+        cfg = SolverConfig(dt=0.37, t_end=3.0, integrator="linear")
         tr = integrate(g, FieldState(a=a0, u=u0, t=0.0), p, cfg)
         ref = linear_step(g, FieldState(a=a0, u=u0, t=0.0), p, 3.0)
         assert tr.status == "completed"
@@ -217,7 +217,7 @@ class TestLinearPropagation:
         p = RieszParams(dim=2, alpha=1.0)
         a0 = 0.1 * smooth_field(grid_2d, rng)
         u0 = 0.1 * smooth_vector(grid_2d, rng)
-        cfg = SolverConfig(dt=0.25, t_end=2.0, linear_only=True)
+        cfg = SolverConfig(dt=0.25, t_end=2.0, integrator="linear")
         tr = integrate(grid_2d, FieldState(a=a0, u=u0, t=0.0), p, cfg)
         ref = linear_step(grid_2d, FieldState(a=a0, u=u0, t=0.0), p, 2.0)
         for got, want in ((tr.snapshots[-1].a, ref.a), (tr.snapshots[-1].u[0], ref.u[0])):
@@ -300,22 +300,13 @@ class TestIntegrate:
         assert np.all(orders > 0.7) and np.all(orders < 1.3)
         assert errs[-1] < 5e-3
 
-    def test_integrators_agree_on_linear_runs(self, grid_1d, rng):
-        p = RieszParams.from_s_star(1, 0.5)
-        st = FieldState(a=0.1 * smooth_field(grid_1d, rng), u=np.zeros((1,) + grid_1d.shape), t=0.0)
-        outs = []
-        for method in ("ifrk4", "exp-euler"):
-            cfg = SolverConfig(dt=0.2, t_end=2.0, integrator=method, linear_only=True)
-            outs.append(integrate(grid_1d, st, p, cfg).snapshots[-1].a)
-        assert np.max(np.abs(outs[0] - outs[1])) < 1e-14
-
     def test_positivity_violation_detected(self):
         g = make_grid(dim=1, lengths=2.0 * np.pi, modes=128)
         p = RieszParams.from_s_star(1, 0.5)
         x = g.coordinates()[0]
         # velocity-only data: the coupling transfers it into a density transient
         st = FieldState(a=np.zeros(g.shape), u=(3.0 * np.sin(x))[None, :], t=0.0)
-        cfg = SolverConfig(dt=0.05, t_end=5.0, linear_only=True, positivity_floor=0.5)
+        cfg = SolverConfig(dt=0.05, t_end=5.0, integrator="linear", positivity_floor=0.5)
         tr = integrate(g, st, p, cfg)
         assert tr.status == "positivity_violation"
         assert 0.0 < tr.abort_time < 5.0
@@ -385,14 +376,13 @@ class TestFactorCache:
 
         monkeypatch.setattr(solver, "_Scheme", Recorded)
         monkeypatch.setattr(solver, "propagator", counted)
-        # (integrator, linear_only, propagated fraction of the step): IFRK4
-        # propagates by h/2 only, exponential Euler and linear-only runs by h
-        for integrator, linear_only, fraction in [("ifrk4", False, 0.5), ("exp-euler", False, 1.0),
-                                                  ("ifrk4", True, 1.0)]:
+        # (integrator, propagated fraction of the step): IFRK4 propagates
+        # by h/2 only, exponential Euler and linear runs by h
+        for integrator, fraction in [("ifrk4", 0.5), ("exp-euler", 1.0), ("linear", 1.0)]:
             schemes.clear()
             builds.clear()
             cfg = SolverConfig(dt=0.05, t_end=4.0, snapshot_times=tuple(float(t) for t in times),
-                               integrator=integrator, linear_only=linear_only)
+                               integrator=integrator)
             traj = integrate(g, st, p, cfg)
             assert traj.status == "completed"
 
@@ -863,7 +853,7 @@ WORKSPACE_CASES = [
 PATHS = {
     "ifrk4": (dict(integrator="ifrk4"), "step_ifrk4"),
     "exp-euler": (dict(integrator="exp-euler"), "step_exp_euler"),
-    "linear_only": (dict(linear_only=True), "apply_linear"),
+    "linear": (dict(integrator="linear"), "apply_linear"),
 }
 
 
@@ -1043,6 +1033,46 @@ class TestKeptBox:
             step(projected, 0.05, out=projected)
             assert bit_equal(s[:, mask], projected[:, mask])
         assert np.all(projected[:, ~mask] == 0)
+
+
+class TestRecordDiagnostics:
+    """A record's L^2 norms are ``lp_norm``'s, formed in the solver workspace."""
+
+    @pytest.mark.parametrize("integrator", list(solver.INTEGRATORS))
+    @pytest.mark.parametrize("dim, modes", [(1, (4096,)), (2, (64, 64)), (2, (16, 24))])
+    def test_norms_equal_lp_norm(self, dim, modes, integrator):
+        g = make_grid(dim=dim, lengths=(2.0 * np.pi,) * dim, modes=modes)
+        p = RieszParams.from_s_star(dim, 0.4)
+        rng = np.random.default_rng(7)
+        st = FieldState(a=0.2 * smooth_field(g, rng), u=0.2 * smooth_vector(g, rng), t=0.0)
+        cfg = SolverConfig(dt=0.05, t_end=0.1, snapshot_times=(0.0, 0.05, 0.1), integrator=integrator)
+        traj = integrate(g, st, p, cfg)
+        assert len(traj.diagnostics) == 3
+        for snap, diag in zip(traj.snapshots, traj.diagnostics):
+            assert diag["t"] == snap.t
+            assert diag["l2_a"] == lp_norm(g, snap.a, 2)
+            assert diag["l2_u"] == lp_norm(g, snap.u, 2)
+            assert diag["min_density"] == float(1.0 + np.min(snap.a))
+            assert diag["mean_a"] == float(np.mean(snap.a))
+
+    def test_traced_peak_of_a_record_s_diagnostics(self):
+        g = make_grid(dim=2, lengths=16 * np.pi, modes=64)
+        rng = np.random.default_rng(8)
+        st = FieldState(a=0.05 * smooth_field(g, rng), u=0.05 * smooth_vector(g, rng), t=0.0)
+        sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.5))
+        tracemalloc.start()
+        try:
+            sc.diagnostics(st)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            sc.diagnostics(st)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the norms' squares go into the product buffers, so what is left is
+        # the dict and its scalars (1,336 B here); lp_norm's temporaries for
+        # the two norms would be 99,440 B
+        assert peak <= 2048
 
 
 class TestStepAllocation:
