@@ -1,4 +1,4 @@
-"""Command-line harness: presets, run orchestration, artifact emission.
+"""Command-line harness: run orchestration, artifact emission.
 
 Subcommands
 -----------
@@ -54,7 +54,7 @@ from .littlewood_paley import (
     verify_wu_lower_bound,
 )
 from .snapshots import write_snapshot
-from .solver import integrate, perturbation_presets
+from .solver import integrate
 from .spectrum import asymptotic_check, dissipative_constant, eigenvalues, linear_decay_quadrature
 
 __all__ = ["main", "run_experiment"]
@@ -262,8 +262,7 @@ def _partition_and_j1(cp, grid: SpectralGrid, needed: bool = True):
 def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
                  workers: int) -> None:
     """Write each snapshot and its diagnostics as the run reaches it; no state is kept."""
-    params, solver_cfg, preset = resolve_run(cp, grid)
-    state0 = perturbation_presets(grid=grid, seed=spec.seed, **preset)
+    params, solver_cfg, state0 = resolve_run(cp, grid, spec.seed)
     want_energy = get(cp, "diagnostics", "energy")
     specs = get(cp, "diagnostics", "besov") or [
         BesovSpec(grid.dim / 2.0 - 1.0, 2, 1, "low"),
@@ -450,11 +449,11 @@ def _child_seed(base: int, index: int) -> int:
 
 def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
     """Run one child config on ``grid``; the row of its final state, with energy components if asked."""
-    params, solver_cfg, preset = resolve_run(cp, grid)
+    params, solver_cfg, state0 = resolve_run(cp, grid, seed)
     if energy:
         partition, j1 = _partition_and_j1(cp, grid)
     last = {}
-    traj = integrate(grid, perturbation_presets(grid=grid, seed=seed, **preset), params, solver_cfg,
+    traj = integrate(grid, state0, params, solver_cfg,
                      sink=lambda st, diag: last.update(final=st, diag=diag))
     row = {"status": traj.status}
     if last:
@@ -472,7 +471,7 @@ def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWrit
     axis = get(cp, "sweep", "axis")
     section, key, parse_values = SWEEP_AXES[axis]
     values = parse_values(get(cp, "sweep", "values"), what="[sweep] values")
-    resolve_run(cp, grid)  # a broken base config stops the sweep before any child runs
+    resolve_run(cp, grid, spec.seed)  # a broken base config stops the sweep before any child runs
 
     def child(iv):
         index, value = iv

@@ -25,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import RieszParams, SpectralGrid, make_grid
+from .grid import FieldState, RieszParams, SpectralGrid, make_grid
 from .littlewood_paley import BesovSpec, check_wu_range
-from .solver import INTEGRATORS, PRESETS, SolverConfig
+from .solver import INTEGRATORS, PRESETS, SolverConfig, perturbation_presets
 
 __all__ = [
     "ConfigError",
@@ -78,7 +78,8 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names "", so [DEFAULT] is an ordinary section, which check_keys refuses
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh, source=str(path))
@@ -236,12 +237,10 @@ KEYS: dict[tuple[str, str], Key] = {
     ("params", "kappa"): Key(_number, "1.0", _RUN),
     ("params", "rho_bar"): Key(_number, "1.0", _RUN),
     ("preset", "kind"): Key(_choice(*PRESETS), REQUIRED, _RUN),
-    ("preset", "amplitude"): Key(_ranged(_number, lambda a: 0.0 < a < 1.0, "lie in (0, 1)"),
-                                 REQUIRED, _RUN),
-    ("preset", "sigma1"): Key(_number, "-0.5", _RUN),
-    ("preset", "cutoff"): Key(_number, "1.0", _RUN),
-    ("preset", "mode"): Key(_integer, "1", _RUN),
-    ("preset", "width"): Key(_number, "0.25", _RUN),
+    ("preset", "amplitude"): Key(_number, REQUIRED, _RUN),
+    # each kind's own keys, typed and defaulted by their defaults in PRESETS
+    **{("preset", key): Key(_integer if isinstance(default, int) else _number, repr(default), _RUN)
+       for keys in PRESETS.values() for key, default in keys.items()},
     ("solver", "dt"): Key(_number, REQUIRED, _RUN),
     ("solver", "t_end"): Key(_number, REQUIRED, _RUN),
     ("solver", "integrator"): Key(_choice(*INTEGRATORS), "ifrk4", _RUN),
@@ -338,24 +337,24 @@ def parse_solver_config(cp: configparser.ConfigParser) -> SolverConfig:
 
 
 def parse_preset(cp: configparser.ConfigParser) -> dict:
-    """Initial-data preset keys, validated: the keyword arguments of ``perturbation_presets``.
+    """The keywords of ``perturbation_presets``, each read through :data:`KEYS`.
 
-    Each kind reads ``kind``, ``amplitude`` and its own keys in
-    :data:`~rieszflow.solver.PRESETS`; a key of another kind is refused.
+    ``kind``, ``amplitude``, the kind's own keys in :data:`~rieszflow.solver.PRESETS`
+    and any other ``[preset]`` key given, for ``perturbation_presets`` to refuse.
     """
-    kind = get(cp, "preset", "kind")
-    keys = ("kind", "amplitude") + PRESETS[kind]
-    foreign = [key for key in cp.options("preset") if key not in keys]
-    if foreign:
-        raise ConfigError("; ".join(f"[preset] {key} is not read by kind = {kind} (it reads "
-                                    f"{', '.join(PRESETS[kind])})" for key in foreign))
+    keys = dict.fromkeys(["kind", "amplitude", *PRESETS[get(cp, "preset", "kind")],
+                          *cp.options("preset")])
     return {key: get(cp, "preset", key) for key in keys}
 
 
-def resolve_run(cp: configparser.ConfigParser,
-                grid: SpectralGrid) -> tuple[RieszParams, SolverConfig, dict]:
-    """Params, solver config and initial-data preset of a run on ``grid``."""
-    return parse_params(cp, grid.dim), parse_solver_config(cp), parse_preset(cp)
+def resolve_run(cp: configparser.ConfigParser, grid: SpectralGrid,
+                seed: int) -> tuple[RieszParams, SolverConfig, FieldState]:
+    """Params, solver config and initial state of a run on ``grid``, its preset drawn with ``seed``."""
+    params, config, preset = parse_params(cp, grid.dim), parse_solver_config(cp), parse_preset(cp)
+    try:
+        return params, config, perturbation_presets(grid=grid, seed=seed, **preset)
+    except ValueError as exc:
+        raise ConfigError(f"[preset] {exc}") from exc
 
 
 def override(cp: configparser.ConfigParser, section: str, key: str,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpectralGrid, frac_lambda, lp_norm, spectral_power
+from .grid import SpectralGrid, lp_norm, spectral_power
 
 __all__ = [
     "CHI_INNER",
@@ -335,9 +335,10 @@ def chemin_lerner_norm(
     return _sequence_norm(np.asarray(weighted), spec.r)
 
 
-def _check_shell_support(partition: LPPartition, f: np.ndarray, j: int, what: str) -> None:
+def _shell_spectrum(partition: LPPartition, f: np.ndarray, j: int, what: str) -> np.ndarray:
     grid = partition.grid
-    power = spectral_power(grid, grid.rfft(f))
+    fhat = grid.rfft(f)
+    power = spectral_power(grid, fhat)
     k = grid.half_xi_norm
     inside = (k >= SHELL_INNER * 2.0**j) & (k <= SHELL_OUTER * 2.0**j)
     total = float(np.sum(power))
@@ -349,6 +350,7 @@ def _check_shell_support(partition: LPPartition, f: np.ndarray, j: int, what: st
             f"{what}: spectral support leaks outside shell {j} "
             f"(relative mass {outside / total:.3e})"
         )
+    return fhat
 
 
 def verify_bernstein(
@@ -369,12 +371,12 @@ def verify_bernstein(
         raise ValueError(f"need q >= p, got p={p}, q={q}")
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
-    _check_shell_support(partition, f, j, "verify_bernstein")
+    fhat = _shell_spectrum(partition, f, j, "verify_bernstein")
     grid = partition.grid
     d = grid.dim
     inv_p = 0.0 if p == np.inf else 1.0 / p
     inv_q = 0.0 if q == np.inf else 1.0 / q
-    deriv = frac_lambda(grid, f, k) if k > 0 else np.asarray(f, dtype=float)
+    deriv = grid.irfft(grid.half_xi_norm**k * fhat) if k > 0 else np.asarray(f, dtype=float)
     num = lp_norm(grid, deriv, q)
     den = 2.0 ** (j * (k + d * (inv_p - inv_q))) * lp_norm(grid, f, p)
     return num / den
@@ -403,9 +405,9 @@ def verify_wu_lower_bound(
     0 <= alpha_w <= 1 (positivity).
     """
     check_wu_range(p, alpha_w)
-    _check_shell_support(partition, f, j, "verify_wu_lower_bound")
+    fhat = _shell_spectrum(partition, f, j, "verify_wu_lower_bound")
     grid = partition.grid
     f = np.asarray(f, dtype=float)
-    lap = frac_lambda(grid, f, 2.0 * alpha_w)
+    lap = grid.irfft(grid.half_xi_norm ** (2.0 * alpha_w) * fhat) if alpha_w > 0 else f
     dissipation = grid.cell_volume * float(np.sum(np.abs(f) ** (p - 2) * f * lap))
     return dissipation / (2.0 ** (2.0 * alpha_w * j) * lp_norm(grid, f, p) ** p)

@@ -112,11 +112,11 @@ __all__ = [
 
 #: the steppers a run can take: integrator name -> the ``_Scheme`` method that advances a state
 INTEGRATORS = {"ifrk4": "step_ifrk4", "exp-euler": "step_exp_euler", "linear": "apply_linear"}
-#: initial-data preset kind -> the keywords of ``perturbation_presets`` it reads besides the amplitude
+#: initial-data preset kind -> the keywords of ``perturbation_presets`` it reads and their defaults
 PRESETS = {
-    "single-mode": ("mode",),
-    "smooth-bump": ("width",),
-    "low-frequency-powerlaw": ("sigma1", "cutoff"),
+    "single-mode": {"mode": 1},
+    "smooth-bump": {"width": 0.25},
+    "low-frequency-powerlaw": {"sigma1": -0.5, "cutoff": 1.0},
 }
 
 
@@ -605,11 +605,8 @@ def perturbation_presets(
     amplitude: float,
     grid: SpectralGrid,
     *,
-    sigma1: float | None = None,
-    cutoff: float = 1.0,
-    mode: int = 1,
-    width: float = 0.25,
     seed: int = 0,
+    **keys,
 ) -> FieldState:
     """Mean-zero initial data families, normalized to ||a||_inf = amplitude.
 
@@ -621,16 +618,22 @@ def perturbation_presets(
     to |xi|^(-sigma1 - d/2) on 0 < |xi| <= cutoff, a sharp realization
     of a flat low-frequency shell profile at regularity sigma1.
 
-    The velocity starts at zero in all presets.
+    The velocity starts at zero in all presets.  ``keys`` default to
+    the kind's entry in :data:`PRESETS`; another kind's are refused.
     """
     if kind not in PRESETS:
         raise ValueError(f"unknown preset {kind!r}; choose from {tuple(PRESETS)}")
-    if not (0 < amplitude < 1):
-        raise ValueError(
-            f"amplitude must lie in (0, 1) to keep 1 + a positive, got {amplitude}"
-        )
+    reads = PRESETS[kind]
+    foreign = [key for key in keys if key not in reads]
+    if foreign:
+        raise ValueError("; ".join(f"{key} is not read by kind = {kind} (it reads {', '.join(reads)})"
+                                   for key in foreign))
+    keys = {**reads, **keys}
+    if not (0 < amplitude < 1):  # so 1 + a stays positive
+        raise ValueError(f"amplitude must lie in (0, 1), got {amplitude}")
     coords = grid.coordinates()
     if kind == "single-mode":
+        mode = keys["mode"]
         if not (1 <= mode <= grid.dealias_box()[0]):
             raise ValueError(f"mode must stay below the dealias cutoff (3 mode < N_1), got {mode}")
         k = 2.0 * np.pi * mode / grid.lengths[0]
@@ -638,8 +641,9 @@ def perturbation_presets(
         if grid.dim == 2:
             a = np.broadcast_to(a, grid.shape).copy()
     elif kind == "smooth-bump":
+        width = keys["width"]
         if not (0 < width <= 1):
-            raise ValueError(f"relative width must lie in (0, 1], got {width}")
+            raise ValueError(f"width must lie in (0, 1], got {width}")
         g = np.ones(grid.shape)
         for i in range(grid.dim):
             L = grid.lengths[i]
@@ -647,10 +651,9 @@ def perturbation_presets(
         g = g - float(np.mean(g))
         a = amplitude * g / float(np.max(np.abs(g)))
     else:
-        if sigma1 is None:
-            raise ValueError("the low-frequency-powerlaw preset requires sigma1")
+        sigma1, cutoff = keys["sigma1"], keys["cutoff"]
         if cutoff <= grid.min_nonzero_wavenumber():
-            raise ValueError("cutoff excludes every nonzero lattice wavenumber")
+            raise ValueError(f"cutoff excludes every nonzero lattice wavenumber, got {cutoff}")
         rng = np.random.default_rng(seed)
         # random phases psi(-xi) = -psi(xi), zero at self-conjugate points
         theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)

@@ -211,9 +211,9 @@ class TestSectionParsers:
             parse_solver_config(cp)
 
     def test_preset_validation(self, tmp_path):
-        cp = load_config(write_cfg(tmp_path, "[preset]\nkind = smooth-bump\namplitude = 1.2\n"))
-        with pytest.raises(ConfigError, match="amplitude"):
-            parse_preset(cp)
+        cp = load_config(write_cfg(tmp_path, SIMULATE_CFG.replace("amplitude = 0.1", "amplitude = 1.2")))
+        with pytest.raises(ConfigError, match=r"^\[preset\] amplitude must lie in \(0, 1\), got 1.2$"):
+            resolve_run(cp, parse_grid(cp), 0)
 
     def test_experiment_spec_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown experiment kind"):
@@ -550,8 +550,8 @@ class TestStreamedSimulate:
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
         cp = load_config(cfg)
         grid = parse_grid(cp)
-        params, solver_cfg, preset = resolve_run(cp, grid)
-        traj = integrate(grid, perturbation_presets(grid=grid, seed=4, **preset), params, solver_cfg)
+        params, solver_cfg, state0 = resolve_run(cp, grid, 4)
+        traj = integrate(grid, state0, params, solver_cfg)
         assert len(traj.snapshots) == 6
         assert sorted(p.name for p in out.glob("snap_*.bin")) == [f"snap_{i:04d}.bin" for i in range(6)]
         for i, state in enumerate(traj.snapshots):
@@ -689,6 +689,28 @@ class TestOutOfRangeValues:
         # lp-inspect refuses alpha_w before it draws a sample
         assert drawn == []
 
+    @pytest.mark.parametrize("kind, line, refusal", [
+        ("smooth-bump", "width = 2", "[preset] width must lie in (0, 1], got 2.0"),
+        ("single-mode", "mode = 200", "[preset] mode must stay below the dealias cutoff"),
+        ("low-frequency-powerlaw", "cutoff = 0.1", "[preset] cutoff excludes every nonzero"),
+    ], ids=["width", "mode", "cutoff"])
+    def test_preset_value_refused_by_the_library(self, tmp_path, capsys, monkeypatch, kind, line,
+                                                 refusal):
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        out = tmp_path / "prev"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, SIMULATE_CFG), "--out", out]) == 0
+        before, calls[:] = directory_bytes(out), []
+        text = SIMULATE_CFG.replace("kind = smooth-bump", f"kind = {kind}") + line + "\n"
+        cfg = write_cfg(tmp_path, text, "bad.ini")
+        for target in (out, tmp_path / "fresh"):
+            assert run_cli(["simulate", "--config", cfg, "--out", target]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {refusal}"), err
+        assert calls == []
+        assert directory_bytes(out) == before
+        assert list((tmp_path / "fresh").iterdir()) == []
+
 
 #: a valid config of each command
 BASE_CFGS = {
@@ -808,6 +830,17 @@ class TestKeyTable:
                       "[solvr] dt is not a config key"):
             assert named in err, err
         assert list(out.iterdir()) == []
+
+    def test_default_section_is_refused_by_name(self, tmp_path, capsys):
+        # configparser would spread [DEFAULT] keys into every section
+        cfg = write_cfg(tmp_path, "[DEFAULT]\nwidth = 0.5\n" + SIMULATE_CFG)
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: [DEFAULT] is not a config section; "
+                       "[DEFAULT] width is not a config key\n"), err
+        assert not (tmp_path / "out").exists()
+        # nor does get() read [DEFAULT] keys as those of another section
+        assert get(load_config(cfg), "preset", "width") == 0.25
 
     def test_simulate_2d_config_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, SIMULATE_2D_CFG)
@@ -966,6 +999,26 @@ class TestSweepCommand:
                 in capsys.readouterr().err)
         assert calls == [] and list(out.iterdir()) == []
 
+    def test_out_of_range_preset_in_the_base_runs_no_child(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        cfg = write_cfg(tmp_path, self.SWEEP_BASE + "width = 2\n[sweep]\naxis = amplitude\nvalues = 0.1,0.2\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: [preset] width must lie in (0, 1], got 2.0\n"
+        assert calls == [] and list(out.iterdir()) == []
+
+    def test_child_whose_preset_is_refused_is_an_error_row(self, tmp_path):
+        # mode 10 fits the base grid's box (3 * 10 < 64) but not a 16-mode child's
+        base = self.SWEEP_BASE.replace("kind = smooth-bump", "kind = single-mode") + "mode = 10\n"
+        cfg = write_cfg(tmp_path, base + "[sweep]\naxis = grid\nvalues = 64,16\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+        cols, rows = read_csv_file(out / "sweep.csv")
+        status = {r[0]: r[cols.index("status")] for r in rows}
+        assert status == {"64": "completed", "16": "error: [preset] mode must stay below the dealias "
+                                                  "cutoff (3 mode < N_1), got 10"}
+
     def test_s_star_axis_replaces_a_declared_alpha(self, tmp_path):
         sweep = "[sweep]\naxis = s_star\nvalues = 0.25,0.75\n"
         declared = {}
@@ -1078,6 +1131,20 @@ class TestReadme:
             readers = [kind for kind, keys in PRESETS.items() if key in keys]
             value = rows[f"`[preset] {key}`"][2]
             assert re.findall(r"`([^`]+)`", value) == readers, value
+
+    def test_library_quick_start_runs(self, capsys):
+        text = README.read_text()
+        section = text[text.index("## Library quick start"):text.index("## Command line")]
+        run, sink = re.findall(r"```python\n(.*?)```", section, re.S)
+        namespace = {}
+        exec(run, namespace)
+        stats = namespace["traj"].stats
+        assert (stats.steps, len(stats.step_sizes), stats.propagator_builds) == (414, 33, 33)
+        assert f"steps={stats.steps}," in capsys.readouterr().out
+        exec(sink, namespace)
+        # a sink of one's own: the trajectory keeps no snapshot
+        assert namespace["traj"].snapshots == [] and namespace["traj"].diagnostics == []
+        assert len(namespace["peaks"]) == 33
 
     def test_example_simulate_config_runs(self, tmp_path):
         text = README.read_text()

@@ -12,6 +12,7 @@ from rieszflow import (
     chi_profile,
     decompose,
     dyadic_block,
+    frac_lambda,
     low_pass,
     lp_norm,
     make_grid,
@@ -288,6 +289,29 @@ class TestTransformCount:
         shells = len(part.js)
         assert {name: n for name, n in fft_calls.items() if n} == {"rfft": 1, "fft": 1, "ifft": shells,
                                                                    "irfft": shells}
+
+    @pytest.mark.parametrize("check, order", [
+        ("bernstein", 1.0), ("bernstein", 0.0), ("wu", 0.5), ("wu", 0.0),
+    ])
+    def test_inequality_check_transforms_its_field_once(self, grid_2d, rng, fft_calls, check, order):
+        part, j, p = build_partition(grid_2d), 2, 2
+        f = shell_mode(grid_2d, j, rng)
+        before = dict(fft_calls)
+        ratio = (verify_bernstein(part, f, j, order, p, p) if check == "bernstein"
+                 else verify_wu_lower_bound(part, f, j, p, order))
+        calls = {name: n - before[name] for name, n in fft_calls.items() if n != before[name]}
+        # one forward transform, shared by the support check and the operator; at order 0
+        # the operator is the identity and takes no inverse
+        assert calls == {"rfft": 1, "fft": 1, **({"ifft": 1, "irfft": 1} if order > 0 else {})}
+        # bit for bit the ratio through frac_lambda's own round trip
+        if check == "bernstein":
+            expected = lp_norm(grid_2d, frac_lambda(grid_2d, f, order), p) / (
+                2.0 ** (j * order) * lp_norm(grid_2d, f, p))
+        else:
+            lap = frac_lambda(grid_2d, f, 2.0 * order)
+            expected = grid_2d.cell_volume * float(np.sum(np.abs(f) ** (p - 2) * f * lap)) / (
+                2.0 ** (2.0 * order * j) * lp_norm(grid_2d, f, p) ** p)
+        assert ratio == expected
 
 
 class TestBernstein:

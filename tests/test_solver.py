@@ -86,8 +86,8 @@ class TestPresets:
 
     def test_all_presets_normalized_and_mean_zero(self, rng):
         g = make_grid(dim=1, lengths=8.0 * np.pi, modes=256)
-        for kind in ("single-mode", "smooth-bump", "low-frequency-powerlaw"):
-            st = perturbation_presets(kind, 0.05, g, sigma1=-0.5)
+        for kind in solver.PRESETS:
+            st = perturbation_presets(kind, 0.05, g)
             assert np.max(np.abs(st.a)) == pytest.approx(0.05, rel=1e-12)
             assert abs(np.mean(st.a)) < 1e-16
             assert st.a.dtype == np.float64
@@ -128,10 +128,38 @@ class TestPresets:
             perturbation_presets("single-mode", 1.5, g)
         with pytest.raises(ValueError, match="dealias cutoff"):
             perturbation_presets("single-mode", 0.1, g, mode=30)
-        with pytest.raises(ValueError, match="requires sigma1"):
-            perturbation_presets("low-frequency-powerlaw", 0.1, g)
-        with pytest.raises(ValueError, match="cutoff excludes"):
+        with pytest.raises(ValueError, match="^width must lie in"):
+            perturbation_presets("smooth-bump", 0.1, g, width=2.0)
+        with pytest.raises(ValueError, match="^cutoff excludes"):
             perturbation_presets("low-frequency-powerlaw", 0.1, g, sigma1=-0.5, cutoff=0.5)
+
+    @pytest.mark.parametrize("kind, key", [
+        ("smooth-bump", "mode"), ("smooth-bump", "sigma1"), ("single-mode", "width"),
+        ("low-frequency-powerlaw", "mode"),
+    ])
+    def test_keyword_of_another_kind_is_refused(self, kind, key):
+        g = make_grid(dim=1, lengths=8.0 * np.pi, modes=64)
+        reads = ", ".join(solver.PRESETS[kind])
+        with pytest.raises(ValueError, match=rf"^{key} is not read by kind = {kind} \(it reads {reads}\)$"):
+            perturbation_presets(kind, 0.1, g, **{key: 3})
+
+    def test_every_keyword_of_another_kind_is_named(self):
+        g = make_grid(dim=1, lengths=8.0 * np.pi, modes=64)
+        with pytest.raises(ValueError, match=r"^mode is not read by kind = smooth-bump \(it reads width\); "
+                                             r"sigma1 is not read by kind = smooth-bump"):
+            perturbation_presets("smooth-bump", 0.1, g, mode=3, sigma1=-1.0)
+
+    @pytest.mark.parametrize("kind", list(solver.PRESETS))
+    def test_defaults_come_from_the_table(self, kind):
+        g = make_grid(dim=2, lengths=8.0 * np.pi, modes=32)
+        a = perturbation_presets(kind, 0.1, g, seed=5).a
+        assert a.tobytes() == perturbation_presets(kind, 0.1, g, seed=5, **solver.PRESETS[kind]).a.tobytes()
+
+    def test_powerlaw_default_sigma1(self):
+        g = make_grid(dim=1, lengths=8.0 * np.pi, modes=128)
+        a = perturbation_presets("low-frequency-powerlaw", 0.1, g, seed=7).a
+        assert a.tobytes() == perturbation_presets("low-frequency-powerlaw", 0.1, g, sigma1=-0.5,
+                                                   seed=7).a.tobytes()
 
 
 class TestNonlinearTendency:
