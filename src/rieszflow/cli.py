@@ -8,11 +8,11 @@ decay-verify    quadrature decay curves and fitted slopes
 lp-inspect      partition-of-unity report and inequality bracket tables
 sweep           repeat simulate, each child overriding one config key
 
-Every run reads one INI config (see :mod:`rieszflow.config`), writes its
-artifacts under ``--out``, and finishes with a ``manifest.json`` listing
-each produced file with its sha256.  Outputs are bit-identical for
-identical (config, seed): artifacts carry no timestamps and all floats
-are printed with shortest round-trip repr.
+Every run reads one INI config (see :mod:`rieszflow.config`) once, writes
+its artifacts under ``--out``, and finishes with a ``manifest.json``
+listing each produced file with its sha256.  Outputs are bit-identical
+for identical (config, seed): artifacts carry no timestamps, all floats
+are printed with shortest round-trip repr, and text is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -25,20 +25,20 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import (
+    KEYS,
     KINDS,
     SWEEP_AXES,
     ConfigError,
-    ExperimentSpec,
     check_keys,
-    config_digest,
     get,
-    load_config,
     override,
     parse_grid,
+    read_config,
     resolve_run,
 )
 from .diagnostics import energy_functionals, fit_decay
@@ -72,10 +72,20 @@ def _fmt(v) -> str:
 MANIFEST = "manifest.json"
 
 
+class Provenance(NamedTuple):
+    """What every artifact of a run names: experiment, kind, seed, config digest and grid."""
+
+    name: str
+    kind: str
+    seed: int
+    digest: str
+    grid: SpectralGrid | None
+
+
 def _manifest_listing(path: Path) -> set[str] | None:
     """File names a rieszflow manifest lists, or None if ``path`` is not one."""
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         names = {entry["path"] for entry in manifest["files"]}
         if not {"experiment", "kind", "seed", "config_sha256"} <= set(manifest):
             return None
@@ -100,14 +110,14 @@ class ArtifactWriter:
     artifact under its own name.
     """
 
-    def __init__(self, out_dir: str | Path, header: list[str]):
+    def __init__(self, out_dir: str | Path, run: Provenance):
         self.out_dir = Path(out_dir)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out_dir}: {exc}") from exc
         self._previous_run = self._find_previous_run()
-        self.header = header
+        self.run = run
         self.created: list[Path] = []
         self._partial: Path | None = None
 
@@ -160,11 +170,17 @@ class ArtifactWriter:
         self.created.append(path)
         return path
 
+    def _header(self) -> dict[str, str]:
+        """The provenance each CSV and ndjson artifact opens with, in the CSV's line order."""
+        run = self.run
+        return {"experiment": run.name, "kind": run.kind, "config-sha256": run.digest,
+                "seed": str(run.seed), "grid": _grid_descriptor(run.grid)}
+
     def write_csv(self, name: str, columns: list[str], rows) -> Path:
         def write(path: Path) -> None:
-            with open(path, "w") as fh:
-                for line in self.header:
-                    fh.write(f"# {line}\n")
+            with open(path, "w", encoding="utf-8") as fh:
+                for key, value in self._header().items():
+                    fh.write(f"# {key}: {value}\n")
                 fh.write(",".join(columns) + "\n")
                 for row in rows:
                     fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -173,9 +189,8 @@ class ArtifactWriter:
 
     def write_ndjson(self, name: str, records) -> Path:
         def write(path: Path) -> None:
-            with open(path, "w") as fh:
-                fh.write(json.dumps({"header": dict(kv.split(": ", 1) for kv in self.header)},
-                                    sort_keys=True) + "\n")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"header": self._header()}, sort_keys=True) + "\n")
                 for rec in records:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -191,7 +206,7 @@ class ArtifactWriter:
         self.created.clear()
         self._partial = None
 
-    def finalize(self, spec: ExperimentSpec, digest: str) -> Path:
+    def finalize(self) -> Path:
         entries = []
         for path in sorted(self.created):
             data = path.read_bytes()
@@ -200,16 +215,12 @@ class ArtifactWriter:
                 "bytes": len(data),
                 "sha256": hashlib.sha256(data).hexdigest(),
             })
-        manifest = {
-            "experiment": spec.name,
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "config_sha256": digest,
-            "files": entries,
-        }
+        run = self.run
+        manifest = {"experiment": run.name, "kind": run.kind, "seed": run.seed,
+                    "config_sha256": run.digest, "files": entries}
 
         def write(path: Path) -> None:
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
@@ -222,16 +233,6 @@ def _grid_descriptor(grid: SpectralGrid | None) -> str:
     L = "x".join(repr(v) for v in grid.lengths)
     N = "x".join(str(n) for n in grid.modes)
     return f"d={grid.dim} L={L} N={N}"
-
-
-def _header(spec: ExperimentSpec, digest: str, grid: SpectralGrid | None) -> list[str]:
-    return [
-        f"experiment: {spec.name}",
-        f"kind: {spec.kind}",
-        f"config-sha256: {digest}",
-        f"seed: {spec.seed}",
-        f"grid: {_grid_descriptor(grid)}",
-    ]
 
 
 def _smooth_sample(grid: SpectralGrid, rng: np.random.Generator, decay: float = 4.0) -> np.ndarray:
@@ -259,10 +260,9 @@ def _partition_and_j1(cp, grid: SpectralGrid, needed: bool = True):
     return partition, j1
 
 
-def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
-                 workers: int) -> None:
+def cmd_simulate(cp, grid: SpectralGrid, seed: int, writer: ArtifactWriter, workers: int) -> None:
     """Write each snapshot and its diagnostics as the run reaches it; no state is kept."""
-    params, solver_cfg, state0 = resolve_run(cp, grid, spec.seed)
+    params, solver_cfg, state0 = resolve_run(cp, grid, seed)
     want_energy = get(cp, "diagnostics", "energy")
     specs = get(cp, "diagnostics", "besov") or [
         BesovSpec(grid.dim / 2.0 - 1.0, 2, 1, "low"),
@@ -308,7 +308,7 @@ def cmd_simulate(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactW
 # linear-analyze
 
 
-def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
+def cmd_linear_analyze(cp, grid, seed, writer: ArtifactWriter, workers) -> None:
     s_values, xi_min, xi_max, points, decades = (
         get(cp, "spectrum", key) for key in ("s_star", "xi_min", "xi_max", "points", "decades"))
     if not (0 < xi_min < xi_max):
@@ -344,7 +344,7 @@ def cmd_linear_analyze(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, w
 # decay-verify
 
 
-def cmd_decay_verify(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, workers) -> None:
+def cmd_decay_verify(cp, grid, seed, writer: ArtifactWriter, workers) -> None:
     s_values, dim, cutoff, times = (
         get(cp, "decay", key) for key in ("s_star", "dim", "cutoff", "times"))
     pairs = get(cp, "decay", "pairs") or [(-dim / 2.0, 0.0)]
@@ -378,11 +378,10 @@ def cmd_decay_verify(spec: ExperimentSpec, cp, grid, writer: ArtifactWriter, wor
 # lp-inspect
 
 
-def cmd_lp_inspect(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
-                   workers: int) -> None:
+def cmd_lp_inspect(cp, grid: SpectralGrid, seed: int, writer: ArtifactWriter, workers: int) -> None:
     samples, alpha_list = get(cp, "lp", "samples"), get(cp, "lp", "alpha_w")
     partition = build_partition(grid)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
 
     # partition_sum() on the half lattice, in its order of shells
     total = np.zeros(grid.half_xi_norm.shape)
@@ -466,16 +465,15 @@ def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
     return row
 
 
-def cmd_sweep(spec: ExperimentSpec, cp, grid: SpectralGrid, writer: ArtifactWriter,
-              workers: int) -> None:
+def cmd_sweep(cp, grid: SpectralGrid, seed: int, writer: ArtifactWriter, workers: int) -> None:
     axis = get(cp, "sweep", "axis")
     section, key, parse_values = SWEEP_AXES[axis]
     values = parse_values(get(cp, "sweep", "values"), what="[sweep] values")
-    resolve_run(cp, grid, spec.seed)  # a broken base config stops the sweep before any child runs
+    resolve_run(cp, grid, seed)  # a broken base config stops the sweep before any child runs
 
     def child(iv):
         index, value = iv
-        row = {"value": value, "seed": _child_seed(spec.seed, index)}
+        row = {"value": value, "seed": _child_seed(seed, index)}
         try:
             child_cp = override(cp, section, key, repr(value))
             # only the grid axis changes [grid]; every other child runs on the header's grid
@@ -529,27 +527,37 @@ COMMANDS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> int:
-    """Execute one experiment; returns a process exit status."""
+def run_experiment(kind: str, config_path: str | Path, out_dir: str | Path, seed: int | None,
+                   workers: int = 1) -> int:
+    """Set up and execute one experiment; returns a process exit status.
+
+    The config file is read once; ``seed`` None takes ``[experiment] seed``.
+    """
     try:
-        cp = load_config(spec.config_path)
-        check_keys(cp, spec.kind)
-        digest = config_digest(spec.config_path)
+        if kind not in COMMANDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {tuple(COMMANDS)}")
+        cp, digest = read_config(config_path)
+        seed = (get(cp, "experiment", "seed") if seed is None
+                else KEYS["experiment", "seed"].parse(str(seed), what="--seed"))
+        name = get(cp, "experiment", "name") or Path(config_path).stem
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
+        check_keys(cp, kind)
         declared = get(cp, "experiment", "kind")
-        if declared not in (None, spec.kind):
+        if declared not in (None, kind):
             raise ConfigError(
-                f"config declares kind = {declared!r} but the {spec.kind!r} subcommand was invoked"
+                f"config declares kind = {declared!r} but the {kind!r} subcommand was invoked"
             )
-        command, gridded = COMMANDS[spec.kind]
+        command, gridded = COMMANDS[kind]
         grid = parse_grid(cp) if gridded or cp.has_section("grid") else None
-        writer = ArtifactWriter(spec.out_dir, _header(spec, digest, grid))
+        writer = ArtifactWriter(out_dir, Provenance(name, kind, seed, digest, grid))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        command(spec, cp, grid, writer, workers)
-        writer.finalize(spec, digest)
+        command(cp, grid, seed, writer, workers)
+        writer.finalize()
     except ConfigError as exc:
         writer.rollback()
         print(f"config error: {exc}", file=sys.stderr)
@@ -581,21 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cp = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        seed = get(cp, "experiment", "seed") if args.seed is None else args.seed
-        name = get(cp, "experiment", "name") or Path(args.config).stem
-        spec = ExperimentSpec(name=name, kind=args.kind, config_path=args.config,
-                              out_dir=args.out, seed=seed)
-        workers = getattr(args, "workers", 1)
-        if workers < 1:
-            raise ConfigError("--workers must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return run_experiment(spec, workers=workers)
+    return run_experiment(args.kind, args.config, args.out, args.seed, getattr(args, "workers", 1))
 
 
 if __name__ == "__main__":

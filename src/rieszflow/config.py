@@ -3,9 +3,10 @@
 A run is described by one declarative key/value file; there is no
 programmatic configuration.  :data:`KEYS` declares every key the file
 may hold: how its text is read (type, range or choices), its default,
-and the commands that read it.  :func:`get` reads a value through it,
-and :func:`check_keys` refuses a section or key that the invoked
-command does not read.
+and the commands that read it; a default the library declares is read
+from there.  :func:`get` reads a value through it, and
+:func:`check_keys` refuses a section or key that the invoked command
+does not read.  A file is read as UTF-8, and a ``%`` in it is literal.
 
 Values are plain scalars, comma lists, or schedule strings.  A schedule
 is either an explicit comma list of floats, ``linspace:start,stop,n``
@@ -18,7 +19,8 @@ from __future__ import annotations
 import configparser
 import difflib
 import hashlib
-from dataclasses import dataclass
+import inspect
+import io
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,15 +30,15 @@ import numpy as np
 from .grid import FieldState, RieszParams, SpectralGrid, make_grid
 from .littlewood_paley import BesovSpec, check_wu_range
 from .solver import INTEGRATORS, PRESETS, SolverConfig, perturbation_presets
+from .spectrum import asymptotic_check, linear_decay_quadrature
 
 __all__ = [
     "ConfigError",
-    "ExperimentSpec",
     "KEYS",
     "check_keys",
     "get",
     "load_config",
-    "config_digest",
+    "read_config",
     "parse_schedule",
     "parse_float_list",
     "parse_int_list",
@@ -56,41 +58,36 @@ class ConfigError(ValueError):
     """A configuration file is missing, malformed, or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Resolved description of one harness invocation."""
-
-    name: str
-    kind: str
-    config_path: str
-    out_dir: str
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+def _parser() -> configparser.ConfigParser:
+    """A config of literal values; no header names "", so check_keys refuses a [DEFAULT] section."""
+    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="",
+                                     interpolation=None)
 
 
-def load_config(path: str | Path) -> configparser.ConfigParser:
-    """Read an INI file, raising :class:`ConfigError` with diagnostics."""
+def read_config(path: str | Path) -> tuple[configparser.ConfigParser, str]:
+    """The config in the file at ``path``, read once as UTF-8, and the hex sha256 of its bytes."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    # no header names "", so [DEFAULT] is an ordinary section, which check_keys refuses
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
-        with open(path) as fh:
-            cp.read_file(fh, source=str(path))
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode {path} as UTF-8: {exc}") from exc
+    cp = _parser()
+    try:
+        # newline=None reads line ends as a text-mode open() does
+        cp.read_file(io.StringIO(text, newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return cp
+    return cp, hashlib.sha256(data).hexdigest()
 
 
-def config_digest(path: str | Path) -> str:
-    """Hex sha256 of the raw config file bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def load_config(path: str | Path) -> configparser.ConfigParser:
+    """The config in the file at ``path``, raising :class:`ConfigError` with diagnostics."""
+    return read_config(path)[0]
 
 
 def parse_float_list(text: str, *, what: str = "list") -> tuple[float, ...]:
@@ -213,6 +210,12 @@ SWEEP_AXES = {
 REQUIRED = object()
 
 
+def _default(home, name: str) -> str:
+    """The default of parameter ``name`` of the function or dataclass ``home``, as config text."""
+    value = inspect.signature(home).parameters[name].default
+    return value if isinstance(value, str) else repr(value)
+
+
 class Key(NamedTuple):
     """A key: ``parse(text, what="[section] key")``, default text (None: computed), its readers."""
 
@@ -233,9 +236,9 @@ KEYS: dict[tuple[str, str], Key] = {
     ("grid", "modes"): Key(parse_int_list, REQUIRED, KINDS),
     ("params", "alpha"): Key(_number, None, _RUN),
     ("params", "s_star"): Key(_number, None, _RUN),
-    ("params", "lam"): Key(_number, "1.0", _RUN),
-    ("params", "kappa"): Key(_number, "1.0", _RUN),
-    ("params", "rho_bar"): Key(_number, "1.0", _RUN),
+    ("params", "lam"): Key(_number, _default(RieszParams, "lam"), _RUN),
+    ("params", "kappa"): Key(_number, _default(RieszParams, "kappa"), _RUN),
+    ("params", "rho_bar"): Key(_number, _default(RieszParams, "rho_bar"), _RUN),
     ("preset", "kind"): Key(_choice(*PRESETS), REQUIRED, _RUN),
     ("preset", "amplitude"): Key(_number, REQUIRED, _RUN),
     # each kind's own keys, typed and defaulted by their defaults in PRESETS
@@ -243,9 +246,9 @@ KEYS: dict[tuple[str, str], Key] = {
        for keys in PRESETS.values() for key, default in keys.items()},
     ("solver", "dt"): Key(_number, REQUIRED, _RUN),
     ("solver", "t_end"): Key(_number, REQUIRED, _RUN),
-    ("solver", "integrator"): Key(_choice(*INTEGRATORS), "ifrk4", _RUN),
-    ("solver", "dealias"): Key(_number, repr(2 / 3), _RUN),
-    ("solver", "positivity_floor"): Key(_number, "0.01", _RUN),
+    ("solver", "integrator"): Key(_choice(*INTEGRATORS), _default(SolverConfig, "integrator"), _RUN),
+    ("solver", "dealias"): Key(_number, _default(SolverConfig, "dealias"), _RUN),
+    ("solver", "positivity_floor"): Key(_number, _default(SolverConfig, "positivity_floor"), _RUN),
     ("solver", "snapshot_times"): Key(parse_schedule, None, _RUN),
     ("diagnostics", "j1"): Key(_integer, "0", ("simulate",)),
     ("diagnostics", "energy"): Key(_boolean, "true", ("simulate",)),
@@ -255,11 +258,11 @@ KEYS: dict[tuple[str, str], Key] = {
     ("spectrum", "xi_max"): Key(_number, "1e4", ("linear-analyze",)),
     ("spectrum", "points"): Key(_ranged(_integer, lambda n: n >= 2, "be >= 2"), "200",
                                 ("linear-analyze",)),
-    ("spectrum", "decades"): Key(_ranged(_integer, lambda n: n >= 1, "be >= 1"), "6",
-                                 ("linear-analyze",)),
+    ("spectrum", "decades"): Key(_ranged(_integer, lambda n: n >= 1, "be >= 1"),
+                                 _default(asymptotic_check, "decades"), ("linear-analyze",)),
     ("decay", "s_star"): Key(parse_float_list, "0.25,0.75", ("decay-verify",)),
-    ("decay", "dim"): Key(_dimension, "1", ("decay-verify",)),
-    ("decay", "cutoff"): Key(_number, "1.0", ("decay-verify",)),
+    ("decay", "dim"): Key(_dimension, _default(linear_decay_quadrature, "dim"), ("decay-verify",)),
+    ("decay", "cutoff"): Key(_number, _default(linear_decay_quadrature, "cutoff"), ("decay-verify",)),
     ("decay", "times"): Key(parse_schedule, "logspace:100,10000,25", ("decay-verify",)),
     ("decay", "pairs"): Key(_pairs, None, ("decay-verify",)),
     ("lp", "samples"): Key(_ranged(_integer, lambda n: n >= 1, "be >= 1"), "20", ("lp-inspect",)),
@@ -337,14 +340,15 @@ def parse_solver_config(cp: configparser.ConfigParser) -> SolverConfig:
 
 
 def parse_preset(cp: configparser.ConfigParser) -> dict:
-    """The keywords of ``perturbation_presets``, each read through :data:`KEYS`.
+    """The keywords of ``perturbation_presets``.
 
-    ``kind``, ``amplitude``, the kind's own keys in :data:`~rieszflow.solver.PRESETS`
-    and any other ``[preset]`` key given, for ``perturbation_presets`` to refuse.
+    ``kind``, ``amplitude`` and the kind's own keys in :data:`~rieszflow.solver.PRESETS`
+    are read through :data:`KEYS`; any other ``[preset]`` key given is passed on as its
+    text, for ``perturbation_presets`` to refuse by name.
     """
-    keys = dict.fromkeys(["kind", "amplitude", *PRESETS[get(cp, "preset", "kind")],
-                          *cp.options("preset")])
-    return {key: get(cp, "preset", key) for key in keys}
+    kind = get(cp, "preset", "kind")
+    typed = {key: get(cp, "preset", key) for key in ["kind", "amplitude", *PRESETS[kind]]}
+    return {**{key: cp.get("preset", key) for key in cp.options("preset")}, **typed}
 
 
 def resolve_run(cp: configparser.ConfigParser, grid: SpectralGrid,
@@ -364,8 +368,8 @@ def override(cp: configparser.ConfigParser, section: str, key: str,
     Setting ``[params] alpha`` or ``s_star`` removes the other spelling
     of the interaction exponent, as ``[params]`` takes exactly one.
     """
-    child = configparser.ConfigParser()
-    child.read_dict({name: dict(cp.items(name, raw=True)) for name in cp.sections()})
+    child = _parser()
+    child.read_dict({name: dict(cp.items(name)) for name in cp.sections()})
     child.read_dict({section: {key: value}})
     if section == "params" and key in ("alpha", "s_star"):
         child.remove_option(section, "s_star" if key == "alpha" else "alpha")

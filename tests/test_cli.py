@@ -25,8 +25,6 @@ from rieszflow.config import (
     REQUIRED,
     SWEEP_AXES,
     ConfigError,
-    ExperimentSpec,
-    config_digest,
     get,
     load_config,
     override,
@@ -122,9 +120,17 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError, match="expected one of"):
             get(cp, "solver", "integrator")
 
-    def test_digest_is_sha256_of_bytes(self, tmp_path):
-        path = write_cfg(tmp_path, SIMULATE_CFG)
-        assert config_digest(path) == hashlib.sha256(SIMULATE_CFG.encode()).hexdigest()
+    def test_percent_is_literal(self, tmp_path):
+        cp = load_config(write_cfg(tmp_path, "[experiment]\nname = run 100% of %(seed)s\nseed = 1\n"))
+        assert get(cp, "experiment", "name") == "run 100% of %(seed)s"
+        child = override(cp, "experiment", "seed", "2")
+        assert get(child, "experiment", "name") == "run 100% of %(seed)s"
+
+    def test_file_that_is_not_utf8_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[experiment]\nname = \u00e9t\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=rf"^cannot decode {re.escape(str(path))} as UTF-8: "):
+            load_config(path)
 
 
 class TestSchedules:
@@ -215,11 +221,6 @@ class TestSectionParsers:
         with pytest.raises(ConfigError, match=r"^\[preset\] amplitude must lie in \(0, 1\), got 1.2$"):
             resolve_run(cp, parse_grid(cp), 0)
 
-    def test_experiment_spec_validation(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown experiment kind"):
-            ExperimentSpec(name="x", kind="render", config_path="c", out_dir="o", seed=0)
-        with pytest.raises(ConfigError, match="seed"):
-            ExperimentSpec(name="x", kind="simulate", config_path="c", out_dir="o", seed=-1)
 
 
 def run_cli(args):
@@ -237,7 +238,7 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "simulate"
         assert manifest["seed"] == 3
-        assert manifest["config_sha256"] == config_digest(cfg)
+        assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         names = [e["path"] for e in manifest["files"]]
         assert "summary.csv" in names and "norms.csv" in names
         assert "diagnostics.ndjson" in names
@@ -252,7 +253,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         run_cli(["simulate", "--config", cfg, "--out", out])
         text = (out / "summary.csv").read_text()
-        assert f"# config-sha256: {config_digest(cfg)}" in text
+        assert f"# config-sha256: {hashlib.sha256(cfg.read_bytes()).hexdigest()}" in text
         assert "# seed: 3" in text
         assert "# grid: d=1" in text
 
@@ -357,6 +358,91 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
         assert "run failed" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestEntryPath:
+    """``run_experiment`` sets up every run and reads its config file once; ``main`` parses argv."""
+
+    def test_simulate_opens_its_config_once(self, tmp_path):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        # an audit hook stays for the process, so this one records only while the run lasts
+        opened, recording = [], [True]
+        sys.addaudithook(
+            lambda event, args: recording[0] and event == "open" and opened.append(args[0]))
+        try:
+            assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        finally:
+            recording[0] = False
+        assert [os.fspath(path) for path in opened
+                if isinstance(path, (str, os.PathLike))].count(str(cfg)) == 1
+
+    def test_manifest_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        parsed, check_keys = cfg.read_bytes(), cli.check_keys
+
+        def check_then_edit(cp, kind):
+            # the file changes once it has been parsed
+            cfg.write_text(SIMULATE_CFG.replace("seed = 3", "seed = 4"))
+            return check_keys(cp, kind)
+
+        monkeypatch.setattr(cli, "check_keys", check_then_edit)
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert manifest["seed"] == 3
+        summary = (out / "summary.csv").read_text()
+        assert f"# config-sha256: {hashlib.sha256(parsed).hexdigest()}" in summary
+
+    @pytest.mark.parametrize("kind, seed, refusal", [
+        ("render", None, f"unknown experiment kind 'render'; expected one of {KINDS}"),
+        ("simulate", -1, "--seed must be non-negative, got -1"),
+    ], ids=["kind", "seed"])
+    def test_library_call_names_a_bad_kind_or_seed(self, tmp_path, capsys, kind, seed, refusal):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG)
+        assert run_experiment(kind, cfg, tmp_path / "out", seed) == 2
+        assert capsys.readouterr().err == f"config error: {refusal}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_main_calls_run_experiment_by_its_module_name(self, monkeypatch):
+        # the benchmark's tracer wraps cli.run_experiment and times main around it
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(args) or 7)
+        argv = ["sweep", "--config", "c.ini", "--out", "o", "--seed", "5", "--workers", "2"]
+        assert cli.main(argv) == 7
+        assert cli.main(["simulate", "--config", "c.ini", "--out", "o"]) == 7
+        assert calls == [("sweep", "c.ini", "o", 5, 2), ("simulate", "c.ini", "o", None, 1)]
+
+    def test_percent_in_a_value_is_text(self, tmp_path):
+        text = SIMULATE_CFG.replace("seed = 3", "seed = 3\nname = run 100%")
+        out = tmp_path / "simulate"
+        assert run_cli(["simulate", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+        assert "# experiment: run 100%\n" in (out / "summary.csv").read_text()
+        sweep = (TestSweepCommand.SWEEP_BASE.replace("seed = 5", "seed = 5\nname = run 100%")
+                 + "[sweep]\naxis = amplitude\nvalues = 0.1,0.2\n")
+        out, cfg = tmp_path / "sweep", write_cfg(tmp_path, sweep, "sweep.ini")
+        assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
+        assert "# experiment: run 100%\n" in (out / "sweep.csv").read_text()
+        _, rows = read_csv_file(out / "sweep.csv")
+        assert [row[2] for row in rows] == ["completed", "completed"]
+
+    def test_artifacts_do_not_depend_on_the_locale(self, tmp_path):
+        cfg = tmp_path / "sigma.ini"
+        text = BASE_CFGS["linear-analyze"].replace("[experiment]\n", "[experiment]\nname = \u03c3-scan\n")
+        cfg.write_bytes(text.encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(rieszflow.__file__).resolve().parent.parent)}
+        env.pop("PYTHONIOENCODING", None)
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "rieszflow.cli", "linear-analyze", "--config", str(cfg),
+             "--out", str(tmp_path / "c")],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli(["linear-analyze", "--config", cfg, "--out", tmp_path / "utf8"]) == 0
+        assert directory_bytes(tmp_path / "c") == directory_bytes(tmp_path / "utf8")
+        assert "# experiment: \u03c3-scan\n" in (tmp_path / "c" / "asymptotics.csv").read_text("utf-8")
 
 
 def snapshot_config(tmp_path, count, name):
@@ -886,6 +972,12 @@ class TestDeclaredChoices:
         assert err.startswith(f"config error: [preset] {key} is not read by kind = {kind}"), err
         assert directory_bytes(out) == before
 
+    def test_key_of_another_preset_kind_is_refused_before_its_value_is_read(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIMULATE_CFG + "mode = x\n")
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [preset] mode is not read by kind = smooth-bump (it reads width)\n")
+
     @pytest.mark.parametrize("kind", list(PRESETS))
     def test_each_kind_reads_its_own_keys(self, tmp_path, kind):
         cp = load_config(write_cfg(tmp_path, f"[preset]\nkind = {kind}\namplitude = 0.1\n"))
@@ -1098,13 +1190,7 @@ class TestReadme:
     """The README's config reference and example config agree with the code."""
 
     def test_config_reference_lists_every_key(self):
-        text = README.read_text()
-        reference = text[text.index("### Config reference"):text.index("### Artifacts")]
-        rows = {}
-        for line in reference.splitlines():
-            if line.startswith("| `["):
-                name, *cells = [cell.strip() for cell in line.strip("|").split("|")]
-                rows[name] = cells
+        rows = readme_reference_rows()
         assert len(rows) == len(KEYS)
         for (section, key), row in KEYS.items():
             default, read_by, _ = rows[f"`[{section}] {key}`"]
