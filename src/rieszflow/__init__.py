@@ -63,6 +63,7 @@ from .diagnostics import (
     energy_functionals,
     fit_decay,
     lyapunov_block,
+    lyapunov_blocks,
     lyapunov_equivalence,
     z_equation_residual,
 )

@@ -41,12 +41,13 @@ from .config import (
     read_config,
     resolve_run,
 )
-from .diagnostics import energy_functionals, fit_decay
+from .diagnostics import _energy_record, energy_functionals, fit_decay
 from .grid import SpectralGrid, lp_norm
-from .littlewood_paley import (
+from .littlewood_paley import (  # noqa: F401  (besov_norm: kept importable here; bench/spans.py wraps it)
     SHELL_INNER,
     SHELL_OUTER,
     BesovSpec,
+    ShellNorms,
     besov_norm,
     build_partition,
     dyadic_block,
@@ -282,12 +283,14 @@ def cmd_simulate(cp, grid: SpectralGrid, seed: int, writer: ArtifactWriter, work
         times.append(t)
         # (t, name, value) triples: a tuple takes a third of a dict's bytes
         records.extend((t, name, diag[name]) for name in ("l2_a", "l2_u", "min_density", "mean_a"))
+        # one transform of a per snapshot: the energy and every Besov spec read its shell norms
+        a_shells = ShellNorms(partition, grid.rfft(st.a))
         if want_energy:
-            rec = energy_functionals(grid, st, partition, params, j1=j1)
+            rec = _energy_record(a_shells, st.a, st.u, t, params, j1=j1)
             records.extend([(t, "energy", rec.energy), (t, "dissipation", rec.dissipation)])
             records.extend((t, f"energy_{key}", rec.components[key]) for key in sorted(rec.components))
         for bs in specs:
-            norm_rows.append((t, bs.s, bs.p, bs.r, bs.flavor, j1, besov_norm(partition, st.a, bs)))
+            norm_rows.append((t, bs.s, bs.p, bs.r, bs.flavor, j1, a_shells.besov(bs)))
 
     traj = integrate(grid, state0, params, solver_cfg, sink=sink)
     writer.write_ndjson("diagnostics.ndjson",

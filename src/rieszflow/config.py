@@ -176,7 +176,7 @@ def _ranged(parse, ok, rule: str):
     def ranged(text: str, *, what: str):
         value = parse(text, what=what)
         if not ok(value):
-            raise ConfigError(f"{what} must {rule}, got {value}")
+            raise ConfigError(f"{what} must {rule}, got {value!r}")
         return value
     return ranged
 
@@ -228,7 +228,8 @@ _RUN = ("simulate", "sweep")
 
 KEYS: dict[tuple[str, str], Key] = {
     ("experiment", "kind"): Key(_choice(*KINDS), None, KINDS),
-    ("experiment", "name"): Key(_text, None, KINDS),
+    # an indented continuation line joins a line break into the value, which would split CSV headers
+    ("experiment", "name"): Key(_ranged(_text, lambda name: "\n" not in name, "be one line"), None, KINDS),
     ("experiment", "seed"): Key(_ranged(_integer, lambda s: s >= 0, "be non-negative"), "0", KINDS),
     # every command puts a [grid] it is given into its artifact headers
     ("grid", "dim"): Key(_dimension, REQUIRED, KINDS),

@@ -45,6 +45,7 @@ __all__ = [
     "z_equation_residual",
     "energy_functionals",
     "lyapunov_block",
+    "lyapunov_blocks",
     "lyapunov_equivalence",
     "fit_decay",
     "default_fit_window",
@@ -188,10 +189,17 @@ def energy_functionals(
             "the functionals are still computed",
             stacklevel=2,
         )
-    d = grid.dim
     a, u = state_fields(grid, state)
+    return _energy_record(ShellNorms(partition, grid.rfft(a)), a, u, state.t, params, p, j1)
+
+
+def _energy_record(a_shells: ShellNorms, a: np.ndarray, u: np.ndarray, t: float, params: RieszParams,
+                   p: float = 2.0, j1: int = 0) -> FunctionalRecord:
+    """:func:`energy_functionals` of the state ``(a, u)`` at time ``t``, read from the shell norms of a."""
+    partition = a_shells.partition
+    grid = partition.grid
+    d = grid.dim
     u_hat = grid.rfft(u)
-    a_shells = ShellNorms(partition, grid.rfft(a))
     u_shells = ShellNorms(partition, u_hat)
     comp = {
         "a_low": a_shells.besov(BesovSpec(d / p - 1.0, p, 1, "low", j1)),
@@ -208,7 +216,7 @@ def energy_functionals(
         + comp["u_high"]
         + ShellNorms(partition, dadt_hat).besov(BesovSpec(d / p, p, 1, "full", j1))
     )
-    return FunctionalRecord(t=state.t, energy=energy, dissipation=dissipation, components=comp)
+    return FunctionalRecord(t=t, energy=energy, dissipation=dissipation, components=comp)
 
 
 def _lyapunov_parts(
@@ -223,8 +231,6 @@ def _lyapunov_parts(
     """Quadratic part and full value L_j^2 of the block Lyapunov functional."""
     if j < j1 - 1:
         raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
-    if not (0 < c_tilde < 0.5):
-        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     partition.check_j(j)
     a, u = state_fields(grid, state)
     kept, modes = _lyapunov_lattice(partition, j)
@@ -255,6 +261,8 @@ def _lyapunov_kernel(
     lattice of ``modes``, where their triple product does not alias.
     ``a_box`` and ``u_box`` are overwritten.
     """
+    if not (0 < c_tilde < 0.5):
+        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     grid = partition.grid
 
     def box(m: np.ndarray) -> np.ndarray:
@@ -305,6 +313,24 @@ def lyapunov_block(
     once the box reaches a Nyquist index), so it is exact up to roundoff.
     """
     return _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)[1]
+
+
+def lyapunov_blocks(grid: SpectralGrid, state: FieldState, c_tilde: float, partition: LPPartition,
+                    params: RieszParams, j1: int = 0) -> dict:
+    """{j: L_j^2} of :func:`lyapunov_block` for every shell j >= max(j1 - 1, j_min).
+
+    a and u are transformed once each, onto the whole half lattice; each
+    shell gathers its box from the two spectra, so its value equals
+    ``lyapunov_block``'s bit for bit.
+    """
+    a, u = state_fields(grid, state)
+    a_hat, u_hat = grid.rfft(a), grid.rfft(u)
+    blocks = {}
+    for j in range(max(j1 - 1, partition.j_min), partition.j_max + 1):
+        kept, modes = _lyapunov_lattice(partition, j)
+        blocks[j] = _lyapunov_kernel(partition, j, kept, modes, grid._box_gather(a_hat, kept),
+                                     grid._box_gather(u_hat, kept), c_tilde, params)[1]
+    return blocks
 
 
 def lyapunov_equivalence(

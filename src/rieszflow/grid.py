@@ -475,17 +475,11 @@ class RieszParams:
         return (self.alpha - self.dim + 2.0) / 2.0
 
     @classmethod
-    def from_s_star(
-        cls,
-        dim: int,
-        s_star: float,
-        lam: float = 1.0,
-        kappa: float = 1.0,
-        rho_bar: float = 1.0,
-    ) -> "RieszParams":
+    def from_s_star(cls, dim: int, s_star: float, **coefficients: float) -> "RieszParams":
+        """The params of index ``s_star``; ``lam``, ``kappa`` and ``rho_bar`` are passed on as given."""
         if not (0.0 < s_star < 1.0):
             raise ValueError(f"s_star must lie in (0, 1), got {s_star}")
-        return cls(dim=dim, alpha=dim - 2.0 + 2.0 * s_star, lam=lam, kappa=kappa, rho_bar=rho_bar)
+        return cls(dim=dim, alpha=dim - 2.0 + 2.0 * s_star, **coefficients)
 
 
 def make_grid(dim: int, lengths, modes) -> SpectralGrid:

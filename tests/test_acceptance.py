@@ -29,7 +29,7 @@ from rieszflow import (
     integrate,
     linear_decay_quadrature,
     lp_norm,
-    lyapunov_block,
+    lyapunov_blocks,
     make_grid,
     mode_system,
     perturbation_presets,
@@ -421,13 +421,12 @@ def test_c10_lyapunov_monotonicity():
 
     part = build_partition(grid)
     j1, c_tilde = 0, 0.25
+    blocks = [lyapunov_blocks(grid, s, c_tilde, part, params, j1) for s in traj.snapshots]
     js = [j for j in part.js if j >= j1 - 1]
     assert js, "no admissible high-frequency shells on this grid"
     worst = -np.inf
     for j in js:
-        series = [
-            lyapunov_block(grid, s, j, c_tilde, part, params, j1) for s in traj.snapshots
-        ]
+        series = [b[j] for b in blocks]
         for prev, curr in zip(series, series[1:]):
             worst = max(worst, curr - prev)
             assert curr <= prev + 1e-8, (

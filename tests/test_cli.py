@@ -426,6 +426,19 @@ class TestEntryPath:
         _, rows = read_csv_file(out / "sweep.csv")
         assert [row[2] for row in rows] == ["completed", "completed"]
 
+    def test_a_name_that_spans_lines_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE_CFGS["decay-verify"])
+        assert run_cli(["decay-verify", "--config", cfg, "--out", out]) == 0
+        previous = directory_bytes(out)
+        capsys.readouterr()
+        # configparser joins an indented continuation line into the value
+        text = BASE_CFGS["decay-verify"].replace("[experiment]\n", "[experiment]\nname = two\n  lines\n")
+        cfg = write_cfg(tmp_path, text, "two.ini")
+        assert run_cli(["decay-verify", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: [experiment] name must be one line, got 'two\\nlines'\n"
+        assert directory_bytes(out) == previous
+
     def test_artifacts_do_not_depend_on_the_locale(self, tmp_path):
         cfg = tmp_path / "sigma.ini"
         text = BASE_CFGS["linear-analyze"].replace("[experiment]\n", "[experiment]\nname = \u03c3-scan\n")
@@ -645,6 +658,24 @@ class TestStreamedSimulate:
             assert (out / f"snap_{i:04d}.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
         summary = dict(read_csv_file(out / "summary.csv")[1])
         assert summary["snapshots"] == "6" and summary["final_t"] == repr(traj.snapshots[-1].t)
+
+
+    @pytest.mark.parametrize("energy, forward", [("true", 3), ("false", 1)])
+    def test_sink_transforms_each_field_once(self, tmp_path, monkeypatch, fft_calls, energy, forward):
+        # a feeds the energy and every Besov spec through one transform; the energy adds u and a u
+        made = []
+
+        def counting_integrate(*args, sink):
+            def counted(st, diag):
+                before = dict(fft_calls)
+                sink(st, diag)
+                made.append({name: n - before[name] for name, n in fft_calls.items() if n != before[name]})
+            return integrate(*args, sink=counted)
+
+        monkeypatch.setattr(cli, "integrate", counting_integrate)
+        cfg = write_cfg(tmp_path, SIMULATE_2D_CFG.replace("energy = true", f"energy = {energy}"))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert made == [{"rfft": forward, "fft": forward}] * 6
 
 
 class TestAnalysisCommands:

@@ -20,6 +20,7 @@ from rieszflow import (
     integrate,
     lp_norm,
     lyapunov_block,
+    lyapunov_blocks,
     lyapunov_equivalence,
     make_grid,
     perturbation_presets,
@@ -391,6 +392,8 @@ class TestBandedLyapunov:
     Each case names the shells whose stacked inverse runs on a lattice smaller
     than the grid, read off the transforms it makes, so the comparison covers
     the banded path and not only the shells whose box is the whole lattice.
+    ``lyapunov_blocks``, which gathers every box from one transform of each
+    field, must equal ``lyapunov_block`` on each shell bit for bit.
     """
 
     @pytest.mark.parametrize("case, banded", [
@@ -412,10 +415,13 @@ class TestBandedLyapunov:
             a = rng.standard_normal(grid.shape)
             state = FieldState(0.1 * (a - a.mean()), 0.1 * rng.standard_normal((grid.dim,) + grid.shape))
         part = build_partition(grid)
+        blocks = lyapunov_blocks(grid, state, 0.3, part, params)
+        assert list(blocks) == list(range(max(-1, part.j_min), part.j_max + 1))
         took_a_box = set()
-        for j in range(max(-1, part.j_min), part.j_max + 1):
+        for j in blocks:
             start = len(fft_calls.log)
             got = lyapunov_block(grid, state, j, 0.3, part, params)
+            assert got == blocks[j]
             name, shape, n = fft_calls.log[-1]
             lattice = shape[-2:-1] + (n,) if grid.dim == 2 else (n,)
             assert name == "irfft" and shape[0] == 1 + grid.dim
@@ -452,6 +458,30 @@ class TestTransformCount:
             counts.append(sum(fft_calls.values()) - before)
         assert fft_calls["fftn"] == fft_calls["ifftn"] == 0
         assert len(set(counts)) == 1
+
+    def test_lyapunov_blocks_transform_a_and_u_once_whatever_the_shells(self, grid_2d, rng, fft_calls):
+        part = build_partition(grid_2d)
+        params = RieszParams(dim=2, alpha=1.0)
+        st = FieldState(a=rng.standard_normal(grid_2d.shape),
+                        u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
+        shells = []
+        for j1 in (part.j_min, part.j_max):
+            before = dict(fft_calls)
+            shells.append(len(lyapunov_blocks(grid_2d, st, 0.25, part, params, j1)))
+            made = {name: n - before[name] for name, n in fft_calls.items() if n != before[name]}
+            # one forward transform each of a and u; one stacked inverse per shell
+            assert made == {"rfft": 2, "fft": 2, "ifft": shells[-1], "irfft": shells[-1]}
+        assert shells == [len(part.js), 2]
+
+    @pytest.mark.parametrize("c_tilde", [0.0, 0.5])
+    def test_lyapunov_blocks_refuse_c_tilde_outside_its_range(self, grid_2d, rng, c_tilde):
+        st = FieldState(a=rng.standard_normal(grid_2d.shape),
+                        u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
+        args = (build_partition(grid_2d), RieszParams(dim=2, alpha=1.0))
+        with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
+            lyapunov_blocks(grid_2d, st, c_tilde, *args)
+        with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
+            lyapunov_block(grid_2d, st, 0, c_tilde, *args)
 
     def test_lyapunov_block_transforms_a_low_shell_on_its_box(self, grid_2d, rng, fft_calls):
         part = build_partition(grid_2d)

@@ -200,6 +200,12 @@ class TestRieszParams:
         assert p.alpha == pytest.approx(-0.5)
         assert p.s_star == pytest.approx(0.25)
 
+    def test_from_s_star_takes_the_dataclass_coefficients(self):
+        assert RieszParams.from_s_star(1, 0.5) == RieszParams(dim=1, alpha=0.0)
+        assert RieszParams.from_s_star(2, 0.5, lam=2.0, rho_bar=0.5) == RieszParams(2, 1.0, lam=2.0, rho_bar=0.5)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            RieszParams.from_s_star(1, 0.5, kappa=0.0)
+
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             RieszParams(dim=1, alpha=1.0)
