@@ -12,6 +12,7 @@ difference in time across three consecutive snapshots.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .grid import (
     FieldState,
     RieszParams,
     SpectralGrid,
+    _half_power,
     _require_mean_zero,
     half_divergence,
     half_grad_frac,
@@ -32,6 +34,7 @@ from .grid import (
 from .littlewood_paley import (  # noqa: F401  (besov_norm, dyadic_block: as lp_norm above)
     BesovSpec,
     LPPartition,
+    LyapunovBox,
     ShellNorms,
     besov_norm,
     dyadic_block,
@@ -75,9 +78,68 @@ class DecayFit:
     r_squared: float
 
 
+def _div_hat(grid: SpectralGrid, vhat: np.ndarray) -> np.ndarray:
+    """:func:`half_divergence`, its terms i xi_i vhat_i added left to right into the first.
+
+    The values are those of its ``sum`` apart from the sign of zeros.
+    """
+    out = np.multiply(grid.half_grad[0], vhat[0])
+    for g, v in zip(grid.half_grad[1:], vhat[1:]):
+        out += g * v
+    return out
+
+
+def _grad_frac_hat(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.ndarray:
+    """:func:`half_grad_frac`, component i formed in place as (i xi_i |xi|^sigma) fhat."""
+    power = _half_power(grid, sigma)
+    out = np.empty((grid.dim,) + np.shape(fhat), dtype=complex)
+    for g, o in zip(grid.half_grad, out):
+        np.multiply(g, power, out=o)
+        o *= fhat
+    return out
+
+
 def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: RieszParams) -> np.ndarray:
-    """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a."""
-    return u_hat + params.kappa / params.lam * half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
+    """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a, formed in one array."""
+    z = _grad_frac_hat(grid, a_hat, 2.0 * params.s_star - 2.0)
+    np.multiply(params.kappa / params.lam, z, out=z)
+    return np.add(u_hat, z, out=z)
+
+
+def _scaled(c: float, x: np.ndarray) -> np.ndarray:
+    """``c * x`` written over the fresh array ``x``."""
+    return np.multiply(c, x, out=x)
+
+
+def _rate(f2: np.ndarray, f0: np.ndarray, dt: float) -> np.ndarray:
+    """The difference quotient (f2 - f0) / dt, in one array."""
+    d = np.subtract(f2, f0)
+    d /= dt
+    return d
+
+
+def _add_advection_hat(grid: SpectralGrid, u: np.ndarray, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the half spectrum of (u . grad) u to ``out``, one component at a time.
+
+    For component i the derivatives d_j u_i of every j take one inverse,
+    which runs in place on their spectra; sum_j u_j d_j u_i is formed in
+    the first of them, transformed and added to row i of ``out``.  The
+    values added are those of the whole-tensor expression, grad_u[i, j] =
+    d_j u_i in one inverse and ``rfft(sum(u[np.newaxis] * grad_u,
+    axis=1))``, bit for bit.
+    """
+    spectra = np.empty_like(u_hat)
+    grad = np.empty((grid.dim,) + grid.shape)
+    row = spectra[0]
+    for i in range(grid.dim):
+        for g, spec in zip(grid.half_grad, spectra):
+            np.multiply(g, u_hat[i], out=spec)
+        grid.irfft(spectra, out=grad, work=spectra)
+        np.multiply(u[0], grad[0], out=grad[0])
+        for uj, dj in zip(u[1:], grad[1:]):
+            grad[0] += np.multiply(uj, dj, out=dj)
+        out[i] += grid._rfft(grad[0], out=row)
+    return out
 
 
 def effective_velocity(grid: SpectralGrid, state: FieldState, params: RieszParams) -> np.ndarray:
@@ -109,17 +171,23 @@ def density_equation_residual(
     (a0, _), (a1, u1), (a2, _) = (state_fields(grid, s) for s in (s0, s1, s2))
     _require_mean_zero(a1, _Z_SINGULAR)
     beta = params.kappa / params.lam
+    norms = []
+
+    def measured(term: np.ndarray) -> np.ndarray:
+        norms.append(half_l2(grid, term))
+        return term
+
+    # the terms of the sum, added left to right into the first
+    total = measured(grid.rfft(_rate(a2, a0, s2.t - s0.t)))
     a_hat = grid.rfft(a1)
-    terms = [
-        grid.rfft((a2 - a0) / (s2.t - s0.t)),
-        beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat,
-        half_divergence(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)),
-        half_divergence(grid, grid.rfft(a1 * u1)),
-    ]
-    scale = max(half_l2(grid, t) for t in terms)
+    total += measured(beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat)
+    total += measured(_div_hat(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)))
+    del a_hat
+    total += measured(_div_hat(grid, grid.rfft(a1 * u1)))
+    scale = max(norms)
     if scale == 0.0:
         return 0.0
-    return half_l2(grid, sum(terms)) / scale
+    return half_l2(grid, total) / scale
 
 
 def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> float:
@@ -137,20 +205,19 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     beta = params.kappa / params.lam
     sigma = 2.0 * params.s_star - 2.0
     dt = s2.t - s0.t
+    # the terms of the sum, added left to right into the first; each input
+    # spectrum is made when first needed and dropped after its last use
+    residual = _z_hat(grid, grid.rfft(_rate(a2, a0, dt)), grid.rfft(_rate(u2, u0, dt)), params)
     a_hat, u_hat = grid.rfft(a1), grid.rfft(u1)
     z_hat = _z_hat(grid, a_hat, u_hat, params)
-    # (u . grad) u: grad_u[i, j] = d_j u_i in one inverse transform
-    grad_u = grid.irfft(np.stack([g * u_hat for g in grid.half_grad], axis=1))
-    advection = np.sum(u1[np.newaxis] * grad_u, axis=1)
-    residual = (
-        _z_hat(grid, grid.rfft((a2 - a0) / dt), grid.rfft((u2 - u0) / dt), params)
-        + params.lam * z_hat
-        + beta * half_grad_frac(grid, half_divergence(grid, z_hat), sigma)
-        + beta**2 * half_grad_frac(grid, a_hat, 4.0 * params.s_star - 2.0)
-        + beta * half_grad_frac(grid, half_divergence(grid, grid.rfft(a1 * u1)), sigma)
-        + grid.rfft(advection)
-    )
     denom = half_l2(grid, z_hat)
+    residual += params.lam * z_hat
+    residual += _scaled(beta, _grad_frac_hat(grid, _div_hat(grid, z_hat), sigma))
+    del z_hat
+    residual += _scaled(beta**2, _grad_frac_hat(grid, a_hat, 4.0 * params.s_star - 2.0))
+    del a_hat
+    residual += _scaled(beta, _grad_frac_hat(grid, _div_hat(grid, grid.rfft(a1 * u1)), sigma))
+    _add_advection_hat(grid, u1, u_hat, residual)
     if denom == 0.0:
         return 0.0
     return half_l2(grid, residual) / denom
@@ -233,58 +300,164 @@ def _lyapunov_parts(
         raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
     partition.check_j(j)
     a, u = state_fields(grid, state)
-    kept, modes = _lyapunov_lattice(partition, j)
-    return _lyapunov_kernel(partition, j, kept, modes, grid._box_rfft(a, kept), grid._box_rfft(u, kept),
-                            c_tilde, params)
+    box = partition.lyapunov_box(j)
+    return _lyapunov_kernel(partition, box, _workspace(partition).transform(a, u, box), c_tilde, params)
 
 
-def _lyapunov_lattice(partition: LPPartition, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The box of the supports of shell j and S_(j-1), and the alias-free lattice of the cubic term."""
-    shell, low = partition.shell_box(j), partition.low_box(j - 1)
-    return tuple(map(max, shell, low)), partition.grid._product_modes(low, shell, shell)
+def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``m * z`` for a real ``m`` and a contiguous complex ``z`` of m's shape or a stack of them, into ``out``.
+
+    Multiplying the real and imaginary parts of each component of ``z`` by
+    ``m`` gives the values of NumPy's complex product with ``m + 0j``, apart
+    from the sign of zeros, and needs neither a buffer to cast ``m`` to
+    complex nor one to broadcast it over the components.
+    """
+    for zc, oc in zip(z.reshape((-1,) + m.shape), out.reshape((-1,) + m.shape)):
+        np.multiply(m, zc.real, out=oc.real)
+        np.multiply(m, zc.imag, out=oc.imag)
+    return out
 
 
-def _lyapunov_kernel(
-    partition: LPPartition,
-    j: int,
-    kept: tuple[int, ...],
-    modes: tuple[int, ...],
-    a_box: np.ndarray,
-    u_box: np.ndarray,
-    c_tilde: float,
-    params: RieszParams,
-) -> tuple[float, float]:
-    """Quadratic part and L_j^2 from the box arrays of a and u, on ``_lyapunov_lattice``'s box and lattice.
+def _take(buffer: np.ndarray, shape: tuple[int, ...], dtype=None) -> np.ndarray:
+    """The contiguous array of ``shape`` at the start of ``buffer``, its bytes read as ``dtype`` if given."""
+    flat = buffer.reshape(-1) if dtype is None else buffer.reshape(-1).view(dtype)
+    return flat[:math.prod(shape)].reshape(shape)
 
-    The quadratic and cross terms are Parseval sums over the box.  The
-    cubic term samples S_(j-1) a and |nabla| u_j in one inverse onto the
-    lattice of ``modes``, where their triple product does not alias.
-    ``a_box`` and ``u_box`` are overwritten.
+
+@dataclass(frozen=True)
+class _BoxViews:
+    """A :class:`_LyapunovWorkspace`'s buffers as contiguous arrays on one box and lattice.
+
+    ``a`` and ``u`` are the box arrays of a and u, ``low_a`` and ``lam_u``
+    the two parts of ``spectra``, the stack that takes the one inverse, and
+    ``scratch`` and ``real`` one complex and one float box array.  The
+    placement follows the order in which :func:`_lyapunov_kernel` spends
+    them: a_j and u_j are read for the last time before the inverse, so it
+    writes its ``samples`` on the lattice into the box arrays, or, when it
+    needs ``work`` there for the zero-filled coarse spectra, into the
+    spent ``spectra``.
+    """
+
+    a: np.ndarray
+    u: np.ndarray
+    spectra: np.ndarray
+    low_a: np.ndarray
+    lam_u: np.ndarray
+    scratch: np.ndarray
+    real: np.ndarray
+    samples: np.ndarray
+    work: np.ndarray | None
+
+
+class _LyapunovWorkspace:
+    """The held buffers of :func:`_lyapunov_kernel`, sized for the whole half lattice.
+
+    ``fields`` holds the box arrays of a and u, ``spectra`` the stacked
+    spectra of the cubic term's one inverse: 1 + d half spectra each.
+    ``scratch`` is one complex and ``real`` one float half spectrum.  Each
+    box works on contiguous leading views of them (:meth:`on`, made once
+    per box), so every shell of every state writes to the same pages:
+    3.8 MiB at 2D 256².  A workspace serves one call at a time.
+    """
+
+    def __init__(self, grid: SpectralGrid):
+        self.grid = grid
+        half = grid.half_xi_norm.shape
+        self.fields = np.empty((1 + grid.dim,) + half, dtype=complex)
+        self.spectra = np.empty((1 + grid.dim,) + half, dtype=complex)
+        self.scratch = np.empty(half, dtype=complex)
+        self.real = np.empty(half)
+        self._views: dict = {}
+
+    def on(self, box: LyapunovBox) -> _BoxViews:
+        """The views on ``box.kept`` and ``box.modes``, made on first use.
+
+        In 2D on the whole half lattice the inverse runs in place on
+        ``spectra``; on a smaller box it zero-fills the coarse spectra in the
+        box arrays' buffer.  In 1D it needs no work array.
+        """
+        key = (box.kept, box.modes)
+        if key not in self._views:
+            grid, kept, modes = self.grid, box.kept, box.modes
+            shape = grid._box_shape(kept)
+            nf = len(self.fields)
+            fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
+            if grid.dim == 1:
+                work, samples = None, _take(self.fields, (nf,) + modes, float)
+            elif box.whole:
+                work, samples = spectra, _take(self.fields, (nf,) + modes, float)
+            else:
+                work = _take(self.fields, (nf, modes[0], kept[-1] + 1))
+                samples = _take(self.spectra, (nf,) + modes, float)
+            self._views[key] = _BoxViews(a=fields[0], u=fields[1:], spectra=spectra, low_a=spectra[0],
+                                         lam_u=spectra[1:], scratch=_take(self.scratch, shape),
+                                         real=_take(self.real, shape), samples=samples, work=work)
+        return self._views[key]
+
+    def transform(self, a: np.ndarray, u: np.ndarray, box: LyapunovBox) -> _BoxViews:
+        """The views on ``box``, with a and u transformed into their box arrays.
+
+        On the whole half lattice the box arrays are the half spectra, which
+        ``rfft`` writes straight into them; on a smaller box the last-axis
+        transforms run into ``spectra`` (``SpectralGrid._box_rfft``).
+        """
+        v = self.on(box)
+        for f, out, work in ((a, v.a, self.spectra[0]), (u, v.u, self.spectra[1:])):
+            if box.whole:
+                self.grid._rfft(f, out=out)
+            else:
+                self.grid._box_rfft(f, box.kept, out=out, work=work)
+        return v
+
+    def gather(self, a_hat: np.ndarray, u_hat: np.ndarray, box: LyapunovBox) -> _BoxViews:
+        """The views on ``box``, with the box arrays gathered from the half spectra of a and u."""
+        v = self.on(box)
+        self.grid._box_gather(a_hat, box.kept, out=v.a)
+        self.grid._box_gather(u_hat, box.kept, out=v.u)
+        return v
+
+
+def _workspace(partition: LPPartition) -> _LyapunovWorkspace:
+    """The Lyapunov workspace held by ``partition``, made on first use."""
+    held = partition._held
+    if "lyapunov" not in held:
+        held["lyapunov"] = _LyapunovWorkspace(partition.grid)
+    return held["lyapunov"]
+
+
+def _lyapunov_kernel(partition: LPPartition, box: LyapunovBox, v: _BoxViews, c_tilde: float,
+                     params: RieszParams) -> tuple[float, float]:
+    """Quadratic part and L_j^2 of shell j from the box arrays of a and u in ``v``.
+
+    ``box`` is ``partition.lyapunov_box(j)`` and ``v`` its views of the
+    partition's Lyapunov workspace; the box arrays are overwritten.  The
+    quadratic and cross terms are Parseval sums over the box.  The cubic
+    term samples S_(j-1) a and |nabla| u_j in one inverse onto the lattice
+    of ``box.modes``, where their triple product does not alias.  Each
+    operation takes the operands of the allocating expression it replaces
+    in their order, so the values are that expression's bit for bit,
+    apart from the sign of zeros.
     """
     if not (0 < c_tilde < 0.5):
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     grid = partition.grid
-
-    def box(m: np.ndarray) -> np.ndarray:
-        return grid._box_symbol(m, kept)
-
-    m = box(partition.half_shell(j))
-    k = box(grid.half_xi_norm)
     # the stacked spectra of S_(j-1) a and |nabla| u_j, for the one inverse
-    spectra = np.empty((1 + grid.dim,) + a_box.shape, dtype=complex)
-    np.multiply(box(partition.half_low_pass(j - 1)), a_box, out=spectra[0])
-    a_j = np.multiply(m, a_box, out=a_box)
-    u_j = np.multiply(m, u_box, out=u_box)
-    lam_u = np.multiply(k, u_j, out=spectra[1:])
-    lam_a = k**params.s_star * a_j
+    _real_times(box.low, v.a, out=v.low_a)
+    a_j = _real_times(box.shell, v.a, out=v.a)
+    u_j = _real_times(box.shell, v.u, out=v.u)
+    lam_u = _real_times(box.xi_norm, u_j, out=v.lam_u)
+    power = v.real
+    np.copyto(power, box.xi_norm)
+    power **= params.s_star  # NumPy's rules for xi_norm ** s_star
+    lam_a = _real_times(power, a_j, out=v.scratch)
     quad = spectral_inner(grid, lam_a, lam_a) + spectral_inner(grid, lam_u, lam_u)
-    div_u_j = sum(box(g) * c for g, c in zip(grid.half_grad, u_j))
+    div_u_j = np.multiply(box.grad[0], u_j[0], out=v.scratch)
+    for g, c in zip(box.grad[1:], u_j[1:]):
+        div_u_j += np.multiply(g, c, out=c)
     cross = -2.0 * c_tilde * spectral_inner(grid, a_j, div_u_j)
-    # free the box arrays before the inverse allocates its workspace and samples
-    del a_box, u_box, a_j, u_j, lam_a, div_u_j
-    fields = grid._box_irfft(spectra, kept, modes=modes)
+    fields = grid._box_irfft(v.spectra, box.kept, out=v.samples, work=v.work, modes=box.modes)
     squares = np.square(fields[1:], out=fields[1:]).reshape(grid.dim, -1)
-    weight = float(np.prod([L / n for L, n in zip(grid.lengths, modes)]))
+    weight = math.prod(L / n for L, n in zip(grid.lengths, box.modes))
     cubic = weight * float(np.sum(squares @ fields[0].ravel()))
     return quad, quad + cubic + cross
 
@@ -311,6 +484,8 @@ def lyapunov_block(
     over it, and the cubic term takes one stacked inverse transform onto
     the smallest alias-free lattice of its triple product (the grid's own
     once the box reaches a Nyquist index), so it is exact up to roundoff.
+    All of it runs in the partition's Lyapunov workspace, so one partition
+    must not serve two threads at once.
     """
     return _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)[1]
 
@@ -320,16 +495,17 @@ def lyapunov_blocks(grid: SpectralGrid, state: FieldState, c_tilde: float, parti
     """{j: L_j^2} of :func:`lyapunov_block` for every shell j >= max(j1 - 1, j_min).
 
     a and u are transformed once each, onto the whole half lattice; each
-    shell gathers its box from the two spectra, so its value equals
-    ``lyapunov_block``'s bit for bit.
+    shell gathers its box from the two spectra into the partition's
+    Lyapunov workspace, so its value equals ``lyapunov_block``'s bit for
+    bit.
     """
     a, u = state_fields(grid, state)
     a_hat, u_hat = grid.rfft(a), grid.rfft(u)
     blocks = {}
     for j in range(max(j1 - 1, partition.j_min), partition.j_max + 1):
-        kept, modes = _lyapunov_lattice(partition, j)
-        blocks[j] = _lyapunov_kernel(partition, j, kept, modes, grid._box_gather(a_hat, kept),
-                                     grid._box_gather(u_hat, kept), c_tilde, params)[1]
+        box = partition.lyapunov_box(j)
+        blocks[j] = _lyapunov_kernel(partition, box, _workspace(partition).gather(a_hat, u_hat, box),
+                                     c_tilde, params)[1]
     return blocks
 
 

@@ -350,10 +350,12 @@ class SpectralGrid:
         arrays or a sequence of them, zero-filled and scattered onto the
         K_2 + 1 kept columns of ``work[:F, :M_1, :K_2 + 1]`` (complex;
         overwritten; allocated when not given), which ``irfft`` then
-        transforms in place.  With ``modes`` = (M_1, ..., M_d) other than the
-        grid's, the result is the field's samples on the coarse lattice of
-        M_i points per axis (see the box section); each M_i must exceed 2 K_i,
-        or equal N_i.
+        transforms in place.  On a box that is the whole half lattice
+        ``work`` may be ``box`` itself: nothing is then zero-filled or
+        moved, and the transform runs in place on ``box``.  With ``modes`` =
+        (M_1, ..., M_d) other than the grid's, the result is the field's
+        samples on the coarse lattice of M_i points per axis (see the box
+        section); each M_i must exceed 2 K_i, or equal N_i.
         """
         modes = self.modes if modes is None else tuple(modes)
         for k, m, n in zip(kept, modes, self.modes):

@@ -1,5 +1,7 @@
 """Effective velocity, residuals, energy functionals, and decay fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ from rieszflow import (
     perturbation_presets,
     z_equation_residual,
 )
-from rieszflow.diagnostics import default_fit_window
+from rieszflow.diagnostics import _workspace, default_fit_window
+from rieszflow.grid import half_l2
 
 from conftest import full_lattice_filter, reference_besov, smooth_field, smooth_vector
 
@@ -348,6 +351,75 @@ class TestHalfSpectrumOracle:
             z_equation_residual(grid, shifted, params)
 
 
+# The residuals as one plain expression each, with plain half-spectrum operators:
+# every term a fresh array, the terms summed by ``sum`` or ``+`` left to right.
+
+
+def plain_grad_frac(grid, fhat, sigma):
+    with np.errstate(divide="ignore"):
+        power = grid.half_xi_norm**sigma
+    power[grid.zero_index] = 0.0
+    return np.stack([g * power * fhat for g in grid.half_grad])
+
+
+def plain_div(grid, vhat):
+    return sum(grid.half_grad[i] * vhat[i] for i in range(grid.dim))
+
+
+def plain_z_hat(grid, a_hat, u_hat, params):
+    return u_hat + params.kappa / params.lam * plain_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
+
+
+def plain_density_residual(grid, snaps, params):
+    s0, s1, s2 = snaps
+    beta = params.kappa / params.lam
+    a_hat = grid.rfft(s1.a)
+    terms = [
+        grid.rfft((s2.a - s0.a) / (s2.t - s0.t)),
+        beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat,
+        plain_div(grid, plain_z_hat(grid, a_hat, grid.rfft(s1.u), params)),
+        plain_div(grid, grid.rfft(s1.a * s1.u)),
+    ]
+    return half_l2(grid, sum(terms)) / max(half_l2(grid, t) for t in terms)
+
+
+def plain_z_residual(grid, snaps, params):
+    s0, s1, s2 = snaps
+    beta, sigma, dt = params.kappa / params.lam, 2.0 * params.s_star - 2.0, s2.t - s0.t
+    a_hat, u_hat = grid.rfft(s1.a), grid.rfft(s1.u)
+    z_hat = plain_z_hat(grid, a_hat, u_hat, params)
+    grad_u = grid.irfft(np.stack([g * u_hat for g in grid.half_grad], axis=1))
+    advection = np.sum(s1.u[np.newaxis] * grad_u, axis=1)
+    residual = (
+        plain_z_hat(grid, grid.rfft((s2.a - s0.a) / dt), grid.rfft((s2.u - s0.u) / dt), params)
+        + params.lam * z_hat
+        + beta * plain_grad_frac(grid, plain_div(grid, z_hat), sigma)
+        + beta**2 * plain_grad_frac(grid, a_hat, 4.0 * params.s_star - 2.0)
+        + beta * plain_grad_frac(grid, plain_div(grid, grid.rfft(s1.a * s1.u)), sigma)
+        + grid.rfft(advection)
+    )
+    return half_l2(grid, residual) / half_l2(grid, z_hat)
+
+
+class TestResidualSums:
+    """The residuals, summed in place term by term, equal the plain expressions bit for bit."""
+
+    def test_rough_states(self, rough_case):
+        grid, _, params, states = rough_case
+        assert density_equation_residual(grid, states, params) == plain_density_residual(grid, states, params)
+        assert z_equation_residual(grid, states, params) == plain_z_residual(grid, states, params)
+
+    @pytest.mark.parametrize("dim, modes", [(1, (128,)), (2, (32, 24))])
+    def test_solver_snapshots(self, dim, modes):
+        # on a trajectory the terms largely cancel (the residuals are about 2e-5 in 1D and
+        # 3e-2 in 2D here), so a change in the last bits of a term shows in the residual
+        grid = make_grid(dim=dim, lengths=(4 * np.pi,) * dim, modes=modes)
+        params = RieszParams.from_s_star(dim, 0.5)
+        snaps = snapshots_around(grid, params, perturbation_presets("smooth-bump", 0.1, grid), 0.1, 0.01)
+        assert density_equation_residual(grid, snaps, params) == plain_density_residual(grid, snaps, params)
+        assert z_equation_residual(grid, snaps, params) == plain_z_residual(grid, snaps, params)
+
+
 def smooth_even_at_least(need):
     """The smallest even integer >= need with no prime factor above 5."""
     m = need + need % 2
@@ -434,6 +506,110 @@ class TestBandedLyapunov:
                 total / quad, rel=1e-12)
             del fft_calls.log[start:]
         assert took_a_box == banded
+
+
+def banded_lyapunov_case(case):
+    """Grid and parameters of TestBandedLyapunov's 1D N=64 and 2D 32x24 cases, and two seeded states."""
+    grid = make_grid(dim=1, lengths=2 * np.pi, modes=64) if case == "1d" else \
+        make_grid(dim=2, lengths=(2 * np.pi, 3 * np.pi), modes=(32, 24))
+    params = RieszParams.from_s_star(grid.dim, 0.3, lam=0.8, kappa=1.5)
+    states = []
+    for seed in (5, 6):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(grid.shape)
+        states.append(FieldState(0.1 * (a - a.mean()), 0.1 * rng.standard_normal((grid.dim,) + grid.shape)))
+    return grid, params, states
+
+
+class TestLyapunovWorkspace:
+    """The partition's held Lyapunov workspace carries nothing from one call to the next."""
+
+    def test_values_equal_those_of_a_fresh_partition_in_any_order(self):
+        cases = {case: banded_lyapunov_case(case) for case in ("1d", "2d-rect")}
+        fresh, held = {}, {}
+        for case, (grid, params, states) in cases.items():
+            part = build_partition(grid)
+            js = list(range(max(-1, part.j_min), part.j_max + 1))
+            for k, st in enumerate(states):
+                for j in js:
+                    fresh[case, k, "block", j] = lyapunov_block(grid, st, j, 0.3, build_partition(grid), params)
+                    fresh[case, k, "equivalence", j] = lyapunov_equivalence(
+                        grid, st, j, 0.3, build_partition(grid), params)
+                fresh[case, k, "blocks"] = lyapunov_blocks(grid, st, 0.3, build_partition(grid), params)
+            interleaved = [j for pair in zip(js, reversed(js)) for j in pair][:len(js)]
+            held[case] = (part, [js, js[::-1], interleaved])
+        # each order of each case in turn, the two grids and the two states interleaved,
+        # and a whole lyapunov_blocks pass between the shells
+        for n in range(3):
+            for j_index in range(max(len(orders[n]) for _, orders in held.values())):
+                for case, (part, orders) in held.items():
+                    if j_index >= len(orders[n]):
+                        continue
+                    grid, params, states = cases[case]
+                    j = orders[n][j_index]
+                    for k, st in enumerate(states):
+                        got = lyapunov_block(grid, st, j, 0.3, part, params)
+                        assert got.hex() == fresh[case, k, "block", j].hex()
+                        got = lyapunov_equivalence(grid, st, j, 0.3, part, params)
+                        assert got.hex() == fresh[case, k, "equivalence", j].hex()
+                        blocks = lyapunov_blocks(grid, st, 0.3, part, params)
+                        assert {i: v.hex() for i, v in blocks.items()} == \
+                            {i: v.hex() for i, v in fresh[case, k, "blocks"].items()}
+
+    def test_one_workspace_per_partition_sized_for_the_half_lattice(self):
+        grid = make_grid(dim=2, lengths=16 * np.pi, modes=256)
+        part = build_partition(grid)
+        assert _workspace(part) is _workspace(part)
+        assert _workspace(part) is not _workspace(build_partition(grid))
+        # two stacks of 1 + d half spectra, one complex and one float half spectrum: 3.8 MiB
+        work = _workspace(part)
+        assert sum(b.nbytes for b in (work.fields, work.spectra, work.scratch, work.real)) == 3_962_880
+        # a shell whose box is the whole half lattice reads the partition's own masks
+        whole = tuple(n // 2 for n in grid.modes)
+        box = part.lyapunov_box(part.j_max)
+        assert box.kept == whole
+        assert box.shell is part.half_shell(part.j_max) and box.xi_norm is grid.half_xi_norm
+
+
+class TestDiagnosticAllocation:
+    """After a warm-up call the Lyapunov block allocates no array and the residuals a bounded transient."""
+
+    @staticmethod
+    def traced_peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def analyze_case():
+        grid = make_grid(dim=2, lengths=16 * np.pi, modes=64)
+        return grid, RieszParams.from_s_star(2, 0.5), analyze_2d_states(grid, 41, 3)
+
+    def test_lyapunov_block_on_a_whole_lattice_shell(self):
+        grid, params, states = self.analyze_case()
+        part = build_partition(grid)
+        assert part.lyapunov_box(part.j_max).kept == tuple(n // 2 for n in grid.modes)
+        # the transforms, products and the one inverse run in the held workspace;
+        # what is left is NumPy's per-call bookkeeping (1,936 B here); the
+        # fresh arrays of the allocating kernel took 409,688 B
+        assert self.traced_peak(lambda: lyapunov_block(grid, states[0], part.j_max, 0.25, part, params)) <= 2048
+
+    @pytest.mark.parametrize("residual, half_spectra", [
+        # measured 8.56 half spectra (289,336 B); the sum of the whole term list took 9.56
+        (density_equation_residual, 9),
+        # measured 12.56 (424,472 B); the whole-tensor advection and the one-expression sum took 18.39
+        (z_equation_residual, 13),
+    ])
+    def test_residual_transient(self, residual, half_spectra):
+        grid, params, states = self.analyze_case()
+        half = grid.half_xi_norm.size * 16
+        assert self.traced_peak(lambda: residual(grid, states, params)) <= half_spectra * half
 
 
 class TestTransformCount:

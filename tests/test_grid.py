@@ -509,6 +509,19 @@ class TestBoxTransforms:
             # a sequence of box arrays, into the same workspace
             assert bit_equal(g._box_irfft(list(box), kept, out=out, work=work), want)
 
+    @pytest.mark.parametrize("modes", [(32,), (16, 24)])
+    def test_whole_lattice_box_is_its_own_workspace(self, modes):
+        g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
+        whole = tuple(n // 2 for n in modes)
+        f = np.random.default_rng(3).standard_normal((3,) + g.shape)
+        axes = tuple(range(-g.dim, 0))
+        want = np.fft.rfftn(f, axes=axes)
+        # the box of the whole half lattice is the half spectrum; the inverse may run in place on it
+        box = g._box_rfft(f, whole)
+        assert bit_equal(box, want)
+        samples = g._box_irfft(box, whole, work=box if g.dim == 2 else None)
+        assert bit_equal(samples, np.fft.irfftn(want, s=g.modes, axes=axes))
+
     def test_transforms_allocate_only_their_output(self):
         g = make_grid(dim=2, lengths=2.0 * np.pi, modes=64)
         f = np.random.default_rng(0).standard_normal((3,) + g.shape)
