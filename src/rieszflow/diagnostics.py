@@ -22,7 +22,6 @@ from .grid import (
     FieldState,
     RieszParams,
     SpectralGrid,
-    _half_power,
     _require_mean_zero,
     half_divergence,
     half_grad_frac,
@@ -34,7 +33,6 @@ from .grid import (
 from .littlewood_paley import (  # noqa: F401  (besov_norm, dyadic_block: as lp_norm above)
     BesovSpec,
     LPPartition,
-    LyapunovBox,
     ShellNorms,
     besov_norm,
     dyadic_block,
@@ -78,30 +76,9 @@ class DecayFit:
     r_squared: float
 
 
-def _div_hat(grid: SpectralGrid, vhat: np.ndarray) -> np.ndarray:
-    """:func:`half_divergence`, its terms i xi_i vhat_i added left to right into the first.
-
-    The values are those of its ``sum`` apart from the sign of zeros.
-    """
-    out = np.multiply(grid.half_grad[0], vhat[0])
-    for g, v in zip(grid.half_grad[1:], vhat[1:]):
-        out += g * v
-    return out
-
-
-def _grad_frac_hat(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.ndarray:
-    """:func:`half_grad_frac`, component i formed in place as (i xi_i |xi|^sigma) fhat."""
-    power = _half_power(grid, sigma)
-    out = np.empty((grid.dim,) + np.shape(fhat), dtype=complex)
-    for g, o in zip(grid.half_grad, out):
-        np.multiply(g, power, out=o)
-        o *= fhat
-    return out
-
-
 def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: RieszParams) -> np.ndarray:
     """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a, formed in one array."""
-    z = _grad_frac_hat(grid, a_hat, 2.0 * params.s_star - 2.0)
+    z = half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
     np.multiply(params.kappa / params.lam, z, out=z)
     return np.add(u_hat, z, out=z)
 
@@ -181,9 +158,9 @@ def density_equation_residual(
     total = measured(grid.rfft(_rate(a2, a0, s2.t - s0.t)))
     a_hat = grid.rfft(a1)
     total += measured(beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat)
-    total += measured(_div_hat(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)))
+    total += measured(half_divergence(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)))
     del a_hat
-    total += measured(_div_hat(grid, grid.rfft(a1 * u1)))
+    total += measured(half_divergence(grid, grid.rfft(a1 * u1)))
     scale = max(norms)
     if scale == 0.0:
         return 0.0
@@ -212,11 +189,11 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     z_hat = _z_hat(grid, a_hat, u_hat, params)
     denom = half_l2(grid, z_hat)
     residual += params.lam * z_hat
-    residual += _scaled(beta, _grad_frac_hat(grid, _div_hat(grid, z_hat), sigma))
+    residual += _scaled(beta, half_grad_frac(grid, half_divergence(grid, z_hat), sigma))
     del z_hat
-    residual += _scaled(beta**2, _grad_frac_hat(grid, a_hat, 4.0 * params.s_star - 2.0))
+    residual += _scaled(beta**2, half_grad_frac(grid, a_hat, 4.0 * params.s_star - 2.0))
     del a_hat
-    residual += _scaled(beta, _grad_frac_hat(grid, _div_hat(grid, grid.rfft(a1 * u1)), sigma))
+    residual += _scaled(beta, half_grad_frac(grid, half_divergence(grid, grid.rfft(a1 * u1)), sigma))
     _add_advection_hat(grid, u1, u_hat, residual)
     if denom == 0.0:
         return 0.0
@@ -300,8 +277,8 @@ def _lyapunov_parts(
         raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
     partition.check_j(j)
     a, u = state_fields(grid, state)
-    box = partition.lyapunov_box(j)
-    return _lyapunov_kernel(partition, box, _workspace(partition).transform(a, u, box), c_tilde, params)
+    work = _workspace(partition)
+    return _lyapunov_kernel(partition.grid, work.transform(a, u, work.plan(partition, j)), c_tilde, params)
 
 
 def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -325,24 +302,43 @@ def _take(buffer: np.ndarray, shape: tuple[int, ...], dtype=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _BoxViews:
-    """A :class:`_LyapunovWorkspace`'s buffers as contiguous arrays on one box and lattice.
+class _ShellPlan:
+    """Shell j of the Lyapunov functional laid out on the buffers of a :class:`_LyapunovWorkspace`.
 
-    ``a`` and ``u`` are the box arrays of a and u, ``low_a`` and ``lam_u``
-    the two parts of ``spectra``, the stack that takes the one inverse, and
-    ``scratch`` and ``real`` one complex and one float box array.  The
-    placement follows the order in which :func:`_lyapunov_kernel` spends
-    them: a_j and u_j are read for the last time before the inverse, so it
-    writes its ``samples`` on the lattice into the box arrays, or, when it
-    needs ``work`` there for the zero-filled coarse spectra, into the
-    spent ``spectra``.
+    The box: ``kept`` is the box of the supports of phi_j and chi_(j-1)
+    (``SpectralGrid._support_box``), ``modes`` the smallest alias-free
+    lattice of a product S_(j-1) f g_j h_j of one low-passed and two
+    shell-j fields (``SpectralGrid._product_modes``), and ``whole`` whether
+    the box is the whole half lattice.
+
+    The symbols: ``shell``, ``low`` and ``xi_norm`` are phi_j, chi_(j-1)
+    and |xi| on the box (``SpectralGrid._box_symbol``); on a whole box they
+    are the partition's and the grid's own arrays, which must not be
+    written to.  ``grad`` holds the i xi_i as whole box arrays, shared by
+    the shells of one box, so that their products need no broadcast buffer.
+
+    The views, contiguous leading parts of the workspace's buffers: ``a``
+    and ``u`` are the box arrays of a and u, ``spectra`` the stack
+    [S_(j-1) a, |nabla| u_j] that takes the one inverse, and ``scratch``
+    and ``real`` one complex and one float box array.  The placement
+    follows the order in which :func:`_lyapunov_kernel` spends them: a_j
+    and u_j are read for the last time before the inverse, so it writes
+    its ``samples`` on the lattice into the box arrays, or, when it needs
+    ``work`` there for the zero-filled coarse spectra, into the spent
+    ``spectra``.  In 2D on the whole half lattice the inverse runs in
+    place on ``spectra``; in 1D it needs no work array.
     """
 
+    kept: tuple[int, ...]
+    modes: tuple[int, ...]
+    whole: bool
+    shell: np.ndarray
+    low: np.ndarray
+    xi_norm: np.ndarray
+    grad: tuple[np.ndarray, ...]
     a: np.ndarray
     u: np.ndarray
     spectra: np.ndarray
-    low_a: np.ndarray
-    lam_u: np.ndarray
     scratch: np.ndarray
     real: np.ndarray
     samples: np.ndarray
@@ -350,14 +346,14 @@ class _BoxViews:
 
 
 class _LyapunovWorkspace:
-    """The held buffers of :func:`_lyapunov_kernel`, sized for the whole half lattice.
+    """The held buffers of :func:`_lyapunov_kernel`, sized for the whole half lattice, and each shell's plan.
 
     ``fields`` holds the box arrays of a and u, ``spectra`` the stacked
     spectra of the cubic term's one inverse: 1 + d half spectra each.
     ``scratch`` is one complex and ``real`` one float half spectrum.  Each
-    box works on contiguous leading views of them (:meth:`on`, made once
-    per box), so every shell of every state writes to the same pages:
-    3.8 MiB at 2D 256².  A workspace serves one call at a time.
+    shell's :class:`_ShellPlan`, made once, views them, so every shell of
+    every state writes to the same pages: 3.8 MiB at 2D 256².  A workspace
+    serves one call at a time.
     """
 
     def __init__(self, grid: SpectralGrid):
@@ -367,54 +363,61 @@ class _LyapunovWorkspace:
         self.spectra = np.empty((1 + grid.dim,) + half, dtype=complex)
         self.scratch = np.empty(half, dtype=complex)
         self.real = np.empty(half)
-        self._views: dict = {}
+        self._plans: dict = {}
+        self._grads: dict = {}
 
-    def on(self, box: LyapunovBox) -> _BoxViews:
-        """The views on ``box.kept`` and ``box.modes``, made on first use.
-
-        In 2D on the whole half lattice the inverse runs in place on
-        ``spectra``; on a smaller box it zero-fills the coarse spectra in the
-        box arrays' buffer.  In 1D it needs no work array.
-        """
-        key = (box.kept, box.modes)
-        if key not in self._views:
-            grid, kept, modes = self.grid, box.kept, box.modes
+    def plan(self, partition: LPPartition, j: int) -> _ShellPlan:
+        """Shell j's plan on ``partition``, the partition holding this workspace, made on first use."""
+        if j not in self._plans:
+            grid = self.grid
+            shell_mask, low_mask = partition.half_shell(j), partition.half_low_pass(j - 1)
+            shell, low = grid._support_box(shell_mask), grid._support_box(low_mask)
+            kept = tuple(map(max, shell, low))
+            modes = grid._product_modes(low, shell, shell)
             shape = grid._box_shape(kept)
+            whole = shape == grid.half_xi_norm.shape
+
+            def symbol(m: np.ndarray) -> np.ndarray:
+                return m if whole else grid._box_symbol(m, kept)
+
+            if kept not in self._grads:
+                self._grads[kept] = tuple(np.ascontiguousarray(np.broadcast_to(symbol(g), shape))
+                                          for g in grid.half_grad)
             nf = len(self.fields)
             fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
             if grid.dim == 1:
                 work, samples = None, _take(self.fields, (nf,) + modes, float)
-            elif box.whole:
+            elif whole:
                 work, samples = spectra, _take(self.fields, (nf,) + modes, float)
             else:
                 work = _take(self.fields, (nf, modes[0], kept[-1] + 1))
                 samples = _take(self.spectra, (nf,) + modes, float)
-            self._views[key] = _BoxViews(a=fields[0], u=fields[1:], spectra=spectra, low_a=spectra[0],
-                                         lam_u=spectra[1:], scratch=_take(self.scratch, shape),
-                                         real=_take(self.real, shape), samples=samples, work=work)
-        return self._views[key]
+            self._plans[j] = _ShellPlan(
+                kept=kept, modes=modes, whole=whole, shell=symbol(shell_mask), low=symbol(low_mask),
+                xi_norm=symbol(grid.half_xi_norm), grad=self._grads[kept], a=fields[0], u=fields[1:],
+                spectra=spectra, scratch=_take(self.scratch, shape), real=_take(self.real, shape),
+                samples=samples, work=work)
+        return self._plans[j]
 
-    def transform(self, a: np.ndarray, u: np.ndarray, box: LyapunovBox) -> _BoxViews:
-        """The views on ``box``, with a and u transformed into their box arrays.
+    def transform(self, a: np.ndarray, u: np.ndarray, plan: _ShellPlan) -> _ShellPlan:
+        """``plan``, with a and u transformed into its box arrays.
 
         On the whole half lattice the box arrays are the half spectra, which
         ``rfft`` writes straight into them; on a smaller box the last-axis
         transforms run into ``spectra`` (``SpectralGrid._box_rfft``).
         """
-        v = self.on(box)
-        for f, out, work in ((a, v.a, self.spectra[0]), (u, v.u, self.spectra[1:])):
-            if box.whole:
+        for f, out, work in ((a, plan.a, self.spectra[0]), (u, plan.u, self.spectra[1:])):
+            if plan.whole:
                 self.grid._rfft(f, out=out)
             else:
-                self.grid._box_rfft(f, box.kept, out=out, work=work)
-        return v
+                self.grid._box_rfft(f, plan.kept, out=out, work=work)
+        return plan
 
-    def gather(self, a_hat: np.ndarray, u_hat: np.ndarray, box: LyapunovBox) -> _BoxViews:
-        """The views on ``box``, with the box arrays gathered from the half spectra of a and u."""
-        v = self.on(box)
-        self.grid._box_gather(a_hat, box.kept, out=v.a)
-        self.grid._box_gather(u_hat, box.kept, out=v.u)
-        return v
+    def gather(self, a_hat: np.ndarray, u_hat: np.ndarray, plan: _ShellPlan) -> _ShellPlan:
+        """``plan``, with its box arrays gathered from the half spectra of a and u."""
+        self.grid._box_gather(a_hat, plan.kept, out=plan.a)
+        self.grid._box_gather(u_hat, plan.kept, out=plan.u)
+        return plan
 
 
 def _workspace(partition: LPPartition) -> _LyapunovWorkspace:
@@ -425,39 +428,38 @@ def _workspace(partition: LPPartition) -> _LyapunovWorkspace:
     return held["lyapunov"]
 
 
-def _lyapunov_kernel(partition: LPPartition, box: LyapunovBox, v: _BoxViews, c_tilde: float,
+def _lyapunov_kernel(grid: SpectralGrid, plan: _ShellPlan, c_tilde: float,
                      params: RieszParams) -> tuple[float, float]:
-    """Quadratic part and L_j^2 of shell j from the box arrays of a and u in ``v``.
+    """Quadratic part and L_j^2 of shell j from the box arrays of a and u in ``plan``.
 
-    ``box`` is ``partition.lyapunov_box(j)`` and ``v`` its views of the
-    partition's Lyapunov workspace; the box arrays are overwritten.  The
-    quadratic and cross terms are Parseval sums over the box.  The cubic
-    term samples S_(j-1) a and |nabla| u_j in one inverse onto the lattice
-    of ``box.modes``, where their triple product does not alias.  Each
-    operation takes the operands of the allocating expression it replaces
-    in their order, so the values are that expression's bit for bit,
-    apart from the sign of zeros.
+    ``plan`` is shell j's plan on ``grid`` (:meth:`_LyapunovWorkspace.plan`);
+    its box arrays are overwritten.  The quadratic and cross terms are
+    Parseval sums over the box.  The cubic term samples S_(j-1) a and
+    |nabla| u_j in one inverse onto the lattice of ``plan.modes``, where
+    their triple product does not alias.  Each operation takes the
+    operands of the allocating expression it replaces in their order, so
+    the values are that expression's bit for bit, apart from the sign of
+    zeros.
     """
     if not (0 < c_tilde < 0.5):
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
-    grid = partition.grid
     # the stacked spectra of S_(j-1) a and |nabla| u_j, for the one inverse
-    _real_times(box.low, v.a, out=v.low_a)
-    a_j = _real_times(box.shell, v.a, out=v.a)
-    u_j = _real_times(box.shell, v.u, out=v.u)
-    lam_u = _real_times(box.xi_norm, u_j, out=v.lam_u)
-    power = v.real
-    np.copyto(power, box.xi_norm)
+    _real_times(plan.low, plan.a, out=plan.spectra[0])
+    a_j = _real_times(plan.shell, plan.a, out=plan.a)
+    u_j = _real_times(plan.shell, plan.u, out=plan.u)
+    lam_u = _real_times(plan.xi_norm, u_j, out=plan.spectra[1:])
+    power = plan.real
+    np.copyto(power, plan.xi_norm)
     power **= params.s_star  # NumPy's rules for xi_norm ** s_star
-    lam_a = _real_times(power, a_j, out=v.scratch)
+    lam_a = _real_times(power, a_j, out=plan.scratch)
     quad = spectral_inner(grid, lam_a, lam_a) + spectral_inner(grid, lam_u, lam_u)
-    div_u_j = np.multiply(box.grad[0], u_j[0], out=v.scratch)
-    for g, c in zip(box.grad[1:], u_j[1:]):
+    div_u_j = np.multiply(plan.grad[0], u_j[0], out=plan.scratch)
+    for g, c in zip(plan.grad[1:], u_j[1:]):
         div_u_j += np.multiply(g, c, out=c)
     cross = -2.0 * c_tilde * spectral_inner(grid, a_j, div_u_j)
-    fields = grid._box_irfft(v.spectra, box.kept, out=v.samples, work=v.work, modes=box.modes)
+    fields = grid._box_irfft(plan.spectra, plan.kept, out=plan.samples, work=plan.work, modes=plan.modes)
     squares = np.square(fields[1:], out=fields[1:]).reshape(grid.dim, -1)
-    weight = math.prod(L / n for L, n in zip(grid.lengths, box.modes))
+    weight = math.prod(L / n for L, n in zip(grid.lengths, plan.modes))
     cubic = weight * float(np.sum(squares @ fields[0].ravel()))
     return quad, quad + cubic + cross
 
@@ -501,12 +503,10 @@ def lyapunov_blocks(grid: SpectralGrid, state: FieldState, c_tilde: float, parti
     """
     a, u = state_fields(grid, state)
     a_hat, u_hat = grid.rfft(a), grid.rfft(u)
-    blocks = {}
-    for j in range(max(j1 - 1, partition.j_min), partition.j_max + 1):
-        box = partition.lyapunov_box(j)
-        blocks[j] = _lyapunov_kernel(partition, box, _workspace(partition).gather(a_hat, u_hat, box),
-                                     c_tilde, params)[1]
-    return blocks
+    work = _workspace(partition)
+    return {j: _lyapunov_kernel(partition.grid, work.gather(a_hat, u_hat, work.plan(partition, j)),
+                                c_tilde, params)[1]
+            for j in range(max(j1 - 1, partition.j_min), partition.j_max + 1)}
 
 
 def lyapunov_equivalence(

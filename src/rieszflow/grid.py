@@ -725,15 +725,26 @@ def spectral_l2(grid: SpectralGrid, f: np.ndarray) -> float:
 
 
 def half_divergence(grid: SpectralGrid, vhat: np.ndarray) -> np.ndarray:
-    """Half spectrum of div v from the half spectrum of v (cf. :func:`divergence`)."""
-    return sum(grid.half_grad[i] * vhat[i] for i in range(grid.dim))
+    """Half spectrum of div v from the half spectrum of v (cf. :func:`divergence`).
+
+    The terms i xi_i vhat_i are added left to right into the first.
+    """
+    out = np.multiply(grid.half_grad[0], vhat[0])
+    for g, v in zip(grid.half_grad[1:], vhat[1:]):
+        out += g * v
+    return out
 
 
 def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.ndarray:
     """Half spectrum of grad |nabla|^sigma f (cf. :func:`grad_frac_lambda`).
 
-    The zero mode is mapped to 0, so a negative sigma needs a mean-zero f.
+    Component i is formed in place as (i xi_i |xi|^sigma) fhat.  The zero
+    mode is mapped to 0, so a negative sigma needs a mean-zero f.
     """
     power = _half_power(grid, sigma)
-    return np.stack([g * power * fhat for g in grid.half_grad])
+    out = np.empty((grid.dim,) + np.shape(fhat), dtype=complex)
+    for g, o in zip(grid.half_grad, out):
+        np.multiply(g, power, out=o)
+        o *= fhat
+    return out
 

@@ -16,9 +16,8 @@ the trailing axes) and forms the shell blocks as masked half spectra.
 L^2 shell norms are Parseval sums with no inverse transform; other L^p
 norms take one inverse transform per shell.
 
-The partition also caches what the block Lyapunov functionals of
-``diagnostics`` read on shell j: the box of shell j and S_(j-1), with
-their symbols on it (``lyapunov_box``).
+A partition also lends one private slot, ``_held``, to ``diagnostics``,
+which keeps the workspace of its block Lyapunov functionals there.
 """
 
 from __future__ import annotations
@@ -85,50 +84,24 @@ def phi_profile(r) -> np.ndarray:
     return chi_profile(r / 2.0) - chi_profile(r)
 
 
-@dataclass(frozen=True)
-class LyapunovBox:
-    """Shell j and the low pass S_(j-1) on the box of their joint support.
-
-    ``kept`` is the box of the supports of phi_j and chi_(j-1), and
-    ``modes`` the smallest alias-free lattice of a product S_(j-1) f g_j h_j
-    of one low-passed and two shell-j fields (``SpectralGrid._product_modes``),
-    and ``whole`` whether the box is the whole half lattice.  ``shell``,
-    ``low`` and ``xi_norm`` are phi_j, chi_(j-1) and |xi| on the box
-    (``SpectralGrid._box_symbol``); on a whole box they are the
-    partition's and the grid's own arrays, which must not be written to.
-    ``grad`` holds the i xi_i as whole box arrays, shared by the shells of
-    one box, so that their products need no broadcast buffer.
-    """
-
-    kept: tuple[int, ...]
-    modes: tuple[int, ...]
-    whole: bool
-    shell: np.ndarray
-    low: np.ndarray
-    xi_norm: np.ndarray
-    grad: tuple[np.ndarray, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class LPPartition:
     """Resolved dyadic shells j_min..j_max on a given grid.
 
     ``half_shell(j)`` returns the spectral shell mask phi(|xi| / 2^j)
     and ``half_low_pass(j)`` returns chi(|xi| / 2^j), the projector onto
-    shells strictly below j, both on the half lattice and cached;
-    ``shell_box(j)`` and ``low_box(j)`` are the boxes of their supports
-    (``SpectralGrid._support_box``), read off the cached masks, and
-    ``lyapunov_box(j)`` is shell j and S_(j-1) on their joint box, also
-    cached.  ``multiplier(j)``, ``low_pass_multiplier(j)`` and
-    ``partition_sum()`` give the same masks on the full lattice,
-    recomputed on every call: they are the reference form, which the
-    library's own operators do not use.
+    shells strictly below j, both on the half lattice and cached.
+    ``multiplier(j)``, ``low_pass_multiplier(j)`` and ``partition_sum()``
+    give the same masks on the full lattice, recomputed on every call:
+    they are the reference form, which the library's own operators do
+    not use.
 
-    ``_held`` keeps buffers that other modules reuse from call to call
-    on this partition: ``diagnostics`` holds its Lyapunov workspace there,
-    3.8 MiB at 2D 256², made on the first Lyapunov block.  So one
-    partition must not be shared between threads that compute Lyapunov
-    blocks: build one per thread, as ``cli``'s sweep does per child.
+    ``_held`` is filled by ``diagnostics`` alone: on the first Lyapunov
+    block it puts there the workspace of its Lyapunov functionals (the
+    buffers, 3.8 MiB at 2D 256², and each shell's plan on them), which
+    every later block on this partition reuses.  So one partition must
+    not be shared between threads that compute Lyapunov blocks: build one
+    per thread, as ``cli``'s sweep does per child.
     """
 
     grid: SpectralGrid
@@ -136,9 +109,6 @@ class LPPartition:
     j_max: int
     _shells: dict = field(init=False, repr=False, default_factory=dict)
     _low: dict = field(init=False, repr=False, default_factory=dict)
-    _boxes: dict = field(init=False, repr=False, default_factory=dict)
-    _lyapunov: dict = field(init=False, repr=False, default_factory=dict)
-    _grads: dict = field(init=False, repr=False, default_factory=dict)
     _held: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -161,43 +131,6 @@ class LPPartition:
         if j not in self._low:
             self._low[j] = chi_profile(self.grid.half_xi_norm / 2.0**j)
         return self._low[j]
-
-    def shell_box(self, j: int) -> tuple[int, ...]:
-        return self._box(self.half_shell, j)
-
-    def low_box(self, j: int) -> tuple[int, ...]:
-        return self._box(self.half_low_pass, j)
-
-    def _box(self, mask, j: int) -> tuple[int, ...]:
-        key = (mask.__name__, j)
-        if key not in self._boxes:
-            self._boxes[key] = self.grid._support_box(mask(j))
-        return self._boxes[key]
-
-    def lyapunov_box(self, j: int) -> LyapunovBox:
-        if j not in self._lyapunov:
-            grid = self.grid
-            shell, low = self.shell_box(j), self.low_box(j - 1)
-            kept = tuple(map(max, shell, low))
-            shape = grid._box_shape(kept)
-            whole = shape == grid.half_xi_norm.shape
-
-            def symbol(m: np.ndarray) -> np.ndarray:
-                return m if whole else grid._box_symbol(m, kept)
-
-            if kept not in self._grads:
-                self._grads[kept] = tuple(np.ascontiguousarray(np.broadcast_to(symbol(g), shape))
-                                          for g in grid.half_grad)
-            self._lyapunov[j] = LyapunovBox(
-                kept=kept,
-                modes=grid._product_modes(low, shell, shell),
-                whole=whole,
-                shell=symbol(self.half_shell(j)),
-                low=symbol(self.half_low_pass(j - 1)),
-                xi_norm=symbol(grid.half_xi_norm),
-                grad=self._grads[kept],
-            )
-        return self._lyapunov[j]
 
     def multiplier(self, j: int) -> np.ndarray:
         return phi_profile(self.grid.xi_norm / 2.0**j)

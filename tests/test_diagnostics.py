@@ -12,7 +12,9 @@ from rieszflow import (
     apply_multiplier,
     RieszParams,
     SolverConfig,
+    besov_norm,
     build_partition,
+    chemin_lerner_norm,
     density_equation_residual,
     dyadic_block,
     effective_velocity,
@@ -30,6 +32,7 @@ from rieszflow import (
 )
 from rieszflow.diagnostics import _workspace, default_fit_window
 from rieszflow.grid import half_l2
+from rieszflow.littlewood_paley import ShellNorms
 
 from conftest import full_lattice_filter, reference_besov, smooth_field, smooth_vector
 
@@ -566,9 +569,23 @@ class TestLyapunovWorkspace:
         assert sum(b.nbytes for b in (work.fields, work.spectra, work.scratch, work.real)) == 3_962_880
         # a shell whose box is the whole half lattice reads the partition's own masks
         whole = tuple(n // 2 for n in grid.modes)
-        box = part.lyapunov_box(part.j_max)
-        assert box.kept == whole
-        assert box.shell is part.half_shell(part.j_max) and box.xi_norm is grid.half_xi_norm
+        plan = work.plan(part, part.j_max)
+        assert plan.kept == whole
+        assert plan.shell is part.half_shell(part.j_max) and plan.xi_norm is grid.half_xi_norm
+
+    def test_only_a_lyapunov_call_fills_the_partition(self):
+        grid, params, states = banded_lyapunov_case("2d-rect")
+        part = build_partition(grid)
+        # the norms the simulate sink and analyze-2d take besides the Lyapunov blocks
+        for st in states:
+            energy_functionals(grid, st, part, params, j1=1)
+            besov_norm(part, st.a, BesovSpec(0.0, 4, 1))
+            ShellNorms(part, grid.rfft(st.u)).besov(BesovSpec(1.0, 2, 2, "high", 1))
+        chemin_lerner_norm(part, np.array([0.0, 0.1]), [st.a for st in states], 1.0, BesovSpec(1.0, 2, 1, "low", 1))
+        assert part._held == {}
+        lyapunov_block(grid, states[0], part.j_max, 0.3, part, params)
+        lyapunov_blocks(grid, states[1], 0.3, part, params)
+        assert list(part._held.values()) == [_workspace(part)]
 
 
 class TestDiagnosticAllocation:
@@ -594,7 +611,7 @@ class TestDiagnosticAllocation:
     def test_lyapunov_block_on_a_whole_lattice_shell(self):
         grid, params, states = self.analyze_case()
         part = build_partition(grid)
-        assert part.lyapunov_box(part.j_max).kept == tuple(n // 2 for n in grid.modes)
+        assert _workspace(part).plan(part, part.j_max).kept == tuple(n // 2 for n in grid.modes)
         # the transforms, products and the one inverse run in the held workspace;
         # what is left is NumPy's per-call bookkeeping (1,936 B here); the
         # fresh arrays of the allocating kernel took 409,688 B
