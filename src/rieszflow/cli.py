@@ -277,16 +277,16 @@ def cmd_simulate(cp, grid: SpectralGrid, seed: int, writer: ArtifactWriter, work
     norm_rows = []
     records = []
 
-    def sink(st, diag) -> None:
+    def sink(st, diag, spectrum) -> None:
         writer.write_binary(f"snap_{len(times):04d}.bin", lambda p: write_snapshot(p, grid, st))
         t = st.t
         times.append(t)
         # (t, name, value) triples: a tuple takes a third of a dict's bytes
         records.extend((t, name, diag[name]) for name in ("l2_a", "l2_u", "min_density", "mean_a"))
-        # one transform of a per snapshot: the energy and every Besov spec read its shell norms
-        a_shells = ShellNorms(partition, grid.rfft(st.a))
+        # the solver's spectra of a and u: the energy and every Besov spec read a's shell norms
+        a_shells = ShellNorms(partition, spectrum[0])
         if want_energy:
-            rec = _energy_record(a_shells, st.a, st.u, t, params, j1=j1)
+            rec = _energy_record(a_shells, spectrum[1:], st.a, st.u, t, params, j1=j1)
             records.extend([(t, "energy", rec.energy), (t, "dissipation", rec.dissipation)])
             records.extend((t, f"energy_{key}", rec.components[key]) for key in sorted(rec.components))
         for bs in specs:
@@ -456,7 +456,7 @@ def _run_child(cp, grid: SpectralGrid, seed: int, energy: bool) -> dict:
         partition, j1 = _partition_and_j1(cp, grid)
     last = {}
     traj = integrate(grid, state0, params, solver_cfg,
-                     sink=lambda st, diag: last.update(final=st, diag=diag))
+                     sink=lambda st, diag, spectrum: last.update(final=st, diag=diag))
     row = {"status": traj.status}
     if last:
         final, diag = last["final"], last["diag"]

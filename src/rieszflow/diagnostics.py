@@ -234,16 +234,15 @@ def energy_functionals(
             stacklevel=2,
         )
     a, u = state_fields(grid, state)
-    return _energy_record(ShellNorms(partition, grid.rfft(a)), a, u, state.t, params, p, j1)
+    return _energy_record(ShellNorms(partition, grid.rfft(a)), grid.rfft(u), a, u, state.t, params, p, j1)
 
 
-def _energy_record(a_shells: ShellNorms, a: np.ndarray, u: np.ndarray, t: float, params: RieszParams,
-                   p: float = 2.0, j1: int = 0) -> FunctionalRecord:
-    """:func:`energy_functionals` of the state ``(a, u)`` at time ``t``, read from the shell norms of a."""
+def _energy_record(a_shells: ShellNorms, u_hat: np.ndarray, a: np.ndarray, u: np.ndarray, t: float,
+                   params: RieszParams, p: float = 2.0, j1: int = 0) -> FunctionalRecord:
+    """:func:`energy_functionals` of ``(a, u)`` at time ``t``, from a's shell norms and u's half spectra."""
     partition = a_shells.partition
     grid = partition.grid
     d = grid.dim
-    u_hat = grid.rfft(u)
     u_shells = ShellNorms(partition, u_hat)
     comp = {
         "a_low": a_shells.besov(BesovSpec(d / p - 1.0, p, 1, "low", j1)),

@@ -74,11 +74,12 @@ The memory of one step is thus reused by the next instead of being
 returned to the system and faulted in again.  Called without ``out``,
 every method returns a fresh array and leaves its input unchanged.
 
-``integrate`` hands each snapshot to a sink, ``sink(state, diag)``, as
-the run reaches its time.  The default sink keeps every snapshot in the
-returned ``Trajectory``; a caller that writes or reduces each snapshot
-as it arrives passes its own, and then the run holds no snapshot beyond
-the one being handed over, so its memory does not grow with their count.
+``integrate`` hands each snapshot to a sink, ``sink(state, diag, spectrum)``,
+as the run reaches its time, ``spectrum`` a read-only view of its half spectra.
+The default sink keeps every snapshot in the returned ``Trajectory``; a
+caller that writes or reduces each snapshot as it arrives passes its own,
+and then the run holds no snapshot beyond the one being handed over, so
+its memory does not grow with their count.
 """
 
 from __future__ import annotations
@@ -511,14 +512,16 @@ def integrate(
     initial: FieldState,
     params: RieszParams,
     config: SolverConfig,
-    sink: Callable[[FieldState, dict], object] | None = None,
+    sink: Callable[[FieldState, dict, np.ndarray], object] | None = None,
 ) -> Trajectory:
     """Run the fixed-step scheme, handing a snapshot to ``sink`` at each requested time.
 
-    ``sink(state, diag)`` gets the physical state and its basic
-    diagnostics (``t``, ``l2_a``, ``l2_u``, ``min_density``, ``mean_a``),
-    in time order, as the run reaches each time; the state is a fresh
-    array the run does not keep.  Without a sink the snapshots and
+    ``sink(state, diag, spectrum)`` gets the physical state, its basic
+    diagnostics (``t``, ``l2_a``, ``l2_u``, ``min_density``, ``mean_a``)
+    and its (1 + d) half spectra, in time order, as the run reaches each
+    time; the state is a fresh array the run does not keep, the spectrum a
+    read-only view of the run's own, valid only during the call and equal
+    to ``grid.rfft`` of the state to round-off.  Without a sink the snapshots and
     diagnostics are appended to the returned trajectory's lists; with
     one those lists stay empty.  Initial data with a NaN or an infinity,
     or with a density below the positivity floor, are refused with a
@@ -544,7 +547,7 @@ def integrate(
     snapshots: list[FieldState] = []
     diagnostics: list[dict] = []
     if sink is None:
-        def sink(state: FieldState, diag: dict) -> None:
+        def sink(state: FieldState, diag: dict, spectrum: np.ndarray) -> None:
             snapshots.append(state)
             diagnostics.append(diag)
     status = "completed"
@@ -555,11 +558,14 @@ def integrate(
     steps = 0
     step_sizes: dict[float, None] = {}
     h = None
+    # the sink's read-only view of the state, which the run advances in place
+    spectrum = s.view()
+    spectrum.flags.writeable = False
 
     def record(time: float) -> None:
         fields = grid.irfft(s, work=scheme._spec[:1 + grid.dim])
         st = FieldState(a=fields[0], u=fields[1:], t=time)
-        sink(st, scheme.diagnostics(st))
+        sink(st, scheme.diagnostics(st), spectrum)
 
     # the velocity spectra as real numbers, a view of the state advanced in place
     u_parts = s[1:].view(np.float64)

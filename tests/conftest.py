@@ -1,9 +1,14 @@
 """Shared fixtures and field generators for the test suite."""
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rieszflow import lp_norm, make_grid
+from rieszflow import BesovSpec, besov_norm, build_partition, energy_functionals, lp_norm, make_grid, read_snapshot
+from rieszflow.config import get, load_config, parse_grid, resolve_run
 
 
 def smooth_field(grid, rng, decay=4.0):
@@ -117,3 +122,35 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return counts
+
+
+def simulate_record_gap(cfg, out, seed):
+    """Largest relative gap between a ``simulate`` run's energy and Besov records and the library's.
+
+    ``energy_functionals`` and ``besov_norm`` are rerun on the ``snap_*.bin``
+    files the run of config ``cfg`` with ``seed`` wrote into ``out``, and
+    held against every ``energy*`` and ``dissipation`` record of
+    ``diagnostics.ndjson`` and every value of ``norms.csv``.
+    """
+    cp = load_config(cfg)
+    grid = parse_grid(cp)
+    params = resolve_run(cp, grid, seed)[0]
+    partition, j1 = build_partition(grid), get(cp, "diagnostics", "j1")
+    out = Path(out)
+    states = {state.t: state for _, state in map(read_snapshot, sorted(out.glob("snap_*.bin")))}
+    records = {(rec["t"], rec["name"]): rec["value"]
+               for rec in map(json.loads, (out / "diagnostics.ndjson").read_text().splitlines()[1:])
+               if rec["name"].startswith(("energy", "dissipation"))}
+    pairs = []
+    for t, state in states.items():
+        ref = energy_functionals(grid, state, partition, params, j1=j1)
+        expected = {"energy": ref.energy, "dissipation": ref.dissipation,
+                    **{f"energy_{key}": value for key, value in ref.components.items()}}
+        pairs.extend((records.pop((t, name)), value) for name, value in expected.items())
+    assert not records, f"records without a reference: {sorted(records)}"
+    lines = [ln for ln in (out / "norms.csv").read_text().splitlines() if not ln.startswith("# ")]
+    for row in csv.DictReader(lines):
+        spec = BesovSpec(float(row["s"]), float(row["p"]), float(row["r"]), row["flavor"], int(row["j1"]))
+        pairs.append((float(row["value"]), besov_norm(partition, states[float(row["t"])].a, spec)))
+    assert len(pairs) > len(states)
+    return max(0.0 if got == ref else abs(got - ref) / abs(ref) for got, ref in pairs)
