@@ -262,24 +262,6 @@ def _energy_record(a_shells: ShellNorms, u_hat: np.ndarray, a: np.ndarray, u: np
     return FunctionalRecord(t=t, energy=energy, dissipation=dissipation, components=comp)
 
 
-def _lyapunov_parts(
-    grid: SpectralGrid,
-    state: FieldState,
-    j: int,
-    c_tilde: float,
-    partition: LPPartition,
-    params: RieszParams,
-    j1: int,
-) -> tuple[float, float]:
-    """Quadratic part and full value L_j^2 of the block Lyapunov functional."""
-    if j < j1 - 1:
-        raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
-    partition.check_j(j)
-    a, u = state_fields(grid, state)
-    work = _workspace(partition)
-    return _lyapunov_kernel(partition.grid, work.transform(a, u, work.plan(partition, j)), c_tilde, params)
-
-
 def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``m * z`` for a real ``m`` and a contiguous complex ``z`` of m's shape or a stack of them, into ``out``.
 
@@ -317,15 +299,17 @@ class _ShellPlan:
     the shells of one box, so that their products need no broadcast buffer.
 
     The views, contiguous leading parts of the workspace's buffers: ``a``
-    and ``u`` are the box arrays of a and u, ``spectra`` the stack
-    [S_(j-1) a, |nabla| u_j] that takes the one inverse, and ``scratch``
-    and ``real`` one complex and one float box array.  The placement
-    follows the order in which :func:`_lyapunov_kernel` spends them: a_j
-    and u_j are read for the last time before the inverse, so it writes
-    its ``samples`` on the lattice into the box arrays, or, when it needs
-    ``work`` there for the zero-filled coarse spectra, into the spent
-    ``spectra``.  In 2D on the whole half lattice the inverse runs in
-    place on ``spectra``; in 1D it needs no work array.
+    and ``u`` are the box arrays of a and u, which :func:`_lyapunov`
+    gathers into ``fields`` from the loaded ``hats`` (no shell transforms
+    a or u), or, on a whole box, ``hats`` themselves.  ``a_j`` and ``u_j``
+    in ``fields`` take the shell blocks, ``spectra`` the stack [S_(j-1) a,
+    |nabla| u_j] of the one inverse; ``scratch`` and ``real`` are one
+    complex and one float box array.  The placement follows the order in
+    which :func:`_lyapunov_kernel` spends them: a_j and u_j are read for
+    the last time before the inverse, so it writes its ``samples`` into
+    ``fields``, or, when it needs ``work`` there for the zero-filled
+    coarse spectra, into the spent ``spectra``.  On the whole half lattice
+    the inverse runs in place on ``spectra``; in 1D it takes no ``work``.
     """
 
     kept: tuple[int, ...]
@@ -337,27 +321,31 @@ class _ShellPlan:
     grad: tuple[np.ndarray, ...]
     a: np.ndarray
     u: np.ndarray
+    a_j: np.ndarray
+    u_j: np.ndarray
     spectra: np.ndarray
     scratch: np.ndarray
     real: np.ndarray
     samples: np.ndarray
-    work: np.ndarray | None
+    work: np.ndarray
 
 
 class _LyapunovWorkspace:
-    """The held buffers of :func:`_lyapunov_kernel`, sized for the whole half lattice, and each shell's plan.
+    """The held buffers of :func:`_lyapunov`, sized for the whole half lattice, and each shell's plan.
 
-    ``fields`` holds the box arrays of a and u, ``spectra`` the stacked
-    spectra of the cubic term's one inverse: 1 + d half spectra each.
-    ``scratch`` is one complex and ``real`` one float half spectrum.  Each
-    shell's :class:`_ShellPlan`, made once, views them, so every shell of
-    every state writes to the same pages: 3.8 MiB at 2D 256².  A workspace
+    ``hats`` holds the loaded spectra of a and u, ``fields`` their box
+    arrays and shell blocks, ``spectra`` the stacked spectra of the cubic
+    term's one inverse: 1 + d half spectra each.  ``scratch`` is one
+    complex and ``real`` one float half spectrum.  Each shell's
+    :class:`_ShellPlan`, made once, views them, so every shell of every
+    state writes to the same pages: 5.3 MiB at 2D 256².  A workspace
     serves one call at a time.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         half = grid.half_xi_norm.shape
+        self.hats = np.empty((1 + grid.dim,) + half, dtype=complex)
         self.fields = np.empty((1 + grid.dim,) + half, dtype=complex)
         self.spectra = np.empty((1 + grid.dim,) + half, dtype=complex)
         self.scratch = np.empty(half, dtype=complex)
@@ -384,39 +372,18 @@ class _LyapunovWorkspace:
                                           for g in grid.half_grad)
             nf = len(self.fields)
             fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
-            if grid.dim == 1:
-                work, samples = None, _take(self.fields, (nf,) + modes, float)
-            elif whole:
+            boxes = self.hats if whole else fields
+            if whole or grid.dim == 1:
                 work, samples = spectra, _take(self.fields, (nf,) + modes, float)
             else:
                 work = _take(self.fields, (nf, modes[0], kept[-1] + 1))
                 samples = _take(self.spectra, (nf,) + modes, float)
             self._plans[j] = _ShellPlan(
                 kept=kept, modes=modes, whole=whole, shell=symbol(shell_mask), low=symbol(low_mask),
-                xi_norm=symbol(grid.half_xi_norm), grad=self._grads[kept], a=fields[0], u=fields[1:],
-                spectra=spectra, scratch=_take(self.scratch, shape), real=_take(self.real, shape),
-                samples=samples, work=work)
+                xi_norm=symbol(grid.half_xi_norm), grad=self._grads[kept], a=boxes[0], u=boxes[1:],
+                a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
+                real=_take(self.real, shape), samples=samples, work=work)
         return self._plans[j]
-
-    def transform(self, a: np.ndarray, u: np.ndarray, plan: _ShellPlan) -> _ShellPlan:
-        """``plan``, with a and u transformed into its box arrays.
-
-        On the whole half lattice the box arrays are the half spectra, which
-        ``rfft`` writes straight into them; on a smaller box the last-axis
-        transforms run into ``spectra`` (``SpectralGrid._box_rfft``).
-        """
-        for f, out, work in ((a, plan.a, self.spectra[0]), (u, plan.u, self.spectra[1:])):
-            if plan.whole:
-                self.grid._rfft(f, out=out)
-            else:
-                self.grid._box_rfft(f, plan.kept, out=out, work=work)
-        return plan
-
-    def gather(self, a_hat: np.ndarray, u_hat: np.ndarray, plan: _ShellPlan) -> _ShellPlan:
-        """``plan``, with its box arrays gathered from the half spectra of a and u."""
-        self.grid._box_gather(a_hat, plan.kept, out=plan.a)
-        self.grid._box_gather(u_hat, plan.kept, out=plan.u)
-        return plan
 
 
 def _workspace(partition: LPPartition) -> _LyapunovWorkspace:
@@ -432,20 +399,18 @@ def _lyapunov_kernel(grid: SpectralGrid, plan: _ShellPlan, c_tilde: float,
     """Quadratic part and L_j^2 of shell j from the box arrays of a and u in ``plan``.
 
     ``plan`` is shell j's plan on ``grid`` (:meth:`_LyapunovWorkspace.plan`);
-    its box arrays are overwritten.  The quadratic and cross terms are
-    Parseval sums over the box.  The cubic term samples S_(j-1) a and
-    |nabla| u_j in one inverse onto the lattice of ``plan.modes``, where
-    their triple product does not alias.  Each operation takes the
-    operands of the allocating expression it replaces in their order, so
-    the values are that expression's bit for bit, apart from the sign of
-    zeros.
+    its views are overwritten, except those of ``hats``.  The quadratic
+    and cross terms are Parseval sums over the box.  The cubic term
+    samples S_(j-1) a and |nabla| u_j in one inverse onto the lattice of
+    ``plan.modes``, where their triple product does not alias.  Each
+    operation takes the operands of the allocating expression it replaces
+    in their order, so the values are that expression's bit for bit,
+    apart from the sign of zeros.
     """
-    if not (0 < c_tilde < 0.5):
-        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
     # the stacked spectra of S_(j-1) a and |nabla| u_j, for the one inverse
     _real_times(plan.low, plan.a, out=plan.spectra[0])
-    a_j = _real_times(plan.shell, plan.a, out=plan.a)
-    u_j = _real_times(plan.shell, plan.u, out=plan.u)
+    a_j = _real_times(plan.shell, plan.a, out=plan.a_j)
+    u_j = _real_times(plan.shell, plan.u, out=plan.u_j)
     lam_u = _real_times(plan.xi_norm, u_j, out=plan.spectra[1:])
     power = plan.real
     np.copyto(power, plan.xi_norm)
@@ -461,6 +426,43 @@ def _lyapunov_kernel(grid: SpectralGrid, plan: _ShellPlan, c_tilde: float,
     weight = math.prod(L / n for L, n in zip(grid.lengths, plan.modes))
     cubic = weight * float(np.sum(squares @ fields[0].ravel()))
     return quad, quad + cubic + cross
+
+
+def _lyapunov(grid: SpectralGrid, state: FieldState, js, c_tilde: float, partition: LPPartition,
+              params: RieszParams, j1: int) -> list:
+    """[(quadratic part, L_j^2) for j in js]: the one path of every Lyapunov entry point.
+
+    Everything is checked before a and u are loaded, once each, into the
+    workspace's ``hats``; in 2D the first-axis pass runs on the K_d + 1
+    columns of the union box of the shells only.  Each shell gathers its
+    box from ``hats`` (a whole box reads them in place), so a value does
+    not depend on which shells share a call.  The values are collected in
+    a list, not yielded: a generator's frame would stay allocated through
+    each kernel.
+    """
+    if not (0 < c_tilde < 0.5):
+        raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
+    work = _workspace(partition)
+    g, ncols = work.grid, 0
+    for j in js:
+        if j < j1 - 1:
+            raise ValueError(f"block Lyapunov functional requires j >= j1 - 1 = {j1 - 1}, got {j}")
+        partition.check_j(j)
+        ncols = max(ncols, work.plan(partition, j).kept[-1] + 1)
+    if not ncols:
+        raise ValueError(f"no shell j >= j1 - 1 = {j1 - 1}: the partition resolves j = "
+                         f"{partition.j_min}..{partition.j_max}")
+    a, u = state_fields(grid, state)
+    g._rfft(a, ncols, out=work.hats[0])
+    g._rfft(u, ncols, out=work.hats[1:])
+    blocks = []
+    for j in js:
+        plan = work.plan(partition, j)
+        if not plan.whole:
+            g._box_gather(work.hats[0], plan.kept, out=plan.a)
+            g._box_gather(work.hats[1:], plan.kept, out=plan.u)
+        blocks.append(_lyapunov_kernel(g, plan, c_tilde, params))
+    return blocks
 
 
 def lyapunov_block(
@@ -488,24 +490,20 @@ def lyapunov_block(
     All of it runs in the partition's Lyapunov workspace, so one partition
     must not serve two threads at once.
     """
-    return _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)[1]
+    [(_, total)] = _lyapunov(grid, state, (j,), c_tilde, partition, params, j1)
+    return total
 
 
 def lyapunov_blocks(grid: SpectralGrid, state: FieldState, c_tilde: float, partition: LPPartition,
                     params: RieszParams, j1: int = 0) -> dict:
     """{j: L_j^2} of :func:`lyapunov_block` for every shell j >= max(j1 - 1, j_min).
 
-    a and u are transformed once each, onto the whole half lattice; each
-    shell gathers its box from the two spectra into the partition's
-    Lyapunov workspace, so its value equals ``lyapunov_block``'s bit for
-    bit.
+    a and u are transformed once each, onto the union box of the shells,
+    and every shell gathers its box from the two held spectra, so its value
+    equals ``lyapunov_block``'s bit for bit.  A ``j1`` above j_max + 1 is refused.
     """
-    a, u = state_fields(grid, state)
-    a_hat, u_hat = grid.rfft(a), grid.rfft(u)
-    work = _workspace(partition)
-    return {j: _lyapunov_kernel(partition.grid, work.gather(a_hat, u_hat, work.plan(partition, j)),
-                                c_tilde, params)[1]
-            for j in range(max(j1 - 1, partition.j_min), partition.j_max + 1)}
+    js = range(max(j1 - 1, partition.j_min), partition.j_max + 1)
+    return {j: total for j, (_, total) in zip(js, _lyapunov(grid, state, js, c_tilde, partition, params, j1))}
 
 
 def lyapunov_equivalence(
@@ -518,7 +516,7 @@ def lyapunov_equivalence(
     j1: int = 0,
 ) -> float:
     """Ratio of L_j^2 to its quadratic part (1 for small data and small c_tilde)."""
-    quad, total = _lyapunov_parts(grid, state, j, c_tilde, partition, params, j1)
+    [(quad, total)] = _lyapunov(grid, state, (j,), c_tilde, partition, params, j1)
     if quad == 0.0:
         return 1.0
     return total / quad

@@ -98,7 +98,7 @@ class LPPartition:
 
     ``_held`` is filled by ``diagnostics`` alone: on the first Lyapunov
     block it puts there the workspace of its Lyapunov functionals (the
-    buffers, 3.8 MiB at 2D 256², and each shell's plan on them), which
+    buffers, 5.3 MiB at 2D 256², and each shell's plan on them), which
     every later block on this partition reuses.  So one partition must
     not be shared between threads that compute Lyapunov blocks: build one
     per thread, as ``cli``'s sweep does per child.

@@ -564,9 +564,11 @@ class TestLyapunovWorkspace:
         part = build_partition(grid)
         assert _workspace(part) is _workspace(part)
         assert _workspace(part) is not _workspace(build_partition(grid))
-        # two stacks of 1 + d half spectra, one complex and one float half spectrum: 3.8 MiB
+        # three stacks of 1 + d half spectra (the loaded a and u, their box arrays, the stacked
+        # spectra of the one inverse), one complex and one float half spectrum: 5.3 MiB
         work = _workspace(part)
-        assert sum(b.nbytes for b in (work.fields, work.spectra, work.scratch, work.real)) == 3_962_880
+        buffers = (work.hats, work.fields, work.spectra, work.scratch, work.real)
+        assert sum(b.nbytes for b in buffers) == 5_548_032
         # a shell whose box is the whole half lattice reads the partition's own masks
         whole = tuple(n // 2 for n in grid.modes)
         plan = work.plan(part, part.j_max)
@@ -613,9 +615,17 @@ class TestDiagnosticAllocation:
         part = build_partition(grid)
         assert _workspace(part).plan(part, part.j_max).kept == tuple(n // 2 for n in grid.modes)
         # the transforms, products and the one inverse run in the held workspace;
-        # what is left is NumPy's per-call bookkeeping (1,936 B here); the
+        # what is left is NumPy's per-call bookkeeping (2,008 B here); the
         # fresh arrays of the allocating kernel took 409,688 B
         assert self.traced_peak(lambda: lyapunov_block(grid, states[0], part.j_max, 0.25, part, params)) <= 2048
+
+    def test_lyapunov_blocks_on_every_shell(self):
+        grid, params, states = self.analyze_case()
+        part = build_partition(grid)
+        # a and u load into the held spectra and every shell gathers from them; what is
+        # left is NumPy's per-call bookkeeping and the dict of values (2,272 B here); two
+        # fresh half spectra of a and u per call took 104,160 B
+        assert self.traced_peak(lambda: lyapunov_blocks(grid, states[0], 0.25, part, params)) <= 2560
 
     @pytest.mark.parametrize("residual, half_spectra", [
         # measured 8.56 half spectra (289,336 B); the sum of the whole term list took 9.56
@@ -666,15 +676,32 @@ class TestTransformCount:
             assert made == {"rfft": 2, "fft": 2, "ifft": shells[-1], "irfft": shells[-1]}
         assert shells == [len(part.js), 2]
 
-    @pytest.mark.parametrize("c_tilde", [0.0, 0.5])
-    def test_lyapunov_blocks_refuse_c_tilde_outside_its_range(self, grid_2d, rng, c_tilde):
+    @pytest.mark.parametrize("c_tilde, j1", [
+        pytest.param(0.0, 0, id="0.0"),
+        pytest.param(0.5, 0, id="0.5"),
+        # c_tilde is checked first, so a j1 that leaves no shell does not hide it
+        pytest.param(0.7, 100, id="0.7-j1=100"),
+        # shells -1..4 on 32²: j1 = 6 is the smallest that leaves none (j1 - 1 > j_max = 4)
+        pytest.param(0.25, 6, id="j1=6"),
+        pytest.param(0.25, 100, id="j1=100"),
+    ])
+    def test_lyapunov_blocks_refuse_c_tilde_outside_its_range(self, grid_2d, rng, c_tilde, j1, fft_calls):
         st = FieldState(a=rng.standard_normal(grid_2d.shape),
                         u=rng.standard_normal((2,) + grid_2d.shape), t=0.0)
-        args = (build_partition(grid_2d), RieszParams(dim=2, alpha=1.0))
-        with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
-            lyapunov_blocks(grid_2d, st, c_tilde, *args)
-        with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
-            lyapunov_block(grid_2d, st, 0, c_tilde, *args)
+        part = build_partition(grid_2d)
+        args = (part, RieszParams(dim=2, alpha=1.0), j1)
+        assert (part.j_min, part.j_max) == (-1, 4)
+        if 0 < c_tilde < 0.5:
+            # j1 > j_max + 1: no shell j >= j1 - 1 is resolved
+            with pytest.raises(ValueError, match=rf"no shell j >= j1 - 1 = {j1 - 1}: .* j = -1\.\.4$"):
+                lyapunov_blocks(grid_2d, st, c_tilde, *args)
+        else:
+            with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
+                lyapunov_blocks(grid_2d, st, c_tilde, *args)
+            with pytest.raises(ValueError, match=r"c_tilde must lie in \(0, 0.5\)"):
+                lyapunov_block(grid_2d, st, 0, c_tilde, *args)
+        # refused before any transform
+        assert sum(fft_calls.values()) == 0
 
     def test_lyapunov_block_transforms_a_low_shell_on_its_box(self, grid_2d, rng, fft_calls):
         part = build_partition(grid_2d)
