@@ -22,10 +22,10 @@ from .grid import (
     FieldState,
     RieszParams,
     SpectralGrid,
+    _half_power,
     _require_mean_zero,
     half_divergence,
     half_grad_frac,
-    half_l2,
     lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
     spectral_inner,
     state_fields,
@@ -76,49 +76,6 @@ class DecayFit:
     r_squared: float
 
 
-def _z_hat(grid: SpectralGrid, a_hat: np.ndarray, u_hat: np.ndarray, params: RieszParams) -> np.ndarray:
-    """Half spectrum of z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a, formed in one array."""
-    z = half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0)
-    np.multiply(params.kappa / params.lam, z, out=z)
-    return np.add(u_hat, z, out=z)
-
-
-def _scaled(c: float, x: np.ndarray) -> np.ndarray:
-    """``c * x`` written over the fresh array ``x``."""
-    return np.multiply(c, x, out=x)
-
-
-def _rate(f2: np.ndarray, f0: np.ndarray, dt: float) -> np.ndarray:
-    """The difference quotient (f2 - f0) / dt, in one array."""
-    d = np.subtract(f2, f0)
-    d /= dt
-    return d
-
-
-def _add_advection_hat(grid: SpectralGrid, u: np.ndarray, u_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add the half spectrum of (u . grad) u to ``out``, one component at a time.
-
-    For component i the derivatives d_j u_i of every j take one inverse,
-    which runs in place on their spectra; sum_j u_j d_j u_i is formed in
-    the first of them, transformed and added to row i of ``out``.  The
-    values added are those of the whole-tensor expression, grad_u[i, j] =
-    d_j u_i in one inverse and ``rfft(sum(u[np.newaxis] * grad_u,
-    axis=1))``, bit for bit.
-    """
-    spectra = np.empty_like(u_hat)
-    grad = np.empty((grid.dim,) + grid.shape)
-    row = spectra[0]
-    for i in range(grid.dim):
-        for g, spec in zip(grid.half_grad, spectra):
-            np.multiply(g, u_hat[i], out=spec)
-        grid.irfft(spectra, out=grad, work=spectra)
-        np.multiply(u[0], grad[0], out=grad[0])
-        for uj, dj in zip(u[1:], grad[1:]):
-            grad[0] += np.multiply(uj, dj, out=dj)
-        out[i] += grid._rfft(grad[0], out=row)
-    return out
-
-
 def effective_velocity(grid: SpectralGrid, state: FieldState, params: RieszParams) -> np.ndarray:
     """z = u + (kappa/lam) grad |nabla|^(2 s* - 2) a (linear in the state)."""
     a, u = state_fields(grid, state)
@@ -136,6 +93,43 @@ def _centered_triplet(snapshots) -> tuple[FieldState, FieldState, FieldState]:
     return s0, s1, s2
 
 
+def _grad_frac(g: np.ndarray, power: np.ndarray, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A component of :func:`half_grad_frac`: (i xi_i |xi|^sigma) fhat into ``out``.
+
+    ``g`` is i xi_i and ``power`` |xi|^sigma on the whole half lattice.  The
+    symbol is formed part by part, as in :func:`_real_times`, so no buffer
+    casts ``power`` to complex, and the values are ``half_grad_frac``'s
+    apart from the sign of zeros.
+    """
+    np.multiply(power, g.real, out=out.real)
+    np.multiply(power, g.imag, out=out.imag)
+    out *= fhat
+    return out
+
+
+def _add_product(total: np.ndarray, i: int, g: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Term i of a sum of products g * x, added left to right into ``total``; ``out`` takes the product when i > 0."""
+    if i:
+        total += np.multiply(g, x, out=out)
+    else:
+        np.multiply(g, x, out=total)
+
+
+def _half_l2(weights: np.ndarray, fhat: np.ndarray, power: np.ndarray, pair: np.ndarray) -> float:
+    """:func:`half_l2` of ``fhat``, its power formed in ``power`` and ``pair`` (float half spectra), bit for bit.
+
+    ``weights`` is ``spectral_power``'s weight on the whole half lattice.
+    """
+    for k, c in enumerate(fhat.reshape((-1,) + power.shape)):
+        square = pair[0] if k else power
+        np.square(c.real, out=square)
+        square += np.square(c.imag, out=pair[1])
+        if k:
+            power += square
+    power *= weights
+    return math.sqrt(float(np.sum(power)))
+
+
 def density_equation_residual(
     grid: SpectralGrid, snapshots, params: RieszParams
 ) -> float:
@@ -143,28 +137,39 @@ def density_equation_residual(
 
     Checks  da/dt + (kappa/lam) |nabla|^(2 s*) a + div z + div(a u) = 0
     at the middle snapshot, normalized by the largest constituent term.
+    Like :func:`z_equation_residual` it runs in the workspace held by the
+    grid, so one grid must not serve two threads at once.
     """
     s0, s1, s2 = _centered_triplet(snapshots)
     (a0, _), (a1, u1), (a2, _) = (state_fields(grid, s) for s in (s0, s1, s2))
     _require_mean_zero(a1, _Z_SINGULAR)
-    beta = params.kappa / params.lam
-    norms = []
-
-    def measured(term: np.ndarray) -> np.ndarray:
-        norms.append(half_l2(grid, term))
-        return term
-
+    work = _workspace(grid)
+    total, a_hat, term, comp, spare = work.slots[:5]
+    real, pair = _take(spare, grid.shape, float), _take(spare, (2,) + total.shape, float)
+    power, grad, beta = work.real, work.grad(), params.kappa / params.lam
     # the terms of the sum, added left to right into the first
-    total = measured(grid.rfft(_rate(a2, a0, s2.t - s0.t)))
-    a_hat = grid.rfft(a1)
-    total += measured(beta * grid.half_xi_norm ** (2.0 * params.s_star) * a_hat)
-    total += measured(half_divergence(grid, _z_hat(grid, a_hat, grid.rfft(u1), params)))
-    del a_hat
-    total += measured(half_divergence(grid, grid.rfft(a1 * u1)))
+    grid._rfft(np.divide(np.subtract(a2, a0, out=real), s2.t - s0.t, out=real), out=total)
+    norms = [_half_l2(work.weights, total, power, pair)]
+    grid._rfft(a1, out=a_hat)
+    _real_times(np.multiply(beta, _half_power(grid, 2.0 * params.s_star, power), out=power), a_hat, out=term)
+    norms.append(_half_l2(work.weights, term, power, pair))
+    total += term
+    # div z, with z = u + beta grad |nabla|^(2 s* - 2) a, one component at a time
+    _half_power(grid, 2.0 * params.s_star - 2.0, power)
+    for i, g in enumerate(grad):
+        z = np.multiply(beta, _grad_frac(g, power, a_hat, out=spare), out=spare)
+        np.add(grid._rfft(u1[i], out=comp), z, out=z)
+        _add_product(term, i, g, z, out=z)
+    norms.append(_half_l2(work.weights, term, power, pair))
+    total += term
+    for i, g in enumerate(grad):  # div(a u)
+        _add_product(term, i, g, grid._rfft(np.multiply(a1, u1[i], out=real), out=comp), out=comp)
+    norms.append(_half_l2(work.weights, term, power, pair))
+    total += term
     scale = max(norms)
     if scale == 0.0:
         return 0.0
-    return half_l2(grid, total) / scale
+    return _half_l2(work.weights, total, power, pair) / scale
 
 
 def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> float:
@@ -179,25 +184,50 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     (a0, u0), (a1, u1), (a2, u2) = (state_fields(grid, s) for s in (s0, s1, s2))
     for a in (a0, a1, a2):
         _require_mean_zero(a, _Z_SINGULAR)
-    beta = params.kappa / params.lam
-    sigma = 2.0 * params.s_star - 2.0
-    dt = s2.t - s0.t
-    # the terms of the sum, added left to right into the first; each input
-    # spectrum is made when first needed and dropped after its last use
-    residual = _z_hat(grid, grid.rfft(_rate(a2, a0, dt)), grid.rfft(_rate(u2, u0, dt)), params)
-    a_hat, u_hat = grid.rfft(a1), grid.rfft(u1)
-    z_hat = _z_hat(grid, a_hat, u_hat, params)
-    denom = half_l2(grid, z_hat)
-    residual += params.lam * z_hat
-    residual += _scaled(beta, half_grad_frac(grid, half_divergence(grid, z_hat), sigma))
-    del z_hat
-    residual += _scaled(beta**2, half_grad_frac(grid, a_hat, 4.0 * params.s_star - 2.0))
-    del a_hat
-    residual += _scaled(beta, half_grad_frac(grid, half_divergence(grid, grid.rfft(a1 * u1)), sigma))
-    _add_advection_hat(grid, u1, u_hat, residual)
+    d, work = grid.dim, _workspace(grid)
+    residual, u_hat, z_hat = work.slots[:d], work.slots[d:2 * d], work.slots[2 * d:3 * d]
+    a_hat, div, term, spare = work.slots[3 * d:]
+    frac, grad = _half_power(grid, 2.0 * params.s_star - 2.0, work.real), work.grad()
+    real, pair = _take(spare, grid.shape, float), _take(term, (2,) + a_hat.shape, float)
+    beta, dt = params.kappa / params.lam, s2.t - s0.t
+
+    def add_grad_frac(c: float, fhat: np.ndarray, power: np.ndarray = frac) -> None:
+        """Add c (i xi_i |xi|^sigma) fhat to each component i of the sum."""
+        for r, g in zip(residual, grad):
+            r += np.multiply(c, _grad_frac(g, power, fhat, out=term), out=term)
+
+    # the terms of the sum, added left to right into the first, one component at a time;
+    # the first is dz/dt, with z = u + beta grad |nabla|^(2 s* - 2) a
+    for i in range(d):
+        grid._rfft(np.divide(np.subtract(u2[i], u0[i], out=real), dt, out=real), out=residual[i])
+    add_grad_frac(beta, grid._rfft(np.divide(np.subtract(a2, a0, out=real), dt, out=real), out=a_hat))
+    grid._rfft(a1, out=a_hat)
+    grid._rfft(u1, out=u_hat)
+    for g, u, z in zip(grad, u_hat, z_hat):
+        np.add(u, np.multiply(beta, _grad_frac(g, frac, a_hat, out=z), out=z), out=z)
+    denom = _half_l2(work.weights, z_hat, _take(div, a_hat.shape, float), pair)
     if denom == 0.0:
         return 0.0
-    return half_l2(grid, residual) / denom
+    for i, (g, z) in enumerate(zip(grad, z_hat)):
+        _add_product(div, i, g, z, out=term)
+    residual += np.multiply(params.lam, z_hat, out=z_hat)
+    add_grad_frac(beta, div)
+    add_grad_frac(beta**2, a_hat, _half_power(grid, 4.0 * params.s_star - 2.0, _take(spare, a_hat.shape, float)))
+    for i, g in enumerate(grad):  # div(a u), in the spent div
+        _add_product(div, i, g, grid._rfft(np.multiply(a1, u1[i], out=real), out=term), out=term)
+    add_grad_frac(beta, div)
+    # (u . grad) u: for component i the derivatives d_j u_i take one stacked inverse,
+    # and sum_j u_j d_j u_i is formed in the first of them and transformed
+    spectra, du = z_hat, _take(work.slots[3 * d:], (d,) + grid.shape, float)
+    for r, u in zip(residual, u_hat):
+        for g, spec in zip(grad, spectra):
+            np.multiply(g, u, out=spec)
+        grid.irfft(spectra, out=du, work=spectra)
+        np.multiply(u1[0], du[0], out=du[0])
+        for uj, dj in zip(u1[1:], du[1:]):
+            du[0] += np.multiply(uj, dj, out=dj)
+        r += grid._rfft(du[0], out=spectra[0])
+    return _half_l2(work.weights, residual, frac, pair) / denom
 
 
 def _admissible_p(dim: int, p: float) -> bool:
@@ -331,30 +361,34 @@ class _ShellPlan:
 
 
 class _LyapunovWorkspace:
-    """The held buffers of :func:`_lyapunov`, sized for the whole half lattice, and each shell's plan.
+    """The held buffers of the Lyapunov functionals and the equation residuals, and each shell's plan.
 
-    ``hats`` holds the loaded spectra of a and u, ``fields`` their box
-    arrays and shell blocks, ``spectra`` the stacked spectra of the cubic
-    term's one inverse: 1 + d half spectra each.  ``scratch`` is one
-    complex and ``real`` one float half spectrum.  Each shell's
-    :class:`_ShellPlan`, made once, views them, so every shell of every
-    state writes to the same pages: 5.3 MiB at 2D 256².  A workspace
-    serves one call at a time.
+    ``slots`` is one stack of 3 (1 + d) + 1 complex half spectra, ``real``
+    a float one and ``weights`` the Parseval weights of ``spectral_power``
+    on the whole half lattice: 5.5 MiB at 2D 256².  The Lyapunov path views
+    ``hats`` (the loaded spectra of a and u), ``fields`` (their box arrays
+    and shell blocks) and ``spectra`` (the stacked spectra of the cubic
+    term's one inverse), 1 + d slots each, and ``scratch``, the last slot.
+    Each shell's :class:`_ShellPlan`, made once, views them, so every shell
+    of every state writes to the same pages.  The two equation residuals
+    lay their terms out on the slots themselves, a real field or a pair of
+    float half spectra in one slot.  The grid holds the workspace (see
+    ``SpectralGrid``), and a workspace serves one call at a time.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
-        half = grid.half_xi_norm.shape
-        self.hats = np.empty((1 + grid.dim,) + half, dtype=complex)
-        self.fields = np.empty((1 + grid.dim,) + half, dtype=complex)
-        self.spectra = np.empty((1 + grid.dim,) + half, dtype=complex)
-        self.scratch = np.empty(half, dtype=complex)
+        n, half = 1 + grid.dim, grid.half_xi_norm.shape
+        self.slots = np.empty((3 * n + 1,) + half, dtype=complex)
+        self.hats, self.fields, self.spectra = self.slots[:n], self.slots[n:2 * n], self.slots[2 * n:3 * n]
+        self.scratch = self.slots[-1]
         self.real = np.empty(half)
+        self.weights = np.broadcast_to(grid.half_weights * (grid.cell_volume / grid.npoints), half).copy()
         self._plans: dict = {}
         self._grads: dict = {}
 
     def plan(self, partition: LPPartition, j: int) -> _ShellPlan:
-        """Shell j's plan on ``partition``, the partition holding this workspace, made on first use."""
+        """Shell j's plan, made on first use from the masks of ``partition``, a partition on this grid."""
         if j not in self._plans:
             grid = self.grid
             shell_mask, low_mask = partition.half_shell(j), partition.half_low_pass(j - 1)
@@ -367,9 +401,6 @@ class _LyapunovWorkspace:
             def symbol(m: np.ndarray) -> np.ndarray:
                 return m if whole else grid._box_symbol(m, kept)
 
-            if kept not in self._grads:
-                self._grads[kept] = tuple(np.ascontiguousarray(np.broadcast_to(symbol(g), shape))
-                                          for g in grid.half_grad)
             nf = len(self.fields)
             fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
             boxes = self.hats if whole else fields
@@ -380,17 +411,32 @@ class _LyapunovWorkspace:
                 samples = _take(self.spectra, (nf,) + modes, float)
             self._plans[j] = _ShellPlan(
                 kept=kept, modes=modes, whole=whole, shell=symbol(shell_mask), low=symbol(low_mask),
-                xi_norm=symbol(grid.half_xi_norm), grad=self._grads[kept], a=boxes[0], u=boxes[1:],
+                xi_norm=symbol(grid.half_xi_norm), grad=self.grad(kept), a=boxes[0], u=boxes[1:],
                 a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
                 real=_take(self.real, shape), samples=samples, work=work)
         return self._plans[j]
 
+    def grad(self, kept: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
+        """The i xi_i on the box ``kept`` (the whole half lattice if None) as whole box arrays, made once.
 
-def _workspace(partition: LPPartition) -> _LyapunovWorkspace:
-    """The Lyapunov workspace held by ``partition``, made on first use."""
-    held = partition._held
+        Their products need no buffer to broadcast a symbol over the box.
+        """
+        grid = self.grid
+        kept = tuple(n // 2 for n in grid.modes) if kept is None else kept
+        if kept not in self._grads:
+            shape = grid._box_shape(kept)
+            self._grads[kept] = tuple(
+                np.ascontiguousarray(np.broadcast_to(g if shape == grid.half_xi_norm.shape else
+                                                     grid._box_symbol(g, kept), shape))
+                for g in grid.half_grad)
+        return self._grads[kept]
+
+
+def _workspace(grid: SpectralGrid) -> _LyapunovWorkspace:
+    """The workspace held by ``grid``, made on first use."""
+    held = grid._held
     if "lyapunov" not in held:
-        held["lyapunov"] = _LyapunovWorkspace(partition.grid)
+        held["lyapunov"] = _LyapunovWorkspace(grid)
     return held["lyapunov"]
 
 
@@ -442,7 +488,7 @@ def _lyapunov(grid: SpectralGrid, state: FieldState, js, c_tilde: float, partiti
     """
     if not (0 < c_tilde < 0.5):
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
-    work = _workspace(partition)
+    work = _workspace(partition.grid)
     g, ncols = work.grid, 0
     for j in js:
         if j < j1 - 1:
@@ -487,8 +533,8 @@ def lyapunov_block(
     over it, and the cubic term takes one stacked inverse transform onto
     the smallest alias-free lattice of its triple product (the grid's own
     once the box reaches a Nyquist index), so it is exact up to roundoff.
-    All of it runs in the partition's Lyapunov workspace, so one partition
-    must not serve two threads at once.
+    All of it runs in the workspace held by the partition's grid, so one
+    grid must not serve two threads at once.
     """
     [(_, total)] = _lyapunov(grid, state, (j,), c_tilde, partition, params, j1)
     return total

@@ -152,6 +152,13 @@ class SpectralGrid:
     ``nyquist_region``) by the same builder on first access.  The
     library's own operators read only the half-lattice symbols.
 
+    ``_held`` is filled by ``diagnostics`` alone: the first Lyapunov block
+    or equation residual on the grid puts there the workspace that every
+    later one reuses (5.5 MiB of buffers at 2D 256², plus each shell's
+    plan on them).  So a grid serves Lyapunov blocks and residuals in one
+    thread at a time; the energy, Besov and Chemin-Lerner norms do not
+    touch it.
+
     Attributes
     ----------
     axes : tuple of ndarray
@@ -195,6 +202,7 @@ class SpectralGrid:
     half_nyquist_region: np.ndarray = field(init=False, repr=False)
     half_weights: np.ndarray = field(init=False, repr=False)
     half_grad: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _held: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -365,12 +373,15 @@ class SpectralGrid:
             f = self._irfft(box, modes[0], out=out)
         else:
             k, m, ncols = kept[0], modes[0], kept[1] + 1
-            if work is None:
-                work = np.empty((len(box), m, ncols), dtype=complex)
-            cols = work[:len(box), :m, :ncols]
-            cols[:, k + 1:m - k] = 0
-            for c, b in zip(cols, box):
-                self._box_scatter(b, kept, c)
+            if work is box:  # a whole box, transformed in place
+                cols = box
+            else:
+                if work is None:
+                    work = np.empty((len(box), m, ncols), dtype=complex)
+                cols = work[:len(box), :m, :ncols]
+                cols[:, k + 1:m - k] = 0
+                for c, b in zip(cols, box):
+                    self._box_scatter(b, kept, c)
             f = self._irfft(cols, modes[1], out=out, work=cols)
         if modes != self.modes:
             f *= math.prod(modes) / self.npoints
@@ -494,7 +505,8 @@ def make_grid(dim: int, lengths, modes) -> SpectralGrid:
 
 
 def _mean_zero_violation(field: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(field))) if field.size else 1.0)
+    # max |f| as max(max f, -min f), which makes no array
+    scale = max(1.0, float(np.max(field)), -float(np.min(field))) if field.size else 1.0
     return abs(float(np.mean(field))) / scale
 
 
@@ -577,10 +589,11 @@ def apply_multiplier(grid: SpectralGrid, field: np.ndarray, symbol) -> np.ndarra
     return grid.irfft(grid.half(m) * grid.rfft(field))
 
 
-def _half_power(grid: SpectralGrid, sigma: float) -> np.ndarray:
-    """|xi|^sigma on the half lattice, with the zero mode mapped to 0."""
+def _half_power(grid: SpectralGrid, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|xi|^sigma on the half lattice, with the zero mode mapped to 0, formed in ``out`` if given."""
+    power = np.positive(grid.half_xi_norm, out=out)
     with np.errstate(divide="ignore"):
-        power = grid.half_xi_norm**sigma
+        power **= sigma  # the values of half_xi_norm ** sigma
     power[grid.zero_index] = 0.0
     return power
 

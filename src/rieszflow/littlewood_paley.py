@@ -13,17 +13,19 @@ so the two flavors overlap in the two shells j1 - 1 and j1.
 
 Every public function transforms each input field once (``rfftn`` over
 the trailing axes) and forms the shell blocks as masked half spectra.
-L^2 shell norms are Parseval sums with no inverse transform; other L^p
-norms take one inverse transform per shell.
-
-A partition also lends one private slot, ``_held``, to ``diagnostics``,
-which keeps the workspace of its block Lyapunov functionals there.
+L^2 shell norms are Parseval sums with no inverse transform, all shells
+of a field at once from the partition's sparse table of weights; other
+L^p norms take one inverse transform per shell.  A partition holds only
+its masks and that table: the workspace of the Lyapunov functionals and
+the equation residuals is held by the grid, which serves them in one
+thread at a time (see ``SpectralGrid``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,12 +98,10 @@ class LPPartition:
     they are the reference form, which the library's own operators do
     not use.
 
-    ``_held`` is filled by ``diagnostics`` alone: on the first Lyapunov
-    block it puts there the workspace of its Lyapunov functionals (the
-    buffers, 5.3 MiB at 2D 256², and each shell's plan on them), which
-    every later block on this partition reuses.  So one partition must
-    not be shared between threads that compute Lyapunov blocks: build one
-    per thread, as ``cli``'s sweep does per child.
+    ``_parseval`` is the sparse table of every p = 2 shell norm, built on
+    the first one: phi_j^2 times the Parseval weight where it is nonzero,
+    shell after shell, as flat half-lattice indices, values and each
+    shell's first entry (60,917 entries, 0.93 MiB, at 2D 256²).
     """
 
     grid: SpectralGrid
@@ -109,7 +109,6 @@ class LPPartition:
     j_max: int
     _shells: dict = field(init=False, repr=False, default_factory=dict)
     _low: dict = field(init=False, repr=False, default_factory=dict)
-    _held: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.j_max - self.j_min + 1 < 3:
@@ -148,6 +147,24 @@ class LPPartition:
         for j in self.js:
             out += self.multiplier(j)
         return out
+
+    @cached_property
+    def _parseval(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index, weight, start): shell j's entries are those from ``start[j - j_min]`` on.
+
+        The masks are made one at a time and not cached: a partition used
+        for L^2 norms alone holds the table only.
+        """
+        g = self.grid
+        parseval = g.half_weights * (g.cell_volume / g.npoints)
+        index, weight = [], []
+        for j in self.js:
+            m = phi_profile(g.half_xi_norm / 2.0**j)
+            w = (m * m * parseval).ravel()
+            index.append(np.flatnonzero(w))
+            weight.append(w[index[-1]])
+        start = np.cumsum([0] + [i.size for i in index[:-1]])
+        return np.concatenate(index), np.concatenate(weight), start
 
 
 @dataclass
@@ -252,29 +269,40 @@ def _sequence_norm(values: np.ndarray, r: float) -> float:
 class ShellNorms:
     """Shell norms ||block_j f||_p of one field, from its half spectrum.
 
-    Norms are computed on first use and cached per (j, p).  For p = 2
-    they are Parseval sums of phi_j^2 against the spectral power; for
-    other p each shell takes one inverse transform.
+    Norms are computed on first use and cached.  The first p = 2 norm
+    makes all of them from the partition's Parseval table: |fhat|^2,
+    summed over the components, is gathered on every shell's support,
+    weighted and summed shell by shell.  Each other (j, p) takes one
+    inverse transform.
     """
 
     def __init__(self, partition: LPPartition, fhat: np.ndarray):
         self.partition = partition
         self.fhat = fhat
-        self._power = None
+        self._l2 = None
         self._norms: dict = {}
 
     def norm(self, j: int, p: float) -> float:
-        key = (j, p)
-        if key not in self._norms:
-            grid = self.partition.grid
-            m = self.partition.half_shell(j)
-            if p == 2:
-                if self._power is None:
-                    self._power = spectral_power(grid, self.fhat)
-                self._norms[key] = math.sqrt(float(np.sum(m * m * self._power)))
-            else:
-                self._norms[key] = lp_norm(grid, grid.irfft(m * self.fhat), p)
-        return self._norms[key]
+        part = self.partition
+        if p == 2:
+            part.check_j(j)
+            if self._l2 is None:
+                index, weight, start = part._parseval
+                power = np.zeros(part.grid.half_xi_norm.size)
+                for c in self.fhat.reshape(-1, power.size):
+                    power += np.square(c.real)
+                    power += np.square(c.imag)
+                terms = np.take(power, index)
+                terms *= weight
+                # a shell with no lattice point has no entry, and reduceat would give it the next one's
+                full = np.diff(start, append=index.size) > 0
+                self._l2 = np.zeros(start.size)
+                self._l2[full] = np.sqrt(np.add.reduceat(terms, start[full]))
+            return float(self._l2[j - part.j_min])
+        if (j, p) not in self._norms:
+            grid = part.grid
+            self._norms[j, p] = lp_norm(grid, grid.irfft(part.half_shell(j) * self.fhat), p)
+        return self._norms[j, p]
 
     def besov(self, spec: BesovSpec) -> float:
         """Sequence norm over the spec's shells of 2^(j s) ||block_j f||_p."""

@@ -86,8 +86,9 @@ def read_snapshot(path) -> tuple[SpectralGrid, FieldState]:
             raise ValueError(
                 f"snapshot file has {size - expected} bytes of trailing data after the payload"
             )
-        payload = np.frombuffer(fh.read(8 * nfields * npoints), dtype="<f8")
+        # the payload is read once, into the array whose views are a and u
+        fields = np.empty((nfields, *modes), dtype="<f8")
+        if fh.readinto(fields) != fields.nbytes:
+            raise ValueError("snapshot file shrank while it was read")
     grid = _grid_for_header(dim, lengths, modes)
-    fields = payload.reshape(nfields, *modes)
-    state = FieldState(a=fields[0].copy(), u=fields[1:].copy(), t=float(t))
-    return grid, state
+    return grid, FieldState(a=fields[0], u=fields[1:], t=float(t))

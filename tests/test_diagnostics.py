@@ -524,74 +524,101 @@ def banded_lyapunov_case(case):
     return grid, params, states
 
 
-class TestLyapunovWorkspace:
-    """The partition's held Lyapunov workspace carries nothing from one call to the next."""
+def fresh_grid(grid):
+    """A grid equal to ``grid`` with a workspace of its own."""
+    return make_grid(dim=grid.dim, lengths=grid.lengths, modes=grid.modes)
 
-    def test_values_equal_those_of_a_fresh_partition_in_any_order(self):
+
+def residual_triplet(states):
+    """Three snapshots at increasing times made of the two states of a banded Lyapunov case."""
+    return [FieldState(s.a, s.u, t) for s, t in zip((states[0], states[1], states[0]), (0.0, 0.1, 0.25))]
+
+
+class TestLyapunovWorkspace:
+    """The grid's held workspace carries nothing from one call to the next, whoever makes it."""
+
+    def test_values_equal_those_of_a_fresh_grid_in_any_order(self):
         cases = {case: banded_lyapunov_case(case) for case in ("1d", "2d-rect")}
         fresh, held = {}, {}
+        residuals = (density_equation_residual, z_equation_residual)
         for case, (grid, params, states) in cases.items():
             part = build_partition(grid)
             js = list(range(max(-1, part.j_min), part.j_max + 1))
             for k, st in enumerate(states):
                 for j in js:
-                    fresh[case, k, "block", j] = lyapunov_block(grid, st, j, 0.3, build_partition(grid), params)
+                    g = fresh_grid(grid)
+                    fresh[case, k, "block", j] = lyapunov_block(g, st, j, 0.3, build_partition(g), params)
+                    g = fresh_grid(grid)
                     fresh[case, k, "equivalence", j] = lyapunov_equivalence(
-                        grid, st, j, 0.3, build_partition(grid), params)
-                fresh[case, k, "blocks"] = lyapunov_blocks(grid, st, 0.3, build_partition(grid), params)
+                        g, st, j, 0.3, build_partition(g), params)
+                g = fresh_grid(grid)
+                fresh[case, k, "blocks"] = lyapunov_blocks(g, st, 0.3, build_partition(g), params)
+            triplet = residual_triplet(states)
+            for residual in residuals:
+                fresh[case, residual] = residual(fresh_grid(grid), triplet, params)
             interleaved = [j for pair in zip(js, reversed(js)) for j in pair][:len(js)]
-            held[case] = (part, [js, js[::-1], interleaved])
-        # each order of each case in turn, the two grids and the two states interleaved,
-        # and a whole lyapunov_blocks pass between the shells
+            # two partitions on the grid, which share its workspace
+            held[case] = ((part, build_partition(grid)), [js, js[::-1], interleaved], triplet)
+        # each order of each case in turn, the two grids, the two states and the two partitions
+        # interleaved, and a whole lyapunov_blocks pass and both residuals between the shells
         for n in range(3):
-            for j_index in range(max(len(orders[n]) for _, orders in held.values())):
-                for case, (part, orders) in held.items():
+            for j_index in range(max(len(orders[n]) for _, orders, _ in held.values())):
+                for case, (parts, orders, triplet) in held.items():
                     if j_index >= len(orders[n]):
                         continue
                     grid, params, states = cases[case]
                     j = orders[n][j_index]
                     for k, st in enumerate(states):
-                        got = lyapunov_block(grid, st, j, 0.3, part, params)
+                        got = lyapunov_block(grid, st, j, 0.3, parts[k], params)
                         assert got.hex() == fresh[case, k, "block", j].hex()
-                        got = lyapunov_equivalence(grid, st, j, 0.3, part, params)
+                        got = lyapunov_equivalence(grid, st, j, 0.3, parts[1 - k], params)
                         assert got.hex() == fresh[case, k, "equivalence", j].hex()
-                        blocks = lyapunov_blocks(grid, st, 0.3, part, params)
+                        for residual in residuals:
+                            assert residual(grid, triplet, params).hex() == fresh[case, residual].hex()
+                        blocks = lyapunov_blocks(grid, st, 0.3, parts[k], params)
                         assert {i: v.hex() for i, v in blocks.items()} == \
                             {i: v.hex() for i, v in fresh[case, k, "blocks"].items()}
 
-    def test_one_workspace_per_partition_sized_for_the_half_lattice(self):
+    def test_one_workspace_per_grid_sized_for_the_half_lattice(self):
         grid = make_grid(dim=2, lengths=16 * np.pi, modes=256)
         part = build_partition(grid)
-        assert _workspace(part) is _workspace(part)
-        assert _workspace(part) is not _workspace(build_partition(grid))
-        # three stacks of 1 + d half spectra (the loaded a and u, their box arrays, the stacked
-        # spectra of the one inverse), one complex and one float half spectrum: 5.3 MiB
-        work = _workspace(part)
-        buffers = (work.hats, work.fields, work.spectra, work.scratch, work.real)
-        assert sum(b.nbytes for b in buffers) == 5_548_032
-        # a shell whose box is the whole half lattice reads the partition's own masks
+        work = _workspace(grid)
+        assert _workspace(grid) is work and _workspace(fresh_grid(grid)) is not work
+        # ten complex half spectra: the Lyapunov path's three stacks of 1 + d (the loaded a and u,
+        # their box arrays, the stacked spectra of the one inverse) and one scratch, on which the
+        # residuals lay out their terms too; and two float half spectra, a scratch and the
+        # Parseval weights: 5.5 MiB, one float half spectrum more than the Lyapunov path alone held
+        assert work.slots.nbytes + work.real.nbytes + work.weights.nbytes == 5_812_224
+        assert all(v.base is work.slots for v in (work.hats, work.fields, work.spectra, work.scratch))
+        # a shell whose box is the whole half lattice reads the partition's own masks, and its
+        # gradient symbols are those of the residuals
         whole = tuple(n // 2 for n in grid.modes)
         plan = work.plan(part, part.j_max)
         assert plan.kept == whole
         assert plan.shell is part.half_shell(part.j_max) and plan.xi_norm is grid.half_xi_norm
+        assert plan.grad is work.grad()
 
-    def test_only_a_lyapunov_call_fills_the_partition(self):
+    def test_only_a_lyapunov_or_residual_call_fills_the_grid(self):
         grid, params, states = banded_lyapunov_case("2d-rect")
         part = build_partition(grid)
-        # the norms the simulate sink and analyze-2d take besides the Lyapunov blocks
+        # the norms the simulate sink and analyze-2d take besides the Lyapunov blocks and residuals
         for st in states:
             energy_functionals(grid, st, part, params, j1=1)
             besov_norm(part, st.a, BesovSpec(0.0, 4, 1))
             ShellNorms(part, grid.rfft(st.u)).besov(BesovSpec(1.0, 2, 2, "high", 1))
         chemin_lerner_norm(part, np.array([0.0, 0.1]), [st.a for st in states], 1.0, BesovSpec(1.0, 2, 1, "low", 1))
-        assert part._held == {}
+        assert grid._held == {}
+        density_equation_residual(grid, residual_triplet(states), params)
+        work = _workspace(grid)
+        assert list(grid._held.values()) == [work]
         lyapunov_block(grid, states[0], part.j_max, 0.3, part, params)
-        lyapunov_blocks(grid, states[1], 0.3, part, params)
-        assert list(part._held.values()) == [_workspace(part)]
+        lyapunov_blocks(grid, states[1], 0.3, build_partition(grid), params)
+        z_equation_residual(grid, residual_triplet(states), params)
+        assert list(grid._held.values()) == [work]
 
 
 class TestDiagnosticAllocation:
-    """After a warm-up call the Lyapunov block allocates no array and the residuals a bounded transient."""
+    """After a warm-up call neither the Lyapunov blocks nor the residuals allocate an array."""
 
     @staticmethod
     def traced_peak(call):
@@ -613,9 +640,9 @@ class TestDiagnosticAllocation:
     def test_lyapunov_block_on_a_whole_lattice_shell(self):
         grid, params, states = self.analyze_case()
         part = build_partition(grid)
-        assert _workspace(part).plan(part, part.j_max).kept == tuple(n // 2 for n in grid.modes)
+        assert _workspace(grid).plan(part, part.j_max).kept == tuple(n // 2 for n in grid.modes)
         # the transforms, products and the one inverse run in the held workspace;
-        # what is left is NumPy's per-call bookkeeping (2,008 B here); the
+        # what is left is NumPy's per-call bookkeeping (1,984 B here); the
         # fresh arrays of the allocating kernel took 409,688 B
         assert self.traced_peak(lambda: lyapunov_block(grid, states[0], part.j_max, 0.25, part, params)) <= 2048
 
@@ -627,16 +654,17 @@ class TestDiagnosticAllocation:
         # fresh half spectra of a and u per call took 104,160 B
         assert self.traced_peak(lambda: lyapunov_blocks(grid, states[0], 0.25, part, params)) <= 2560
 
-    @pytest.mark.parametrize("residual, half_spectra", [
-        # measured 8.56 half spectra (289,336 B); the sum of the whole term list took 9.56
-        (density_equation_residual, 9),
-        # measured 12.56 (424,472 B); the whole-tensor advection and the one-expression sum took 18.39
-        (z_equation_residual, 13),
+    # the terms are laid out in the grid's held workspace; what is left is NumPy's per-call
+    # bookkeeping, most of it the transforms'
+    @pytest.mark.parametrize("residual, bound", [
+        # measured 2,832 B; a fresh array per term took 289,336 B (8.56 half spectra)
+        (density_equation_residual, 3072),
+        # measured 4,080 B; a fresh array per term took 424,472 B (12.56 half spectra)
+        (z_equation_residual, 4608),
     ])
-    def test_residual_transient(self, residual, half_spectra):
+    def test_residual_transient(self, residual, bound):
         grid, params, states = self.analyze_case()
-        half = grid.half_xi_norm.size * 16
-        assert self.traced_peak(lambda: residual(grid, states, params)) <= half_spectra * half
+        assert self.traced_peak(lambda: residual(grid, states, params)) <= bound
 
 
 class TestTransformCount:

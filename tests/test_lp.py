@@ -1,5 +1,7 @@
 """Dyadic partition profiles, Besov norms, and shell inequalities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from rieszflow import (
     verify_bernstein,
     verify_wu_lower_bound,
 )
+from rieszflow.grid import spectral_power
+from rieszflow.littlewood_paley import ShellNorms
 
 from conftest import full_lattice_filter, reference_besov, sequence_norm, smooth_field
 
@@ -270,6 +274,56 @@ class TestHalfSpectrumOracle:
                 assert half_mask(j) is half
                 assert half.shape == grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
                 assert half.tobytes() == grid.half(full(j)).tobytes()
+
+
+class TestParsevalTable:
+    """Every p = 2 shell norm of a field from the partition's one sparse table of weights."""
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    @pytest.mark.parametrize("lengths, modes", [
+        ((2.0 * np.pi,), (64,)), ((2.0 * np.pi,) * 2, (32, 32)), ((2.0 * np.pi, 3.0 * np.pi), (32, 24)),
+    ], ids=["1d", "2d-square", "2d-rect"])
+    def test_norms_equal_the_per_shell_sums(self, lengths, modes, vector):
+        grid = make_grid(dim=len(modes), lengths=lengths, modes=modes)
+        part = build_partition(grid)
+        f = np.random.default_rng(23).standard_normal(((grid.dim,) if vector else ()) + grid.shape)
+        fhat = grid.rfft(f)
+        norms = ShellNorms(part, fhat)
+        power = spectral_power(grid, fhat)
+        for j in part.js:
+            m = part.half_shell(j)
+            want = math.sqrt(float(np.sum(m * m * power)))
+            assert norms.norm(j, 2) == pytest.approx(want, rel=1e-13, abs=0)
+        with pytest.raises(ValueError, match="outside resolved range"):
+            norms.norm(part.j_max + 1, 2)
+
+    def test_size_at_256_squared(self):
+        grid = make_grid(dim=2, lengths=16.0 * np.pi, modes=256)
+        part = build_partition(grid)
+        index, weight, start = part._parseval
+        # phi_j^2 times the Parseval weight on the shells' supports: 60,917 of 9 x 33,024 entries
+        assert index.size == weight.size == 60_917
+        assert index.nbytes + weight.nbytes == 974_672
+        assert list(start) == sorted(start) and start[0] == 0 and start.size == len(part.js)
+        assert part._parseval is part._parseval and part._shells == {}
+
+    def test_an_empty_shell_has_norm_zero(self):
+        grid = make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
+        part, wide = build_partition(grid), LPPartition(grid=grid, j_min=-8, j_max=8)
+        f = np.random.default_rng(3).standard_normal(grid.shape)
+        norms, wide_norms = ShellNorms(part, grid.rfft(f)), ShellNorms(wide, grid.rfft(f))
+        for j in wide.js:
+            want = norms.norm(j, 2) if j in part.js else 0.0
+            assert wide_norms.norm(j, 2) == want
+
+    def test_norms_fill_no_workspace_on_the_grid(self):
+        grid = make_grid(dim=2, lengths=2.0 * np.pi, modes=32)
+        part = build_partition(grid)
+        f = np.random.default_rng(9).standard_normal((2,) + grid.shape)
+        besov_norm(part, f, BesovSpec(s=0.5, p=2, r=1))
+        besov_norm(part, f[0], BesovSpec(s=0.5, p=4, r=2, flavor="low", j1=0))
+        chemin_lerner_norm(part, np.array([0.0, 1.0]), [f[0], f[1]], 1.0, BesovSpec(s=0.5, p=2, r=1))
+        assert grid._held == {}
 
 
 class TestTransformCount:
