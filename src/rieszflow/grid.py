@@ -73,6 +73,9 @@ MEAN_ZERO_RTOL = 1e-10
 #: relative tolerance on the Hermitian symmetry m(-xi) = conj(m(xi)) of a symbol
 REALITY_RTOL = 1e-10
 
+#: rows of one block of the physical stage of ``SpectralGrid._box_products`` in 2D
+_ROW_BLOCK = 32
+
 
 class ZeroModeError(ValueError):
     """A symbol singular at xi = 0 was applied to a field with nonzero mean."""
@@ -331,6 +334,19 @@ class SpectralGrid:
         return [((slice(0, k + 1), slice(None)), (slice(0, k + 1), cols)),
                 ((slice(k + 1, None), slice(None)), (slice(rows - k, rows), cols))]
 
+    def _outside_box(self, kept: tuple[int, ...]) -> list:
+        """Index tuples of the slabs of the half lattice outside the box.
+
+        The columns past K_d of each slab of box rows of :meth:`_box_index`
+        and, in 2D, the rows K_1 < |k_1| < N_1/2 whole, so that the largest
+        slab is contiguous (none when the box holds every row).
+        """
+        past, n = slice(kept[-1] + 1, None), self.modes[0]
+        slabs = [h[:-1] + (past,) for _, h in self._box_index(kept, n)]
+        if self.dim == 2 and 2 * kept[0] + 1 < n:
+            slabs.insert(1, (slice(kept[0] + 1, n - kept[0]), slice(None)))
+        return slabs
+
     def _box_gather(self, x: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
         """The box part of half spectra ``x`` (leading component axes kept)."""
         if out is None:
@@ -350,20 +366,27 @@ class SpectralGrid:
             out[(Ellipsis,) + h] = box[(Ellipsis,) + b]
         return out
 
+    def _box_columns(self, box, kept: tuple[int, ...], work: np.ndarray) -> np.ndarray:
+        """In 2D, ``box`` zero-filled and scattered onto the K_2 + 1 kept columns of ``work[:F]``."""
+        k, rows = kept[0], work.shape[-2]
+        cols = work[:len(box), :, :kept[1] + 1]
+        cols[:, k + 1:rows - k] = 0
+        for c, b in zip(cols, box):
+            self._box_scatter(b, kept, c)
+        return cols
+
     def _box_irfft(self, box, kept: tuple[int, ...], out: np.ndarray | None = None,
                    work: np.ndarray | None = None, modes: tuple[int, ...] | None = None) -> np.ndarray:
         """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
 
-        In 1D this is ``irfft(box)``.  In 2D ``box`` is a stack of F box
-        arrays or a sequence of them, zero-filled and scattered onto the
-        K_2 + 1 kept columns of ``work[:F, :M_1, :K_2 + 1]`` (complex;
-        overwritten; allocated when not given), which ``irfft`` then
-        transforms in place.  On a box that is the whole half lattice
-        ``work`` may be ``box`` itself: nothing is then zero-filled or
-        moved, and the transform runs in place on ``box``.  With ``modes`` =
-        (M_1, ..., M_d) other than the grid's, the result is the field's
-        samples on the coarse lattice of M_i points per axis (see the box
-        section); each M_i must exceed 2 K_i, or equal N_i.
+        In 1D this is ``irfft(box)``.  In 2D ``box`` (F box arrays) goes by
+        :meth:`_box_columns` into ``work[:F, :M_1]`` (complex; allocated
+        when not given), where ``irfft`` transforms it in place.  On a box
+        that is the whole half lattice ``work`` may be ``box`` itself, which
+        is then transformed in place.  With ``modes`` = (M_1, ..., M_d)
+        other than the grid's, the result is the field's samples on the
+        coarse lattice of M_i points per axis (see the box section); each
+        M_i must exceed 2 K_i, or equal N_i.
         """
         modes = self.modes if modes is None else tuple(modes)
         for k, m, n in zip(kept, modes, self.modes):
@@ -372,31 +395,56 @@ class SpectralGrid:
         if self.dim == 1:
             f = self._irfft(box, modes[0], out=out)
         else:
-            k, m, ncols = kept[0], modes[0], kept[1] + 1
             if work is box:  # a whole box, transformed in place
                 cols = box
             else:
                 if work is None:
-                    work = np.empty((len(box), m, ncols), dtype=complex)
-                cols = work[:len(box), :m, :ncols]
-                cols[:, k + 1:m - k] = 0
-                for c, b in zip(cols, box):
-                    self._box_scatter(b, kept, c)
+                    work = np.empty((len(box), modes[0], kept[1] + 1), dtype=complex)
+                cols = self._box_columns(box, kept, work[:, :modes[0]])
             f = self._irfft(cols, modes[1], out=out, work=cols)
         if modes != self.modes:
             f *= math.prod(modes) / self.npoints
         return f
 
-    def _box_rfft(self, f: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
-        """The box part of :meth:`rfft` of ``f``, bit for bit.
+    def _block_shape(self) -> tuple[int, int]:
+        """A block of rows of :meth:`_box_products`: ``_ROW_BLOCK`` rows (at most N_1) in 2D, the field in 1D."""
+        return (min(_ROW_BLOCK, self.modes[0]) if self.dim == 2 else 1, self.modes[-1])
 
-        ``rfft`` runs over the last axis into ``work`` (complex, of the
-        half spectra's shape; overwritten; allocated when not given); in
-        2D the complex transform over the first axis then runs in place on
-        the K_2 + 1 kept columns only.
+    def _box_products(self, box, kept: tuple[int, ...], form, out: np.ndarray, work: np.ndarray,
+                      blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The box part of ``rfft(form(irfft(box)))`` into ``out``, one block of rows at a time.
+
+        ``box`` stacks F box arrays (in 2D it may list them); ``form(fields,
+        products)`` writes P products of a block of the F physical fields.
+        ``blocks`` are buffers (F, R, N_d) and (P, R, N_d) of
+        :meth:`_block_shape`, ``work`` max(F, P) half spectra (overwritten).
+        In 2D the box is scattered onto the K_2 + 1 kept columns of
+        ``work[:F]``, where ``ifft`` runs over the first axis.  Each block of
+        rows then goes by ``irfft`` into ``blocks[0]``, by ``form`` into
+        ``blocks[1]`` and by ``rfft`` into the same, consumed, rows of
+        ``work[:P]``; last, in 2D, ``fft`` runs over the first axis on the
+        kept columns.  Each transform is the one of ``irfftn``/``rfftn`` of
+        the masked spectra, row by row, so the result equals theirs bit for
+        bit.
         """
-        return self._box_gather(self._rfft(f, kept[-1] + 1, out=work), kept, out)
+        fields, products = blocks
+        nprod = len(products)
+        if self.dim == 2:
+            cols, rows = self._box_columns(box, kept, work), work
+            np.fft.ifft(cols, axis=-2, out=cols)
+        else:
+            # one row: irfft reads the box, its columns past K_1 counting as zero
+            cols, rows = box[:, None], work[:, None]
+        height = fields.shape[-2]
+        for r0 in range(0, rows.shape[-2], height):
+            r = min(height, rows.shape[-2] - r0)
+            f = np.fft.irfft(cols[:, r0:r0 + r], n=self.modes[-1], out=fields[:, :r])
+            form(f, products[:, :r])
+            np.fft.rfft(products[:, :r], axis=-1, out=rows[:nprod, r0:r0 + r])
+        if self.dim == 2:
+            cols = work[:nprod, :, :kept[1] + 1]
+            np.fft.fft(cols, axis=-2, out=cols)
+        return self._box_gather(work[:nprod], kept, out)
 
     def _support_box(self, m: np.ndarray) -> tuple[int, ...]:
         """The box of half-lattice array ``m``'s support: K_i = max |k_i| where m != 0 (0 if none).

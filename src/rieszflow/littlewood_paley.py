@@ -152,17 +152,23 @@ class LPPartition:
     def _parseval(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index, weight, start): shell j's entries are those from ``start[j - j_min]`` on.
 
-        The masks are made one at a time and not cached: a partition used
-        for L^2 norms alone holds the table only.
+        Each shell's profile is evaluated on its annulus alone,
+        SHELL_INNER 2^j < |xi| < SHELL_OUTER 2^j, outside which phi_j is
+        exactly 0 (the scaling by 2^j is exact, so are the bounds), and
+        nothing is cached: a partition used for L^2 norms alone holds the
+        table only.
         """
         g = self.grid
-        parseval = g.half_weights * (g.cell_volume / g.npoints)
+        xi = g.half_xi_norm.ravel()
+        parseval = np.broadcast_to(g.half_weights * (g.cell_volume / g.npoints), g.half_xi_norm.shape).ravel()
         index, weight = [], []
         for j in self.js:
-            m = phi_profile(g.half_xi_norm / 2.0**j)
-            w = (m * m * parseval).ravel()
-            index.append(np.flatnonzero(w))
-            weight.append(w[index[-1]])
+            near = np.flatnonzero((xi > SHELL_INNER * 2.0**j) & (xi < SHELL_OUTER * 2.0**j))
+            m = phi_profile(xi[near] / 2.0**j)
+            w = m * m * parseval[near]
+            keep = np.flatnonzero(w)
+            index.append(near[keep])
+            weight.append(w[keep])
         start = np.cumsum([0] + [i.size for i in index[:-1]])
         return np.concatenate(index), np.concatenate(weight), start
 

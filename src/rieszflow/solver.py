@@ -24,10 +24,7 @@ tendency is taken in a form built from products of fields rather than
 of gradients, the rotational form -grad(|u|^2/2) - w u_perp with
 w = d_1 u_2 - d_2 u_1 and u_perp = (-u_2, u_1).  It equals the
 dealiased -u . grad u.  The vorticity exists only in 2D, so in 1D the
-form is the conservative -(u^2/2)_x; one method computes both.  A
-tendency makes one inverse and one forward transform, the inverse of
-(a, u) (and, in 2D, of the vorticity) and the forward of [a u, |u|^2/2]
-(and, in 2D, of [w u_2, w u_1]).
+form is the conservative -(u^2/2)_x; one method computes both.
 
 Three steppers are available, one per entry of :data:`INTEGRATORS`: the
 integrating-factor RK4 scheme of Lawson (default), a first-order
@@ -42,37 +39,24 @@ previous step, so equally spaced snapshot times build the propagator
 once.  ``integrate`` reports the steps taken, the step sizes and the
 propagator builds in ``Trajectory.stats``.
 
-Every tendency vanishes outside the dealias box |k_i| <= K_i, and its
-box part reads only the box part of the state.  A step therefore runs
-the stages on box-sized arrays, with the propagator factors and symbols
-gathered onto the box once per build, and advances every mode outside
-the box by the propagator alone: E_{h/2} E_{h/2} for IFRK4, E_h for
-exponential Euler (a linear step is E_h on every mode).  The transforms
-of a tendency are pruned to the box (``SpectralGrid._box_irfft`` and
-``_box_rfft``).  In 2D the complex
-transform over the first axis runs on the K_2 + 1 kept columns only;
-the real transform over the last axis runs on every row.  Both equal
-``irfftn``/``rfftn`` of the masked spectra bit for bit, so no mask
-multiply is left, and a step equals the full-lattice step bit for bit
-apart from the sign of zeros.  At fraction 2/3 the box is 4/9 of the 2D
-half spectrum and 2/3 of the 1D one.
+Every tendency vanishes outside the dealias box and reads only its box
+part, so a step runs the stages on box arrays and advances the modes
+outside the box by the propagator alone (see ``_Scheme``).  A tendency's
+transforms are one round trip, ``SpectralGrid._box_products``, whose
+physical stage runs one block of rows at a time so that the block stays
+in cache.  Every transform equals ``irfftn``/``rfftn`` of the masked
+spectra bit for bit, and a step equals the full-lattice step bit for
+bit apart from the sign of zeros.
 
-Each scheme allocates its workspace once: four box-sized stage buffers
-for the IFRK4 step and the physical fields, spectra and products of a
-tendency (the budget is listed on ``_Scheme``).  The tendency, the
-linear update and the steps write into it with ``out=``, the transforms
-included, and ``integrate`` advances one state array in place.  The
-complex transform over the first axis runs in place in the workspace,
-so a step allocates no state-sized array; what it allocates is NumPy's
-cast buffers for the real propagator factors.  The per-step checks
-transform the density in the workspace too, as a recorded snapshot does
-(whose only fresh array is the snapshot, its L^2 norms being formed in
-the workspace as well); they test finiteness by the
-minimum and maximum of the density and of the velocity spectra:
-reductions that allocate nothing and that any NaN or infinity reaches.
-The memory of one step is thus reused by the next instead of being
-returned to the system and faulted in again.  Called without ``out``,
-every method returns a fresh array and leaves its input unchanged.
+Each scheme allocates its workspace once (listed on ``_Scheme``), and
+``integrate`` advances one state array in place, so a step allocates no
+state-sized array, only NumPy's cast buffers for the real propagator
+factors.  The per-step checks transform the density in the workspace
+and test finiteness by the minimum and maximum of the density and of
+the velocity spectra: reductions that allocate nothing and that any NaN
+or infinity reaches.  A record's L^2 norms are formed in the workspace
+too.  Called without ``out``, every method returns a fresh array and
+leaves its input unchanged.
 
 ``integrate`` hands each snapshot to a sink, ``sink(state, diag, spectrum)``,
 as the run reaches its time, ``spectrum`` a read-only view of its half spectra.
@@ -205,12 +189,13 @@ class _Scheme:
     so each segment of a run builds its factors once.
 
     The dealias box is |k_i| <= K_i (``kept``, ``SpectralGrid.dealias_box``),
-    held by box arrays in the layout of ``SpectralGrid._box_index``.
-    Every tendency vanishes outside the box and reads only the box part of
-    its input, so a step advances the box part of the state through the
-    stages on box arrays, with box-sized factors and symbols, and the rest
-    by the propagator alone; the tendency transforms only the box
-    (``SpectralGrid._box_irfft``, ``_box_rfft``).
+    held by box arrays in the layout of ``SpectralGrid._box_index``.  A
+    step advances the box part of the state through the stages on box
+    arrays, with box-sized factors and symbols, and only the slabs outside
+    the box (``SpectralGrid._outside_box``: one in 1D, up to three in
+    2D) by the propagator alone, each slab twice over for IFRK4 while it
+    is in cache.  At fraction 2/3 the box is 4/9 of the 2D half spectrum,
+    2/3 of the 1D one.
 
     The workspace is allocated once per scheme, here except for the
     stage buffers, which the first step allocates; with B one box state
@@ -220,36 +205,34 @@ class _Scheme:
     - ``_stage``: four box state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
-    - ``_fields``: the physical (a, u) of a tendency, and w after them in
-      2D, and the density of :meth:`density` (2 P in 1D, 4 P in 2D);
-    - ``_spec``: nprod half spectra, 3 in 1D and 5 in 2D: the
-      zero-padded kept columns of the inverse transforms, the half
-      spectra of the forward ones, the first-axis transform of
+    - ``_spec``: nprod half spectra, 3 in 1D and 5 in 2D: the work
+      spectra of the round trip, the first-axis transform of
       :meth:`density` and, in ``integrate``, of each recorded snapshot
       (1 + d of them), and the scratch (m, c and one product) of the
-      linear update, for the box in a contiguous view at its start;
+      linear update, for the box in a contiguous view at its start and
+      outside it in views of its slabs;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
-    - ``_prod``: the products [a u_1, ..., a u_d, |u|^2/2] of
-      :meth:`_rhs`, with [w u_2, w u_1] after them in 2D (nprod = 2 or
-      5 physical fields); between steps, the squares of the L^2 norms
-      of :meth:`diagnostics` (d + 1 fields).
+    - ``_blocks``: one block of rows (``SpectralGrid._block_shape``, 32
+      rows in 2D, the field in 1D) of the physical (a, u), and w after
+      them in 2D, and of the products [a u_1, ..., a u_d, |u|^2/2], with
+      [w u_2, w u_1] after them in 2D (2 + 2 fields in 1D, 4 + 5 in 2D);
+    - ``_phys``: d fields, the density of :meth:`density` and, between
+      steps, the squares of the L^2 norms of :meth:`diagnostics` (d P).
 
-    At 2D 256^2 that is about 10.8 MiB, 2.7 of them the stage buffers
-    (13.1 MiB with stages over the whole lattice).  The propagator
-    factors and ``ie`` are kept both on the half lattice, for the modes
-    outside the box and :meth:`apply_linear`, and on the box, each set in
-    one buffer that every build overwrites: fresh arrays per build
-    fragmented the heap of c08's 33 builds (the peak RSS of ``decay-1d``
-    rose 0.8 MiB for the box factors, 2 MiB for the others).  ``rhs``,
-    ``apply_linear`` and the steps take an optional ``out``, which may be
-    their input ``s`` and must not be a workspace buffer; without it they return a fresh array.  They never
-    change ``s`` unless it is ``out``, and never return a workspace
-    buffer.  Each operation takes the operands of the plain array
-    expression it evaluates in that expression's order (NumPy's complex
-    multiply is not bit-commutative), so the results equal those of the
-    allocating full-lattice expressions bit for bit, apart from the sign
-    of zeros.
+    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers (10.8
+    MiB with whole physical fields and products).  The propagator factors
+    and ``ie`` are kept both on the half lattice, for the modes outside the
+    box and :meth:`apply_linear`, and on the box, each set in one buffer
+    that every build overwrites, so c08's 33 builds do not fragment the
+    heap.  ``rhs``, ``apply_linear`` and the steps take an optional
+    ``out``, which may be their input ``s`` and must not be a workspace
+    buffer; without it they return a fresh array.  They never change ``s``
+    unless it is ``out``, and never return a workspace buffer.  Each
+    operation takes the operands of the plain array expression it
+    evaluates in that expression's order (NumPy's complex multiply is not
+    bit-commutative), so the results equal those of the allocating
+    full-lattice expressions bit for bit, apart from the sign of zeros.
     """
 
     def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
@@ -272,13 +255,18 @@ class _Scheme:
         # (p11, p12, q21, q22) on the half lattice and on the box, overwritten by each build
         self._half_factors = np.empty((4,) + grid.half_xi_norm.shape)
         self._box_factors = np.empty((4,) + self._box_shape)
-        self._fields = np.empty((2 * d,) + grid.shape)
         self._spec = np.empty((max(3, nprod),) + grid.half_xi_norm.shape, dtype=complex)
         self._boxspec = np.empty((nprod,) + self._box_shape, dtype=complex) if d == 2 else None
-        self._prod = np.empty((nprod,) + grid.shape)
+        self._blocks = (np.empty((2 * d,) + grid._block_shape()), np.empty((nprod,) + grid._block_shape()))
+        self._phys = np.empty((d,) + grid.shape)
         # the scratch (m, c, tmp) of the linear update on the box: contiguous
         # box arrays at the start of _spec
         self._box_work = self._spec.reshape(-1)[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
+        # the linear update outside the box, one slab at a time: its index and
+        # views of the half-lattice factors, of ie and of the scratch in _spec
+        self._outside = [((Ellipsis,) + at, tuple(self._half_factors[(slice(None),) + at]),
+                          self.ie[(slice(None),) + at], self._spec[(slice(0, 3),) + at])
+                         for at in grid._outside_box(self.kept)]
 
     @cached_property
     def _stage(self) -> np.ndarray:
@@ -347,6 +335,17 @@ class _Scheme:
         """:meth:`apply_linear` on box arrays."""
         return self._linear(s, self._factor_pair(h)[1], self.ie_box, self._box_work, out)
 
+    def _linear_outside(self, s: np.ndarray, h: float, out: np.ndarray | None, times: int = 1) -> np.ndarray:
+        """:meth:`apply_linear` ``times`` over outside the box, slab by slab; the box part of ``out`` is left as it is."""
+        if out is None:
+            out = np.empty_like(s)
+        rot = self.factors(h)[4]
+        for at, fac, ie, work in self._outside:
+            x = s[at]
+            for _ in range(times):
+                x = self._linear(x, fac + (rot,), ie, work, out[at])
+        return out
+
     # -- nonlinear part ------------------------------------------------
 
     def rhs(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -369,7 +368,7 @@ class _Scheme:
         vorticity spectrum; the forward one the products
         [a u_1, ..., a u_d, |u|^2/2] and, in 2D, [w u_2, w u_1].
         """
-        g, kept, prod, m = self.grid, self.kept, self._prod, self.minus_grad
+        g, m = self.grid, self.minus_grad
         d = g.dim
         fields = s
         if d == 2:
@@ -377,7 +376,22 @@ class _Scheme:
             w = np.multiply(m[1], s[1], out=self._boxspec[0])
             w -= np.multiply(m[0], s[2], out=self._boxspec[1])
             fields = (*s, w)
-        phys = g._box_irfft(fields, kept, out=self._fields, work=self._spec)
+        v = g._box_products(fields, self.kept, self._products, out=out if d == 1 else self._boxspec,
+                            work=self._spec, blocks=self._blocks)
+        # out[0] = sum_i m_i v_i and out[1 + i] = m_i q: the two m_1 terms in one call
+        np.multiply(m[0], v[0:d + 1:d], out=out[:2])
+        for i in range(1, d):
+            out[0] += np.multiply(m[i], v[i], out=v[i])
+            np.multiply(m[i], v[d], out=out[1 + i])
+        if d == 2:
+            # -w u_perp = (w u_2, -w u_1)
+            out[1] += v[3]
+            out[2] -= v[4]
+        return out
+
+    def _products(self, phys: np.ndarray, prod: np.ndarray) -> None:
+        """[a u_1, ..., a u_d, |u|^2/2] and, in 2D, [w u_2, w u_1] of a block of (a, u) and w."""
+        d = self.grid.dim
         a, u = phys[0], phys[1:1 + d]
         for i in range(d):
             np.multiply(a, u[i], out=prod[i])
@@ -393,36 +407,27 @@ class _Scheme:
             w = phys[3]
             np.multiply(w, u[1], out=prod[3])
             np.multiply(w, u[0], out=prod[4])
-        v = g._box_rfft(prod, kept, out=out if d == 1 else self._boxspec, work=self._spec[:len(prod)])
-        # out[0] = sum_i m_i v_i and out[1 + i] = m_i q: the two m_1 terms in one call
-        np.multiply(m[0], v[0:d + 1:d], out=out[:2])
-        for i in range(1, d):
-            out[0] += np.multiply(m[i], v[i], out=v[i])
-            np.multiply(m[i], v[d], out=out[1 + i])
-        if d == 2:
-            # -w u_perp = (w u_2, -w u_1)
-            out[1] += v[3]
-            out[2] -= v[4]
-        return out
 
     def density(self, s: np.ndarray) -> np.ndarray:
         """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace."""
-        return self.grid.irfft(s[0], out=self._fields[0], work=self._spec[0])
+        return self.grid.irfft(s[0], out=self._phys[0], work=self._spec[0])
 
     def diagnostics(self, state: FieldState) -> dict:
         """``t``, ``l2_a``, ``l2_u``, ``min_density`` and ``mean_a`` of a physical state.
 
         The L^2 norms equal ``lp_norm(grid, ., 2)`` bit for bit: the same
         operations in its order (|a|, or the root of the sum of u_i u_i;
-        the square; the sum), written into ``_prod``, which is idle
+        the square; the sum), written into ``_phys``, which is idle
         between steps, so a record allocates no field.
         """
-        g, w = self.grid, self._prod
+        g, w = self.grid, self._phys
         mag = np.abs(state.a, out=w[0])
         sum_a = np.sum(np.square(mag, out=mag))
-        uu = np.multiply(state.u, state.u, out=w[1:1 + g.dim])
-        mag = np.sqrt(np.sum(uu, axis=0, out=w[0]), out=w[0])
-        sum_u = np.sum(np.square(mag, out=mag))
+        uu = np.multiply(state.u, state.u, out=w)
+        mag = uu[0]
+        for x in uu[1:]:
+            mag += x
+        sum_u = np.sum(np.square(np.sqrt(mag, out=mag), out=mag))
         return {
             "t": state.t,
             "l2_a": float((g.cell_volume * sum_a) ** 0.5),
@@ -437,7 +442,7 @@ class _Scheme:
         """E_h(s + h N(s)): the box through the stage, the rest by E_h alone."""
         A, x = self._stage[0], self._stage[3]
         self.grid._box_gather(s, self.kept, out=A)
-        out = self.apply_linear(s, h, out=out)
+        out = self._linear_outside(s, h, out)
         self._rhs(A, out=x)
         np.add(A, np.multiply(h, x, out=x), out=x)
         return self.grid._box_scatter(self._linear_box(x, h, out=A), self.kept, out)
@@ -451,16 +456,15 @@ class _Scheme:
         and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.  The stages
         run on the box part of s; the four stage buffers hold A, B, n2 and
         x (the box of s, the stage inputs, n3, n4).  Outside the box every
-        N vanishes, so there s' = E_{h/2} E_{h/2} s: two propagations of
-        the whole state, whose box part the stages then overwrite.  s is
-        read only before ``out`` is first written, so ``out`` may be s.
+        N vanishes, so there s' = E_{h/2} E_{h/2} s, propagated there
+        alone.  s is read only before ``out`` is first written, so ``out``
+        may be s.
         """
         half, sixth = 0.5 * h, h / 6.0
         lin, N = self._linear_box, self._rhs
         A, B, n2, x = self._stage
         self.grid._box_gather(s, self.kept, out=x)
-        out = self.apply_linear(s, half, out=out)
-        self.apply_linear(out, half, out=out)
+        out = self._linear_outside(s, half, out, times=2)
         lin(x, half, out=A)
         lin(N(x, out=x), half, out=B)
         N(np.add(A, np.multiply(half, B, out=x), out=x), out=n2)

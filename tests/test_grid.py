@@ -515,9 +515,13 @@ class TestBoxTransforms:
         whole = tuple(n // 2 for n in modes)
         f = np.random.default_rng(3).standard_normal((3,) + g.shape)
         axes = tuple(range(-g.dim, 0))
-        want = np.fft.rfftn(f, axes=axes)
-        # the box of the whole half lattice is the half spectrum; the inverse may run in place on it
-        box = g._box_rfft(f, whole)
+        spectra = np.fft.rfftn(f, axes=axes)
+        want = np.fft.rfftn(np.fft.irfftn(spectra, s=g.modes, axes=axes), axes=axes)
+        # the box of the whole half lattice is the half spectrum: the round trip of the
+        # identity is rfftn of irfftn, and the inverse may run in place on its result
+        box = np.empty_like(spectra)
+        blocks = (np.empty((3,) + g._block_shape()), np.empty((3,) + g._block_shape()))
+        g._box_products(spectra, whole, lambda f, p: np.copyto(p, f), box, np.empty_like(spectra), blocks)
         assert bit_equal(box, want)
         samples = g._box_irfft(box, whole, work=box if g.dim == 2 else None)
         assert bit_equal(samples, np.fft.irfftn(want, s=g.modes, axes=axes))
@@ -581,14 +585,46 @@ class TestBoxTransforms:
         with pytest.raises(ValueError, match="does not fit"):
             g._box_irfft(g._box_gather(spectra, shell), shell, modes=tuple(2 * k for k in shell))
 
-    @pytest.mark.parametrize("modes, fraction", BOX_CASES)
+    # (80, 24): more rows than one block, and not a multiple of it
+    @pytest.mark.parametrize("modes, fraction", BOX_CASES + [((80, 24), 2.0 / 3.0)])
     def test_forward_equals_rfftn_on_the_box(self, modes, fraction):
+        """The round trip is rfftn of the products of irfftn of the masked spectra, on the box."""
         g, kept, at, rng = box_case(modes, fraction)
-        f = rng.standard_normal((5,) + g.shape)
-        whole = np.fft.rfftn(f, axes=tuple(range(-g.dim, 0)))
-        assert bit_equal(g.rfft(f), whole)
-        want = whole[(slice(None),) + at]
-        assert bit_equal(g._box_rfft(f, kept), want)
-        out, work = np.empty_like(want), np.empty((5,) + g.half_xi_norm.shape, dtype=complex)
-        assert g._box_rfft(f, kept, out=out, work=work) is out
+        s = g.rfft(rng.standard_normal((4,) + g.shape))
+        axes = tuple(range(-g.dim, 0))
+        fields = np.fft.irfftn(s * g.half(g.dealias_mask(fraction)), s=g.modes, axes=axes)
+        pairs = [(i % 4, (i + 1) % 4) for i in range(5)]
+        want = np.fft.rfftn(np.stack([fields[i] * fields[j] for i, j in pairs]), axes=axes)[(slice(None),) + at]
+        heights = []
+
+        def form(f, p):
+            heights.append(f.shape[-2])
+            for o, (i, j) in zip(p, pairs):
+                np.multiply(f[i], f[j], out=o)
+
+        box, out = s[(slice(None),) + at], np.empty_like(want)
+        work = np.empty((5,) + g.half_xi_norm.shape, dtype=complex)
+        blocks = (np.empty((4,) + g._block_shape()), np.empty((5,) + g._block_shape()))
+        assert g._box_products(box, kept, form, out, work, blocks) is out
         assert bit_equal(out, want)
+        # one block of rows per call of form: the whole row in 1D, blocks of grid._ROW_BLOCK rows in 2D
+        rows = g.modes[0] if g.dim == 2 else 1
+        height = min(grid_module._ROW_BLOCK, rows)
+        assert heights == [height] * (rows // height) + [rows % height] * (rows % height > 0)
+        if g.dim == 2:
+            # a sequence of box arrays, into the same workspace
+            assert bit_equal(g._box_products(list(box), kept, form, out, work, blocks), want)
+
+    @pytest.mark.parametrize("modes, kept", [((32,), (10,)), ((16, 24), (5, 7)), ((80, 24), (26, 7)),
+                                             ((16, 24), (8, 7))])
+    def test_outside_box_is_the_complement(self, modes, kept):
+        g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
+        covered = g._box_scatter(np.ones(g._box_shape(kept), dtype=int), kept,
+                                 np.zeros(g.half_xi_norm.shape, dtype=int))
+        slabs = g._outside_box(kept)
+        # in 2D the columns past K_2 of the two slabs of box rows and the other rows whole
+        # (the columns past K_2 alone when the box holds every row), in 1D the columns past K_1
+        assert len(slabs) == (1 if g.dim == 1 or 2 * kept[0] >= modes[0] else 3)
+        for at in slabs:
+            covered[at] += 1
+        assert np.all(covered == 1)

@@ -307,6 +307,25 @@ class TestParsevalTable:
         assert list(start) == sorted(start) and start[0] == 0 and start.size == len(part.js)
         assert part._parseval is part._parseval and part._shells == {}
 
+    @pytest.mark.parametrize("lengths, modes", [
+        ((16.0 * np.pi,) * 2, (256, 256)), ((2.0 * np.pi, 3.0 * np.pi), (16, 24)), ((200.0 * np.pi,), (4096,)),
+    ], ids=["2d-256", "2d-rect", "1d-4096"])
+    def test_annulus_table_equals_the_whole_lattice_one(self, lengths, modes):
+        """Evaluating each profile on its annulus alone leaves every byte of the table as it was."""
+        grid = make_grid(dim=len(modes), lengths=lengths, modes=modes)
+        part = build_partition(grid)
+        parseval = grid.half_weights * (grid.cell_volume / grid.npoints)
+        index, weight = [], []
+        for j in part.js:
+            m = phi_profile(grid.half_xi_norm / 2.0**j)
+            w = (m * m * parseval).ravel()
+            index.append(np.flatnonzero(w))
+            weight.append(w[index[-1]])
+        start = np.cumsum([0] + [i.size for i in index[:-1]])
+        want = (np.concatenate(index), np.concatenate(weight), start)
+        for got, ref in zip(part._parseval, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     def test_an_empty_shell_has_norm_zero(self):
         grid = make_grid(dim=1, lengths=2.0 * np.pi, modes=64)
         part, wide = build_partition(grid), LPPartition(grid=grid, j_min=-8, j_max=8)

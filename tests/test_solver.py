@@ -898,6 +898,9 @@ WORKSPACE_CASES = [
     (2, (2.0 * np.pi, 3.0 * np.pi), (16, 24), 2.0 / 3.0),  # K_2 = N_2/3 - 1
     (2, (2.0 * np.pi, 3.0 * np.pi), (16, 32), 2.0 / 3.0),
     (2, (2.0 * np.pi, 3.0 * np.pi), (16, 32), 0.5),  # the box of the fraction, K = (4, 8)
+    # more rows than one block of the physical stage (grid._ROW_BLOCK = 32), and not a multiple
+    # of it; the cell of the (16, 24) case, on which TestKeptBox's white noise stays above the floor
+    (2, (10.0 * np.pi, 3.0 * np.pi), (80, 24), 2.0 / 3.0),
 ]
 
 #: SolverConfig settings of each advance path and the scheme method it uses
@@ -1009,10 +1012,22 @@ class TestWorkspaceAliasing:
         one, two = solver._Scheme(g, p), solver._Scheme(g, p)
 
         def workspace(sc):
-            return [sc._stage, sc._fields, sc._spec, sc._boxspec, sc._box_factors, sc._prod]
+            return [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._box_factors,
+                    sc._half_factors]
 
         for x in workspace(one):
             assert all(not np.shares_memory(x, y) for y in workspace(two))
+
+    def test_workspace_bytes_at_256_squared(self):
+        g = make_grid(dim=2, lengths=16 * np.pi, modes=256)
+        sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.5))
+        sc.step_ifrk4(random_half_state(g, np.random.default_rng(0), amplitude=0.01), 0.05)
+        buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._half_factors, sc._box_factors]
+        assert all(b.base is None for b in buffers)
+        # the physical stage holds one block of 32 rows of the 4 fields and of the 5 products
+        # (589,824 B), where whole fields took 4,718,592 B (12,887,904 B in all)
+        assert sum(b.nbytes for b in sc._blocks) == 9 * 32 * 256 * 8
+        assert sum(b.nbytes for b in buffers) == 9_807_712
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_snapshots_are_never_overwritten(self, path):
