@@ -73,7 +73,8 @@ MEAN_ZERO_RTOL = 1e-10
 #: relative tolerance on the Hermitian symmetry m(-xi) = conj(m(xi)) of a symbol
 REALITY_RTOL = 1e-10
 
-#: rows of one block of the physical stage of ``SpectralGrid._box_products`` in 2D
+#: rows of one block of ``SpectralGrid._box_products`` in 2D; chosen at N_2 = 256 only (16 and
+#: 32 rows equal, 64 and 128 slower), where 9 fields of 32 rows take 576 KiB, 2.25 MiB at 1024
 _ROW_BLOCK = 32
 
 
@@ -335,12 +336,7 @@ class SpectralGrid:
                 ((slice(k + 1, None), slice(None)), (slice(rows - k, rows), cols))]
 
     def _outside_box(self, kept: tuple[int, ...]) -> list:
-        """Index tuples of the slabs of the half lattice outside the box.
-
-        The columns past K_d of each slab of box rows of :meth:`_box_index`
-        and, in 2D, the rows K_1 < |k_1| < N_1/2 whole, so that the largest
-        slab is contiguous (none when the box holds every row).
-        """
+        """Index tuples of the slabs that, with the box, cover the half lattice once."""
         past, n = slice(kept[-1] + 1, None), self.modes[0]
         slabs = [h[:-1] + (past,) for _, h in self._box_index(kept, n)]
         if self.dim == 2 and 2 * kept[0] + 1 < n:
@@ -379,14 +375,10 @@ class SpectralGrid:
                    work: np.ndarray | None = None, modes: tuple[int, ...] | None = None) -> np.ndarray:
         """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
 
-        In 1D this is ``irfft(box)``.  In 2D ``box`` (F box arrays) goes by
-        :meth:`_box_columns` into ``work[:F, :M_1]`` (complex; allocated
-        when not given), where ``irfft`` transforms it in place.  On a box
-        that is the whole half lattice ``work`` may be ``box`` itself, which
-        is then transformed in place.  With ``modes`` = (M_1, ..., M_d)
-        other than the grid's, the result is the field's samples on the
-        coarse lattice of M_i points per axis (see the box section); each
-        M_i must exceed 2 K_i, or equal N_i.
+        In 2D the kept columns are transformed in place in ``work`` (complex;
+        allocated when not given), which may be ``box`` on a whole box.  With
+        ``modes`` = (M_1, ..., M_d) the result is sampled on the coarse
+        lattice (see the box section); each M_i must exceed 2 K_i, or equal N_i.
         """
         modes = self.modes if modes is None else tuple(modes)
         for k, m, n in zip(kept, modes, self.modes):
@@ -395,37 +387,24 @@ class SpectralGrid:
         if self.dim == 1:
             f = self._irfft(box, modes[0], out=out)
         else:
-            if work is box:  # a whole box, transformed in place
-                cols = box
-            else:
-                if work is None:
-                    work = np.empty((len(box), modes[0], kept[1] + 1), dtype=complex)
-                cols = self._box_columns(box, kept, work[:, :modes[0]])
+            if work is None:
+                work = np.empty((len(box), modes[0], kept[1] + 1), dtype=complex)
+            cols = box if work is box else self._box_columns(box, kept, work[:, :modes[0]])
             f = self._irfft(cols, modes[1], out=out, work=cols)
         if modes != self.modes:
             f *= math.prod(modes) / self.npoints
         return f
 
     def _block_shape(self) -> tuple[int, int]:
-        """A block of rows of :meth:`_box_products`: ``_ROW_BLOCK`` rows (at most N_1) in 2D, the field in 1D."""
         return (min(_ROW_BLOCK, self.modes[0]) if self.dim == 2 else 1, self.modes[-1])
 
     def _box_products(self, box, kept: tuple[int, ...], form, out: np.ndarray, work: np.ndarray,
                       blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The box part of ``rfft(form(irfft(box)))`` into ``out``, one block of rows at a time.
+        """Box part of ``rfft(form(irfft(box)))`` into ``out``, bit for bit, a block of rows at a time.
 
-        ``box`` stacks F box arrays (in 2D it may list them); ``form(fields,
-        products)`` writes P products of a block of the F physical fields.
-        ``blocks`` are buffers (F, R, N_d) and (P, R, N_d) of
-        :meth:`_block_shape`, ``work`` max(F, P) half spectra (overwritten).
-        In 2D the box is scattered onto the K_2 + 1 kept columns of
-        ``work[:F]``, where ``ifft`` runs over the first axis.  Each block of
-        rows then goes by ``irfft`` into ``blocks[0]``, by ``form`` into
-        ``blocks[1]`` and by ``rfft`` into the same, consumed, rows of
-        ``work[:P]``; last, in 2D, ``fft`` runs over the first axis on the
-        kept columns.  Each transform is the one of ``irfftn``/``rfftn`` of
-        the masked spectra, row by row, so the result equals theirs bit for
-        bit.
+        ``form(fields, products)`` fills ``blocks[1]`` from ``blocks[0]`` (of
+        :meth:`_block_shape`); ``work``, max(F, P) half spectra, has a block's
+        rows rewritten only after ``irfft`` has read them.
         """
         fields, products = blocks
         nprod = len(products)

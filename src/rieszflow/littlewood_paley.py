@@ -152,11 +152,8 @@ class LPPartition:
     def _parseval(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(index, weight, start): shell j's entries are those from ``start[j - j_min]`` on.
 
-        Each shell's profile is evaluated on its annulus alone,
-        SHELL_INNER 2^j < |xi| < SHELL_OUTER 2^j, outside which phi_j is
-        exactly 0 (the scaling by 2^j is exact, so are the bounds), and
-        nothing is cached: a partition used for L^2 norms alone holds the
-        table only.
+        phi_j is evaluated on its open annulus only (the bounds scale by 2^j
+        exactly); nothing else is cached, so an L^2-only partition holds the table.
         """
         g = self.grid
         xi = g.half_xi_norm.ravel()

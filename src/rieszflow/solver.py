@@ -39,24 +39,11 @@ previous step, so equally spaced snapshot times build the propagator
 once.  ``integrate`` reports the steps taken, the step sizes and the
 propagator builds in ``Trajectory.stats``.
 
-Every tendency vanishes outside the dealias box and reads only its box
-part, so a step runs the stages on box arrays and advances the modes
-outside the box by the propagator alone (see ``_Scheme``).  A tendency's
-transforms are one round trip, ``SpectralGrid._box_products``, whose
-physical stage runs one block of rows at a time so that the block stays
-in cache.  Every transform equals ``irfftn``/``rfftn`` of the masked
-spectra bit for bit, and a step equals the full-lattice step bit for
-bit apart from the sign of zeros.
-
-Each scheme allocates its workspace once (listed on ``_Scheme``), and
-``integrate`` advances one state array in place, so a step allocates no
-state-sized array, only NumPy's cast buffers for the real propagator
-factors.  The per-step checks transform the density in the workspace
-and test finiteness by the minimum and maximum of the density and of
-the velocity spectra: reductions that allocate nothing and that any NaN
-or infinity reaches.  A record's L^2 norms are formed in the workspace
-too.  Called without ``out``, every method returns a fresh array and
-leaves its input unchanged.
+A step runs its stages on the dealias box only, and a tendency's
+physical stage one block of rows at a time, in cache (see ``_Scheme``).
+``integrate`` advances one state array in place in a workspace allocated
+once, and tests finiteness by the minimum and maximum of the density and
+of the velocity spectra, which any NaN or infinity reaches.
 
 ``integrate`` hands each snapshot to a sink, ``sink(state, diag, spectrum)``,
 as the run reaches its time, ``spectrum`` a read-only view of its half spectra.
@@ -189,13 +176,10 @@ class _Scheme:
     so each segment of a run builds its factors once.
 
     The dealias box is |k_i| <= K_i (``kept``, ``SpectralGrid.dealias_box``),
-    held by box arrays in the layout of ``SpectralGrid._box_index``.  A
-    step advances the box part of the state through the stages on box
-    arrays, with box-sized factors and symbols, and only the slabs outside
-    the box (``SpectralGrid._outside_box``: one in 1D, up to three in
-    2D) by the propagator alone, each slab twice over for IFRK4 while it
-    is in cache.  At fraction 2/3 the box is 4/9 of the 2D half spectrum,
-    2/3 of the 1D one.
+    held by box arrays in the layout of ``SpectralGrid._box_index``.  Every
+    tendency vanishes outside the box and reads only its box part, so a
+    step advances the box through the stages on box arrays and the slabs
+    outside it (``SpectralGrid._outside_box``) by the propagator alone.
 
     The workspace is allocated once per scheme, here except for the
     stage buffers, which the first step allocates; with B one box state
@@ -205,34 +189,27 @@ class _Scheme:
     - ``_stage``: four box state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
-    - ``_spec``: nprod half spectra, 3 in 1D and 5 in 2D: the work
-      spectra of the round trip, the first-axis transform of
-      :meth:`density` and, in ``integrate``, of each recorded snapshot
-      (1 + d of them), and the scratch (m, c and one product) of the
-      linear update, for the box in a contiguous view at its start and
-      outside it in views of its slabs;
+    - ``_spec``: 3 half spectra in 1D, 5 in 2D: the work spectra of the
+      round trip, the first-axis transforms of :meth:`density` and of a
+      record in ``integrate``, and the scratch (m, c, tmp) of the linear update;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
-    - ``_blocks``: one block of rows (``SpectralGrid._block_shape``, 32
-      rows in 2D, the field in 1D) of the physical (a, u), and w after
-      them in 2D, and of the products [a u_1, ..., a u_d, |u|^2/2], with
-      [w u_2, w u_1] after them in 2D (2 + 2 fields in 1D, 4 + 5 in 2D);
+    - ``_blocks``: a block of rows (``SpectralGrid._block_shape``) of the
+      fields and products of :meth:`_rhs` (2 + 2 in 1D, 4 + 5 in 2D);
     - ``_phys``: d fields, the density of :meth:`density` and, between
       steps, the squares of the L^2 norms of :meth:`diagnostics` (d P).
 
-    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers (10.8
-    MiB with whole physical fields and products).  The propagator factors
-    and ``ie`` are kept both on the half lattice, for the modes outside the
-    box and :meth:`apply_linear`, and on the box, each set in one buffer
-    that every build overwrites, so c08's 33 builds do not fragment the
-    heap.  ``rhs``, ``apply_linear`` and the steps take an optional
-    ``out``, which may be their input ``s`` and must not be a workspace
-    buffer; without it they return a fresh array.  They never change ``s``
-    unless it is ``out``, and never return a workspace buffer.  Each
-    operation takes the operands of the plain array expression it
-    evaluates in that expression's order (NumPy's complex multiply is not
-    bit-commutative), so the results equal those of the allocating
-    full-lattice expressions bit for bit, apart from the sign of zeros.
+    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers.  The
+    propagator factors are kept on the half lattice and on the box, each
+    set in one buffer that every build overwrites, so c08's 33 builds do
+    not fragment the heap.  ``rhs``, ``apply_linear`` and the steps take
+    an optional ``out``, which may be their input ``s`` and must not be a
+    workspace buffer; without it they return a fresh array, and they
+    never change ``s`` unless it is ``out``.  Each operation takes the
+    operands of the plain array expression it evaluates in that
+    expression's order (NumPy's complex multiply is not bit-commutative),
+    so the results equal those of the allocating full-lattice expressions
+    bit for bit, apart from the sign of zeros.
     """
 
     def __init__(self, grid: SpectralGrid, params: RieszParams | None, dealias: float = 2.0 / 3.0):
@@ -259,11 +236,9 @@ class _Scheme:
         self._boxspec = np.empty((nprod,) + self._box_shape, dtype=complex) if d == 2 else None
         self._blocks = (np.empty((2 * d,) + grid._block_shape()), np.empty((nprod,) + grid._block_shape()))
         self._phys = np.empty((d,) + grid.shape)
-        # the scratch (m, c, tmp) of the linear update on the box: contiguous
-        # box arrays at the start of _spec
+        # the linear update's scratch on the box: contiguous box arrays at the start of _spec
         self._box_work = self._spec.reshape(-1)[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
-        # the linear update outside the box, one slab at a time: its index and
-        # views of the half-lattice factors, of ie and of the scratch in _spec
+        # per slab outside the box: its index and views of the factors, of ie and of the scratch
         self._outside = [((Ellipsis,) + at, tuple(self._half_factors[(slice(None),) + at]),
                           self.ie[(slice(None),) + at], self._spec[(slice(0, 3),) + at])
                          for at in grid._outside_box(self.kept)]
@@ -336,7 +311,7 @@ class _Scheme:
         return self._linear(s, self._factor_pair(h)[1], self.ie_box, self._box_work, out)
 
     def _linear_outside(self, s: np.ndarray, h: float, out: np.ndarray | None, times: int = 1) -> np.ndarray:
-        """:meth:`apply_linear` ``times`` over outside the box, slab by slab; the box part of ``out`` is left as it is."""
+        """:meth:`apply_linear` ``times`` over outside the box, each slab while it is in cache."""
         if out is None:
             out = np.empty_like(s)
         rot = self.factors(h)[4]
@@ -360,14 +335,7 @@ class _Scheme:
         return g._box_scatter(box, self.kept, out)
 
     def _rhs(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tendency of box arrays: -div(a u), and -grad(|u|^2/2) - w u_perp.
-
-        w = d_1 u_2 - d_2 u_1 is the vorticity and u_perp = (-u_2, u_1);
-        both exist only in 2D, so in 1D the velocity tendency is
-        -(u^2/2)_x.  The inverse transform takes (a, u) and, in 2D, the
-        vorticity spectrum; the forward one the products
-        [a u_1, ..., a u_d, |u|^2/2] and, in 2D, [w u_2, w u_1].
-        """
+        """The tendency of box arrays: -div(a u), and -grad(|u|^2/2) - w u_perp (-(u^2/2)_x in 1D)."""
         g, m = self.grid, self.minus_grad
         d = g.dim
         fields = s
@@ -453,12 +421,9 @@ class _Scheme:
         Since E_h = E_{h/2} E_{h/2}, the classical form (six propagations
         by h/2 and h) regroups with A = E_{h/2} s and B = E_{h/2} n1 into
         n2 = N(A + h/2 B), n3 = N(A + h/2 n2), n4 = N(E_{h/2}(A + h n3))
-        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4.  The stages
-        run on the box part of s; the four stage buffers hold A, B, n2 and
-        x (the box of s, the stage inputs, n3, n4).  Outside the box every
-        N vanishes, so there s' = E_{h/2} E_{h/2} s, propagated there
-        alone.  s is read only before ``out`` is first written, so ``out``
-        may be s.
+        and s' = E_{h/2}(A + h/6 (B + 2 (n2 + n3))) + h/6 n4 on the box,
+        and s' = E_{h/2} E_{h/2} s outside it.  s is read only before
+        ``out`` is first written, so ``out`` may be s.
         """
         half, sixth = 0.5 * h, h / 6.0
         lin, N = self._linear_box, self._rhs
