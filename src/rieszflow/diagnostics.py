@@ -23,9 +23,11 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _half_power,
+    _real_times,
     _require_mean_zero,
     half_divergence,
     half_grad_frac,
+    half_l2,
     lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
     spectral_inner,
     state_fields,
@@ -93,43 +95,6 @@ def _centered_triplet(snapshots) -> tuple[FieldState, FieldState, FieldState]:
     return s0, s1, s2
 
 
-def _grad_frac(g: np.ndarray, power: np.ndarray, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A component of :func:`half_grad_frac`: (i xi_i |xi|^sigma) fhat into ``out``.
-
-    ``g`` is i xi_i and ``power`` |xi|^sigma on the whole half lattice.  The
-    symbol is formed part by part, as in :func:`_real_times`, so no buffer
-    casts ``power`` to complex, and the values are ``half_grad_frac``'s
-    apart from the sign of zeros.
-    """
-    np.multiply(power, g.real, out=out.real)
-    np.multiply(power, g.imag, out=out.imag)
-    out *= fhat
-    return out
-
-
-def _add_product(total: np.ndarray, i: int, g: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Term i of a sum of products g * x, added left to right into ``total``; ``out`` takes the product when i > 0."""
-    if i:
-        total += np.multiply(g, x, out=out)
-    else:
-        np.multiply(g, x, out=total)
-
-
-def _half_l2(weights: np.ndarray, fhat: np.ndarray, power: np.ndarray, pair: np.ndarray) -> float:
-    """:func:`half_l2` of ``fhat``, its power formed in ``power`` and ``pair`` (float half spectra), bit for bit.
-
-    ``weights`` is ``spectral_power``'s weight on the whole half lattice.
-    """
-    for k, c in enumerate(fhat.reshape((-1,) + power.shape)):
-        square = pair[0] if k else power
-        np.square(c.real, out=square)
-        square += np.square(c.imag, out=pair[1])
-        if k:
-            power += square
-    power *= weights
-    return math.sqrt(float(np.sum(power)))
-
-
 def density_equation_residual(
     grid: SpectralGrid, snapshots, params: RieszParams
 ) -> float:
@@ -144,32 +109,30 @@ def density_equation_residual(
     (a0, _), (a1, u1), (a2, _) = (state_fields(grid, s) for s in (s0, s1, s2))
     _require_mean_zero(a1, _Z_SINGULAR)
     work = _workspace(grid)
-    total, a_hat, term, comp, spare = work.slots[:5]
-    real, pair = _take(spare, grid.shape, float), _take(spare, (2,) + total.shape, float)
-    power, grad, beta = work.real, work.grad(), params.kappa / params.lam
+    total, a_hat, term, z = work.slots[0], work.slots[1], work.slots[2], work.slots[3:3 + grid.dim]
+    power, beta = work.real, params.kappa / params.lam
+    real, pair = _take(a_hat, grid.shape, float), _take(z, (2,) + total.shape, float)
     # the terms of the sum, added left to right into the first
     grid._rfft(np.divide(np.subtract(a2, a0, out=real), s2.t - s0.t, out=real), out=total)
-    norms = [_half_l2(work.weights, total, power, pair)]
+    norms = [half_l2(grid, total, out=power, work=pair)]
     grid._rfft(a1, out=a_hat)
     _real_times(np.multiply(beta, _half_power(grid, 2.0 * params.s_star, power), out=power), a_hat, out=term)
-    norms.append(_half_l2(work.weights, term, power, pair))
+    norms.append(half_l2(grid, term, out=power, work=pair))
     total += term
-    # div z, with z = u + beta grad |nabla|^(2 s* - 2) a, one component at a time
-    _half_power(grid, 2.0 * params.s_star - 2.0, power)
-    for i, g in enumerate(grad):
-        z = np.multiply(beta, _grad_frac(g, power, a_hat, out=spare), out=spare)
-        np.add(grid._rfft(u1[i], out=comp), z, out=z)
-        _add_product(term, i, g, z, out=z)
-    norms.append(_half_l2(work.weights, term, power, pair))
+    # div z, with z = u + beta grad |nabla|^(2 s* - 2) a
+    np.multiply(beta, half_grad_frac(grid, a_hat, 2.0 * params.s_star - 2.0, out=z, work=power), out=z)
+    for zi, ui in zip(z, u1):
+        zi += grid._rfft(ui, out=term)
+    norms.append(half_l2(grid, half_divergence(grid, z, out=term, work=a_hat), out=power, work=pair))
     total += term
-    for i, g in enumerate(grad):  # div(a u)
-        _add_product(term, i, g, grid._rfft(np.multiply(a1, u1[i], out=real), out=comp), out=comp)
-    norms.append(_half_l2(work.weights, term, power, pair))
+    for zi, ui in zip(z, u1):  # div(a u), its spectra in the spent z
+        grid._rfft(np.multiply(a1, ui, out=real), out=zi)
+    norms.append(half_l2(grid, half_divergence(grid, z, out=term, work=a_hat), out=power, work=pair))
     total += term
     scale = max(norms)
     if scale == 0.0:
         return 0.0
-    return _half_l2(work.weights, total, power, pair) / scale
+    return half_l2(grid, total, out=power, work=pair) / scale
 
 
 def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> float:
@@ -187,47 +150,45 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     d, work = grid.dim, _workspace(grid)
     residual, u_hat, z_hat = work.slots[:d], work.slots[d:2 * d], work.slots[2 * d:3 * d]
     a_hat, div, term, spare = work.slots[3 * d:]
-    frac, grad = _half_power(grid, 2.0 * params.s_star - 2.0, work.real), work.grad()
     real, pair = _take(spare, grid.shape, float), _take(term, (2,) + a_hat.shape, float)
-    beta, dt = params.kappa / params.lam, s2.t - s0.t
+    beta, sigma, dt = params.kappa / params.lam, 2.0 * params.s_star - 2.0, s2.t - s0.t
 
-    def add_grad_frac(c: float, fhat: np.ndarray, power: np.ndarray = frac) -> None:
-        """Add c (i xi_i |xi|^sigma) fhat to each component i of the sum."""
-        for r, g in zip(residual, grad):
-            r += np.multiply(c, _grad_frac(g, power, fhat, out=term), out=term)
+    def add_grad_frac(c: float, fhat: np.ndarray, sigma: float = sigma) -> None:
+        """Add c grad |nabla|^sigma fhat to the sum, formed in the spent z_hat."""
+        grad_frac = half_grad_frac(grid, fhat, sigma, out=z_hat, work=work.real)
+        np.add(residual, np.multiply(c, grad_frac, out=grad_frac), out=residual)
 
-    # the terms of the sum, added left to right into the first, one component at a time;
+    # the terms of the sum, added left to right into the first;
     # the first is dz/dt, with z = u + beta grad |nabla|^(2 s* - 2) a
     for i in range(d):
         grid._rfft(np.divide(np.subtract(u2[i], u0[i], out=real), dt, out=real), out=residual[i])
     add_grad_frac(beta, grid._rfft(np.divide(np.subtract(a2, a0, out=real), dt, out=real), out=a_hat))
     grid._rfft(a1, out=a_hat)
     grid._rfft(u1, out=u_hat)
-    for g, u, z in zip(grad, u_hat, z_hat):
-        np.add(u, np.multiply(beta, _grad_frac(g, frac, a_hat, out=z), out=z), out=z)
-    denom = _half_l2(work.weights, z_hat, _take(div, a_hat.shape, float), pair)
+    np.multiply(beta, half_grad_frac(grid, a_hat, sigma, out=z_hat, work=work.real), out=z_hat)
+    z_hat += u_hat
+    denom = half_l2(grid, z_hat, out=work.real, work=pair)
     if denom == 0.0:
         return 0.0
-    for i, (g, z) in enumerate(zip(grad, z_hat)):
-        _add_product(div, i, g, z, out=term)
+    half_divergence(grid, z_hat, out=div, work=term)
     residual += np.multiply(params.lam, z_hat, out=z_hat)
     add_grad_frac(beta, div)
-    add_grad_frac(beta**2, a_hat, _half_power(grid, 4.0 * params.s_star - 2.0, _take(spare, a_hat.shape, float)))
-    for i, g in enumerate(grad):  # div(a u), in the spent div
-        _add_product(div, i, g, grid._rfft(np.multiply(a1, u1[i], out=real), out=term), out=term)
-    add_grad_frac(beta, div)
+    add_grad_frac(beta**2, a_hat, 4.0 * params.s_star - 2.0)
+    for zi, ui in zip(z_hat, u1):  # div(a u), its spectra in the spent z_hat
+        grid._rfft(np.multiply(a1, ui, out=real), out=zi)
+    add_grad_frac(beta, half_divergence(grid, z_hat, out=div, work=term))
     # (u . grad) u: for component i the derivatives d_j u_i take one stacked inverse,
     # and sum_j u_j d_j u_i is formed in the first of them and transformed
     spectra, du = z_hat, _take(work.slots[3 * d:], (d,) + grid.shape, float)
     for r, u in zip(residual, u_hat):
-        for g, spec in zip(grad, spectra):
+        for g, spec in zip(grid.half_grad, spectra):
             np.multiply(g, u, out=spec)
         grid.irfft(spectra, out=du, work=spectra)
         np.multiply(u1[0], du[0], out=du[0])
         for uj, dj in zip(u1[1:], du[1:]):
             du[0] += np.multiply(uj, dj, out=dj)
         r += grid._rfft(du[0], out=spectra[0])
-    return _half_l2(work.weights, residual, frac, pair) / denom
+    return half_l2(grid, residual, out=work.real, work=pair) / denom
 
 
 def _admissible_p(dim: int, p: float) -> bool:
@@ -292,20 +253,6 @@ def _energy_record(a_shells: ShellNorms, u_hat: np.ndarray, a: np.ndarray, u: np
     return FunctionalRecord(t=t, energy=energy, dissipation=dissipation, components=comp)
 
 
-def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``m * z`` for a real ``m`` and a contiguous complex ``z`` of m's shape or a stack of them, into ``out``.
-
-    Multiplying the real and imaginary parts of each component of ``z`` by
-    ``m`` gives the values of NumPy's complex product with ``m + 0j``, apart
-    from the sign of zeros, and needs neither a buffer to cast ``m`` to
-    complex nor one to broadcast it over the components.
-    """
-    for zc, oc in zip(z.reshape((-1,) + m.shape), out.reshape((-1,) + m.shape)):
-        np.multiply(m, zc.real, out=oc.real)
-        np.multiply(m, zc.imag, out=oc.imag)
-    return out
-
-
 def _take(buffer: np.ndarray, shape: tuple[int, ...], dtype=None) -> np.ndarray:
     """The contiguous array of ``shape`` at the start of ``buffer``, its bytes read as ``dtype`` if given."""
     flat = buffer.reshape(-1) if dtype is None else buffer.reshape(-1).view(dtype)
@@ -322,11 +269,11 @@ class _ShellPlan:
     shell-j fields (``SpectralGrid._product_modes``), and ``whole`` whether
     the box is the whole half lattice.
 
-    The symbols: ``shell``, ``low`` and ``xi_norm`` are phi_j, chi_(j-1)
-    and |xi| on the box (``SpectralGrid._box_symbol``); on a whole box they
-    are the partition's and the grid's own arrays, which must not be
-    written to.  ``grad`` holds the i xi_i as whole box arrays, shared by
-    the shells of one box, so that their products need no broadcast buffer.
+    The symbols: ``shell``, ``low``, ``xi_norm`` and ``grad`` are phi_j,
+    chi_(j-1), |xi| and the i xi_i on the box, whole box arrays gathered
+    from the half-lattice ones (``SpectralGrid._box_gather``); on a whole
+    box they are the partition's and the grid's own arrays, which must not
+    be written to.
 
     The views, contiguous leading parts of the workspace's buffers: ``a``
     and ``u`` are the box arrays of a and u, which :func:`_lyapunov`
@@ -363,16 +310,16 @@ class _ShellPlan:
 class _LyapunovWorkspace:
     """The held buffers of the Lyapunov functionals and the equation residuals, and each shell's plan.
 
-    ``slots`` is one stack of 3 (1 + d) + 1 complex half spectra, ``real``
-    a float one and ``weights`` the Parseval weights of ``spectral_power``
-    on the whole half lattice: 5.5 MiB at 2D 256².  The Lyapunov path views
+    ``slots`` is one stack of 3 (1 + d) + 1 complex half spectra and
+    ``real`` a float one: 5.3 MiB at 2D 256².  The Lyapunov path views
     ``hats`` (the loaded spectra of a and u), ``fields`` (their box arrays
     and shell blocks) and ``spectra`` (the stacked spectra of the cubic
     term's one inverse), 1 + d slots each, and ``scratch``, the last slot.
     Each shell's :class:`_ShellPlan`, made once, views them, so every shell
     of every state writes to the same pages.  The two equation residuals
     lay their terms out on the slots themselves, a real field or a pair of
-    float half spectra in one slot.  The grid holds the workspace (see
+    float half spectra in one slot, and take the symbols and the Parseval
+    weights from the grid's own operators.  The grid holds the workspace (see
     ``SpectralGrid``), and a workspace serves one call at a time.
     """
 
@@ -383,9 +330,7 @@ class _LyapunovWorkspace:
         self.hats, self.fields, self.spectra = self.slots[:n], self.slots[n:2 * n], self.slots[2 * n:3 * n]
         self.scratch = self.slots[-1]
         self.real = np.empty(half)
-        self.weights = np.broadcast_to(grid.half_weights * (grid.cell_volume / grid.npoints), half).copy()
         self._plans: dict = {}
-        self._grads: dict = {}
 
     def plan(self, partition: LPPartition, j: int) -> _ShellPlan:
         """Shell j's plan, made on first use from the masks of ``partition``, a partition on this grid."""
@@ -399,7 +344,7 @@ class _LyapunovWorkspace:
             whole = shape == grid.half_xi_norm.shape
 
             def symbol(m: np.ndarray) -> np.ndarray:
-                return m if whole else grid._box_symbol(m, kept)
+                return m if whole else grid._box_gather(m, kept)
 
             nf = len(self.fields)
             fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
@@ -411,25 +356,10 @@ class _LyapunovWorkspace:
                 samples = _take(self.spectra, (nf,) + modes, float)
             self._plans[j] = _ShellPlan(
                 kept=kept, modes=modes, whole=whole, shell=symbol(shell_mask), low=symbol(low_mask),
-                xi_norm=symbol(grid.half_xi_norm), grad=self.grad(kept), a=boxes[0], u=boxes[1:],
-                a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
+                xi_norm=symbol(grid.half_xi_norm), grad=tuple(map(symbol, grid.half_grad)), a=boxes[0],
+                u=boxes[1:], a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
                 real=_take(self.real, shape), samples=samples, work=work)
         return self._plans[j]
-
-    def grad(self, kept: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-        """The i xi_i on the box ``kept`` (the whole half lattice if None) as whole box arrays, made once.
-
-        Their products need no buffer to broadcast a symbol over the box.
-        """
-        grid = self.grid
-        kept = tuple(n // 2 for n in grid.modes) if kept is None else kept
-        if kept not in self._grads:
-            shape = grid._box_shape(kept)
-            self._grads[kept] = tuple(
-                np.ascontiguousarray(np.broadcast_to(g if shape == grid.half_xi_norm.shape else
-                                                     grid._box_symbol(g, kept), shape))
-                for g in grid.half_grad)
-        return self._grads[kept]
 
 
 def _workspace(grid: SpectralGrid) -> _LyapunovWorkspace:

@@ -151,14 +151,16 @@ def _build_lattice(axes: tuple, extent: int) -> dict:
 class SpectralGrid:
     """Uniform periodic grid on [0, L_1) x ... x [0, L_d), d in {1, 2}.
 
-    The half-lattice symbols are built at construction; the full-lattice
+    The half-lattice symbols are built at construction, each a whole
+    contiguous array of the half lattice's shape (1.3 MiB at 2D 256²), so
+    no product with one needs a buffer to broadcast it; the full-lattice
     ones (``xi``, ``xi_norm``, ``xi_unit``, ``self_conjugate``,
     ``nyquist_region``) by the same builder on first access.  The
     library's own operators read only the half-lattice symbols.
 
     ``_held`` is filled by ``diagnostics`` alone: the first Lyapunov block
     or equation residual on the grid puts there the workspace that every
-    later one reuses (5.5 MiB of buffers at 2D 256², plus each shell's
+    later one reuses (5.3 MiB of buffers at 2D 256², plus each shell's
     plan on them).  So a grid serves Lyapunov blocks and residuals in one
     thread at a time; the energy, Besov and Chemin-Lerner norms do not
     touch it.
@@ -186,13 +188,12 @@ class SpectralGrid:
     half_xi_norm, half_xi_unit, half_nyquist_region
         ``xi_norm``, ``xi_unit`` and ``nyquist_region`` on the half
         lattice, as contiguous arrays of their own.
-    half_weights : ndarray
-        Parseval weights along the last half-lattice axis: 1 on the
-        k = 0 and k = N_d/2 columns, 2 in between.
+    half_parseval : ndarray
+        Parseval weights times cell_volume / npoints on the half lattice:
+        the weight is 1 on the k = 0 and k = N_d/2 columns, 2 in between.
     half_grad : tuple of ndarray
         Derivative symbols i xi_i on the half lattice, zero on the axis-i
-        Nyquist plane (the rule ``xi_unit`` follows); each varies along
-        its own axis only and broadcasts over the half lattice.
+        Nyquist plane (the rule ``xi_unit`` follows).
     """
 
     dim: int
@@ -204,7 +205,7 @@ class SpectralGrid:
     half_xi_norm: np.ndarray = field(init=False, repr=False)
     half_xi_unit: tuple[np.ndarray, ...] = field(init=False, repr=False)
     half_nyquist_region: np.ndarray = field(init=False, repr=False)
-    half_weights: np.ndarray = field(init=False, repr=False)
+    half_parseval: np.ndarray = field(init=False, repr=False)
     half_grad: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _held: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -225,17 +226,19 @@ class SpectralGrid:
         )
         nh = self.modes[-1] // 2 + 1
         half = _build_lattice(axes, nh)
+        shape = half["xi_norm"].shape
+        cell_volume = float(np.prod([L / n for L, n in zip(self.lengths, self.modes)]))
         weights = np.full(nh, 2.0)
         weights[0] = weights[-1] = 1.0
 
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "cell_volume", float(np.prod([L / n for L, n in zip(self.lengths, self.modes)])))
+        object.__setattr__(self, "cell_volume", cell_volume)
         object.__setattr__(self, "volume", float(np.prod(self.lengths)))
         object.__setattr__(self, "half_xi_norm", half["xi_norm"])
         object.__setattr__(self, "half_xi_unit", half["xi_unit"])
         object.__setattr__(self, "half_nyquist_region", half["nyquist_region"])
-        object.__setattr__(self, "half_weights", weights)
-        object.__setattr__(self, "half_grad", half["grad"])
+        object.__setattr__(self, "half_parseval", np.broadcast_to(weights * (cell_volume / self.npoints), shape).copy())
+        object.__setattr__(self, "half_grad", tuple(np.broadcast_to(g, shape).copy() for g in half["grad"]))
 
     @cached_property
     def _full(self) -> dict:
@@ -350,11 +353,6 @@ class SpectralGrid:
         for b, h in self._box_index(kept, x.shape[-self.dim]):
             out[(Ellipsis,) + b] = x[(Ellipsis,) + h]
         return out
-
-    def _box_symbol(self, m: np.ndarray, kept: tuple[int, ...]) -> np.ndarray:
-        """The box part of half-lattice symbol ``m``; axes it is constant along stay of length 1."""
-        b = self._box_gather(np.broadcast_to(m, m.shape[:-self.dim] + self.half_xi_norm.shape), kept)
-        return np.ascontiguousarray(b[tuple(slice(0, 1) if n == 1 else slice(None) for n in m.shape)])
 
     def _box_scatter(self, box: np.ndarray, kept: tuple[int, ...], out: np.ndarray) -> np.ndarray:
         """Write ``box`` into the box part of half spectra ``out``; the rest is left as it is."""
@@ -733,30 +731,59 @@ def lp_norm(grid: SpectralGrid, f: np.ndarray, p: float) -> float:
     return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
 
 
-def spectral_power(grid: SpectralGrid, fhat: np.ndarray) -> np.ndarray:
+def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``m * z`` for a real ``m`` and a contiguous complex ``z`` of m's shape or a stack of them, into ``out``.
+
+    Multiplying the real and imaginary parts of each component of ``z`` by
+    ``m`` gives the values of NumPy's complex product with ``m + 0j``, apart
+    from the sign of zeros, and needs neither a buffer to cast ``m`` to
+    complex nor one to broadcast it over the components.
+    """
+    for zc, oc in zip(z.reshape((-1,) + m.shape), out.reshape((-1,) + m.shape)):
+        np.multiply(m, zc.real, out=oc.real)
+        np.multiply(m, zc.imag, out=oc.imag)
+    return out
+
+
+def spectral_power(grid: SpectralGrid, fhat: np.ndarray, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Parseval density of a half spectrum: its sum is ||f||_2^2.
 
-    Holds the weighted |fhat|^2 times cell_volume / npoints on the half
-    lattice, summed over the leading component axes of a vector field.
+    Holds |fhat|^2 times ``half_parseval`` on the half lattice, summed over
+    the leading component axes of a vector field left to right, formed in
+    ``out`` (a float half spectrum) with the squares in ``work`` (a stack of
+    two, one for a scalar field); both are allocated when not given.
     """
-    power = fhat.real**2 + fhat.imag**2
-    if power.ndim > grid.dim:
-        power = power.reshape((-1,) + power.shape[-grid.dim:]).sum(axis=0)
-    return power * (grid.half_weights * (grid.cell_volume / grid.npoints))
+    shape = grid.half_parseval.shape
+    parts = fhat.reshape((-1,) + shape)
+    out = np.empty(shape) if out is None else out
+    work = np.empty((min(len(parts), 2),) + shape) if work is None else work
+    for k, c in enumerate(parts):
+        square = work[0] if k else out
+        np.square(c.real, out=square)
+        square += np.square(c.imag, out=work[-1])
+        if k:
+            out += square
+    out *= grid.half_parseval
+    return out
 
 
 def spectral_inner(grid: SpectralGrid, fhat: np.ndarray, ghat: np.ndarray) -> float:
     """Integral of f . g over the domain from two half spectra or two box arrays (Parseval)."""
     # the interior columns weigh 2: twice the whole sum, less the k = 0 and k = N_d/2 columns
     total = 2.0 * np.vdot(fhat, ghat).real - np.vdot(fhat[..., 0], ghat[..., 0]).real
-    if fhat.shape[-1] == grid.half_weights.size:
+    if fhat.shape[-1] == grid.half_parseval.shape[-1]:
         total -= np.vdot(fhat[..., -1], ghat[..., -1]).real
     return grid.cell_volume / grid.npoints * float(total)
 
 
-def half_l2(grid: SpectralGrid, fhat: np.ndarray) -> float:
-    """L^2 norm of a scalar or vector field from its half spectrum (Parseval)."""
-    return math.sqrt(float(np.sum(spectral_power(grid, fhat))))
+def half_l2(grid: SpectralGrid, fhat: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> float:
+    """L^2 norm of a scalar or vector field from its half spectrum (Parseval).
+
+    The density is formed in ``out`` and ``work`` as in :func:`spectral_power`.
+    """
+    return math.sqrt(float(np.sum(spectral_power(grid, fhat, out=out, work=work))))
 
 
 def spectral_l2(grid: SpectralGrid, f: np.ndarray) -> float:
@@ -764,27 +791,36 @@ def spectral_l2(grid: SpectralGrid, f: np.ndarray) -> float:
     return half_l2(grid, grid.rfft(f))
 
 
-def half_divergence(grid: SpectralGrid, vhat: np.ndarray) -> np.ndarray:
-    """Half spectrum of div v from the half spectrum of v (cf. :func:`divergence`).
+def half_divergence(grid: SpectralGrid, vhat: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of div v from the half spectrum of v (cf. :func:`divergence`), into ``out`` if given.
 
-    The terms i xi_i vhat_i are added left to right into the first.
+    The terms i xi_i vhat_i are added left to right into the first; those
+    after it are formed in ``work`` (a complex half spectrum) if given.
     """
-    out = np.multiply(grid.half_grad[0], vhat[0])
+    out = np.multiply(grid.half_grad[0], vhat[0], out=out)
     for g, v in zip(grid.half_grad[1:], vhat[1:]):
-        out += g * v
+        out += np.multiply(g, v, out=work)
     return out
 
 
-def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float) -> np.ndarray:
-    """Half spectrum of grad |nabla|^sigma f (cf. :func:`grad_frac_lambda`).
+def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of grad |nabla|^sigma f (cf. :func:`grad_frac_lambda`), into ``out`` if given.
 
-    Component i is formed in place as (i xi_i |xi|^sigma) fhat.  The zero
-    mode is mapped to 0, so a negative sigma needs a mean-zero f.
+    Component i is formed in place as (i xi_i |xi|^sigma) fhat, the symbol
+    by :func:`_real_times`, with |xi|^sigma in ``work`` (a float half
+    spectrum) if given.  The zero mode is mapped to 0, so a negative sigma
+    needs a mean-zero f.  ``fhat`` is the half spectrum of one scalar field.
     """
-    power = _half_power(grid, sigma)
-    out = np.empty((grid.dim,) + np.shape(fhat), dtype=complex)
+    if np.shape(fhat) != grid.half_xi_norm.shape:
+        raise ValueError(f"half_grad_frac takes one scalar half spectrum of shape {grid.half_xi_norm.shape}, "
+                         f"got {np.shape(fhat)}")
+    power = _half_power(grid, sigma, out=work)
+    if out is None:
+        out = np.empty((grid.dim,) + power.shape, dtype=complex)
     for g, o in zip(grid.half_grad, out):
-        np.multiply(g, power, out=o)
+        _real_times(power, g, out=o)
         o *= fhat
     return out
 

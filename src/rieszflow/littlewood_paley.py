@@ -156,8 +156,7 @@ class LPPartition:
         exactly); nothing else is cached, so an L^2-only partition holds the table.
         """
         g = self.grid
-        xi = g.half_xi_norm.ravel()
-        parseval = np.broadcast_to(g.half_weights * (g.cell_volume / g.npoints), g.half_xi_norm.shape).ravel()
+        xi, parseval = g.half_xi_norm.ravel(), g.half_parseval.ravel()
         index, weight = [], []
         for j in self.js:
             near = np.flatnonzero((xi > SHELL_INNER * 2.0**j) & (xi < SHELL_OUTER * 2.0**j))
@@ -287,8 +286,8 @@ class ShellNorms:
 
     def norm(self, j: int, p: float) -> float:
         part = self.partition
+        part.check_j(j)
         if p == 2:
-            part.check_j(j)
             if self._l2 is None:
                 index, weight, start = part._parseval
                 power = np.zeros(part.grid.half_xi_norm.size)

@@ -220,10 +220,10 @@ class _Scheme:
         _check_dealias(dealias)
         self.kept = grid.dealias_box(dealias)
         d = grid.dim
-        self.minus_grad = tuple(grid._box_symbol(-k, self.kept) for k in grid.half_grad)
+        self.minus_grad = tuple(-grid._box_gather(k, self.kept) for k in grid.half_grad)
         # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
         self.ie = 1j * np.stack(grid.half_xi_unit)
-        self.ie_box = grid._box_symbol(self.ie, self.kept)
+        self.ie_box = grid._box_gather(self.ie, self.kept)
         self._factors: dict = {}
         self.builds = 0
 

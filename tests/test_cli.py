@@ -698,8 +698,8 @@ class TestStreamedSimulate:
         finally:
             tracemalloc.stop()
         # the first snapshot also fills the partition's caches; the energy's a u, its
-        # spectrum and the da/dt sum are the largest transients left (6.1 measured,
-        # 9.1 when the sink transformed a and u itself)
+        # spectrum and the da/dt sum are the largest transients left (4.1 measured; 5.1
+        # while the grid's symbols broadcast, 9.1 when the sink transformed a and u itself)
         half_spectrum = 64 * 33 * 16
         assert len(peaks) == 6 and max(peaks[1:]) <= 7 * half_spectrum
 

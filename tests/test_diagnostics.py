@@ -586,17 +586,17 @@ class TestLyapunovWorkspace:
         assert _workspace(grid) is work and _workspace(fresh_grid(grid)) is not work
         # ten complex half spectra: the Lyapunov path's three stacks of 1 + d (the loaded a and u,
         # their box arrays, the stacked spectra of the one inverse) and one scratch, on which the
-        # residuals lay out their terms too; and two float half spectra, a scratch and the
-        # Parseval weights: 5.5 MiB, one float half spectrum more than the Lyapunov path alone held
-        assert work.slots.nbytes + work.real.nbytes + work.weights.nbytes == 5_812_224
+        # residuals lay out their terms too; and a float scratch: 5.3 MiB (the residuals take the
+        # Parseval weights from the grid)
+        assert work.slots.nbytes + work.real.nbytes == 5_548_032
         assert all(v.base is work.slots for v in (work.hats, work.fields, work.spectra, work.scratch))
-        # a shell whose box is the whole half lattice reads the partition's own masks, and its
-        # gradient symbols are those of the residuals
+        # a shell whose box is the whole half lattice reads the partition's own masks and the
+        # grid's own symbols, which the residuals read too
         whole = tuple(n // 2 for n in grid.modes)
         plan = work.plan(part, part.j_max)
         assert plan.kept == whole
         assert plan.shell is part.half_shell(part.j_max) and plan.xi_norm is grid.half_xi_norm
-        assert plan.grad is work.grad()
+        assert len(plan.grad) == grid.dim and all(p is g for p, g in zip(plan.grad, grid.half_grad))
 
     def test_only_a_lyapunov_or_residual_call_fills_the_grid(self):
         grid, params, states = banded_lyapunov_case("2d-rect")

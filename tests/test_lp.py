@@ -168,6 +168,16 @@ class TestBesovNorms:
         with pytest.raises(ValueError, match="outside resolved range"):
             besov_norm(part, smooth_field(grid_1d, rng), spec)
 
+    @pytest.mark.parametrize("p", [1, 2, 4, np.inf])
+    def test_shell_norms_refuse_a_shell_outside_the_range_for_every_p(self, p):
+        grid = make_grid(dim=2, lengths=2.0 * np.pi, modes=64)
+        part = build_partition(grid)
+        norms = ShellNorms(part, grid.rfft(np.random.default_rng(5).standard_normal(grid.shape)))
+        for j in (part.j_min - 1, part.j_max + 1, part.j_max + 3):
+            with pytest.raises(ValueError, match="outside resolved range"):
+                norms.norm(j, p)
+        assert norms.norm(part.j_max, p) > 0.0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BesovSpec(s=0.0, p=0.5, r=1)
@@ -314,7 +324,10 @@ class TestParsevalTable:
         """Evaluating each profile on its annulus alone leaves every byte of the table as it was."""
         grid = make_grid(dim=len(modes), lengths=lengths, modes=modes)
         part = build_partition(grid)
-        parseval = grid.half_weights * (grid.cell_volume / grid.npoints)
+        # the Parseval weights of the last half-lattice axis: 1 on the k = 0 and k = N_d/2 columns, 2 between
+        weights = np.full(grid.modes[-1] // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
+        parseval = weights * (grid.cell_volume / grid.npoints)
         index, weight = [], []
         for j in part.js:
             m = phi_profile(grid.half_xi_norm / 2.0**j)
