@@ -23,6 +23,7 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _half_power,
+    _power_grad,
     _real_times,
     _require_mean_zero,
     half_divergence,
@@ -151,11 +152,13 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     residual, u_hat, z_hat = work.slots[:d], work.slots[d:2 * d], work.slots[2 * d:3 * d]
     a_hat, div, term, spare = work.slots[3 * d:]
     real, pair = _take(spare, grid.shape, float), _take(term, (2,) + a_hat.shape, float)
-    beta, sigma, dt = params.kappa / params.lam, 2.0 * params.s_star - 2.0, s2.t - s0.t
+    beta, dt = params.kappa / params.lam, s2.t - s0.t
+    # |xi|^(2 s* - 2), formed once for the four terms that take it
+    power = _half_power(grid, 2.0 * params.s_star - 2.0, out=work.real)
 
-    def add_grad_frac(c: float, fhat: np.ndarray, sigma: float = sigma) -> None:
-        """Add c grad |nabla|^sigma fhat to the sum, formed in the spent z_hat."""
-        grad_frac = half_grad_frac(grid, fhat, sigma, out=z_hat, work=work.real)
+    def add_grad_frac(c: float, fhat: np.ndarray, power: np.ndarray = power) -> None:
+        """Add c grad |nabla|^sigma fhat to the sum, |xi|^sigma given, formed in the spent z_hat."""
+        grad_frac = _power_grad(grid, power, fhat, out=z_hat)
         np.add(residual, np.multiply(c, grad_frac, out=grad_frac), out=residual)
 
     # the terms of the sum, added left to right into the first;
@@ -165,15 +168,15 @@ def z_equation_residual(grid: SpectralGrid, snapshots, params: RieszParams) -> f
     add_grad_frac(beta, grid._rfft(np.divide(np.subtract(a2, a0, out=real), dt, out=real), out=a_hat))
     grid._rfft(a1, out=a_hat)
     grid._rfft(u1, out=u_hat)
-    np.multiply(beta, half_grad_frac(grid, a_hat, sigma, out=z_hat, work=work.real), out=z_hat)
+    np.multiply(beta, _power_grad(grid, power, a_hat, out=z_hat), out=z_hat)
     z_hat += u_hat
-    denom = half_l2(grid, z_hat, out=work.real, work=pair)
+    denom = half_l2(grid, z_hat, out=_take(div, power.shape, float), work=pair)
     if denom == 0.0:
         return 0.0
     half_divergence(grid, z_hat, out=div, work=term)
     residual += np.multiply(params.lam, z_hat, out=z_hat)
     add_grad_frac(beta, div)
-    add_grad_frac(beta**2, a_hat, 4.0 * params.s_star - 2.0)
+    add_grad_frac(beta**2, a_hat, _half_power(grid, 4.0 * params.s_star - 2.0, out=pair[0]))
     for zi, ui in zip(z_hat, u1):  # div(a u), its spectra in the spent z_hat
         grid._rfft(np.multiply(a1, ui, out=real), out=zi)
     add_grad_frac(beta, half_divergence(grid, z_hat, out=div, work=term))

@@ -338,13 +338,22 @@ class SpectralGrid:
         return [((slice(0, k + 1), slice(None)), (slice(0, k + 1), cols)),
                 ((slice(k + 1, None), slice(None)), (slice(rows - k, rows), cols))]
 
-    def _outside_box(self, kept: tuple[int, ...]) -> list:
-        """Index tuples of the slabs that, with the box, cover the half lattice once."""
+    def _outside_box(self, kept: tuple[int, ...]) -> tuple[list, list]:
+        """Index tuples of the slabs that, with the box, cover the half lattice once: (side, rows).
+
+        ``side`` holds the columns past K_d of each slab of box rows, ``rows``
+        in 2D the rows outside the box, whole (none when the box holds every
+        row, and none in 1D).
+        """
         past, n = slice(kept[-1] + 1, None), self.modes[0]
-        slabs = [h[:-1] + (past,) for _, h in self._box_index(kept, n)]
-        if self.dim == 2 and 2 * kept[0] + 1 < n:
-            slabs.insert(1, (slice(kept[0] + 1, n - kept[0]), slice(None)))
-        return slabs
+        side = [h[:-1] + (past,) for _, h in self._box_index(kept, n)]
+        rows = [(slice(kept[0] + 1, n - kept[0]), slice(None))] if self.dim == 2 and 2 * kept[0] + 1 < n else []
+        return side, rows
+
+    def _flat_index(self, slabs: list) -> np.ndarray:
+        """Flat half-lattice positions of the modes of ``slabs`` (index tuples), slab after slab in C order."""
+        flat = np.arange(self.half_xi_norm.size, dtype=np.intp).reshape(self.half_xi_norm.shape)
+        return np.concatenate([flat[at].ravel() for at in slabs])
 
     def _box_gather(self, x: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
         """The box part of half spectra ``x`` (leading component axes kept)."""
@@ -402,20 +411,27 @@ class SpectralGrid:
 
         ``form(fields, products)`` fills ``blocks[1]`` from ``blocks[0]`` (of
         :meth:`_block_shape`); ``work``, max(F, P) half spectra, has a block's
-        rows rewritten only after ``irfft`` has read them.
+        rows rewritten only after ``irfft`` has read them.  In 2D ``irfft``
+        reads whole rows of ``work``, their columns past K_2 zeroed just
+        before, a block at a time (an earlier call's forward transform left
+        its products there): NumPy's own zero padding of the K_2 + 1 kept
+        columns is slower.  In 1D it reads the box, its columns past K_1
+        counting as zero.
         """
         fields, products = blocks
         nprod = len(products)
         if self.dim == 2:
-            cols, rows = self._box_columns(box, kept, work), work
+            cols = self._box_columns(box, kept, work)
             np.fft.ifft(cols, axis=-2, out=cols)
+            rows, inputs, tail = work, work[:len(cols)], work[:len(cols), :, kept[1] + 1:]
         else:
-            # one row: irfft reads the box, its columns past K_1 counting as zero
-            cols, rows = box[:, None], work[:, None]
+            rows, inputs, tail = work[:, None], box[:, None], None
         height = fields.shape[-2]
         for r0 in range(0, rows.shape[-2], height):
             r = min(height, rows.shape[-2] - r0)
-            f = np.fft.irfft(cols[:, r0:r0 + r], n=self.modes[-1], out=fields[:, :r])
+            if tail is not None:
+                tail[:, r0:r0 + r] = 0
+            f = np.fft.irfft(inputs[:, r0:r0 + r], n=self.modes[-1], out=fields[:, :r])
             form(f, products[:, :r])
             np.fft.rfft(products[:, :r], axis=-1, out=rows[:nprod, r0:r0 + r])
         if self.dim == 2:
@@ -819,6 +835,11 @@ def half_grad_frac(grid: SpectralGrid, fhat: np.ndarray, sigma: float, out: np.n
     power = _half_power(grid, sigma, out=work)
     if out is None:
         out = np.empty((grid.dim,) + power.shape, dtype=complex)
+    return _power_grad(grid, power, fhat, out)
+
+
+def _power_grad(grid: SpectralGrid, power: np.ndarray, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`half_grad_frac` with |xi|^sigma formed by the caller (``power``, of :func:`_half_power`)."""
     for g, o in zip(grid.half_grad, out):
         _real_times(power, g, out=o)
         o *= fhat

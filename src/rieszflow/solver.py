@@ -179,7 +179,10 @@ class _Scheme:
     held by box arrays in the layout of ``SpectralGrid._box_index``.  Every
     tendency vanishes outside the box and reads only its box part, so a
     step advances the box through the stages on box arrays and the slabs
-    outside it (``SpectralGrid._outside_box``) by the propagator alone.
+    outside it (``SpectralGrid._outside_box``) by the propagator alone: in
+    2D the rows outside the box as a view, and the box rows' columns past
+    K_2 gathered by one flat index into contiguous arrays (171 x 43 modes
+    at 256^2), since as strided slabs they ran at a fraction of the speed.
 
     The workspace is allocated once per scheme, here except for the
     stage buffers, which the first step allocates; with B one box state
@@ -191,7 +194,9 @@ class _Scheme:
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
     - ``_spec``: 3 half spectra in 1D, 5 in 2D: the work spectra of the
       round trip, the first-axis transforms of :meth:`density` and of a
-      record in ``integrate``, and the scratch (m, c, tmp) of the linear update;
+      record in ``integrate``, and the scratch (m, c, tmp) of the linear
+      update, on the box and in 2D on the gathered columns past K_2, whose
+      state it holds too;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
     - ``_blocks``: a block of rows (``SpectralGrid._block_shape``) of the
@@ -200,9 +205,10 @@ class _Scheme:
       steps, the squares of the L^2 norms of :meth:`diagnostics` (d P).
 
     At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers.  The
-    propagator factors are kept on the half lattice and on the box, each
-    set in one buffer that every build overwrites, so c08's 33 builds do
-    not fragment the heap.  ``rhs``, ``apply_linear`` and the steps take
+    propagator factors are kept on the half lattice, on the box and in 2D
+    on the gathered columns past K_2 (with ie there, 0.45 MiB at 256^2),
+    each set in one buffer that every build overwrites, so c08's 33 builds
+    do not fragment the heap.  ``rhs``, ``apply_linear`` and the steps take
     an optional ``out``, which may be their input ``s`` and must not be a
     workspace buffer; without it they return a fresh array, and they
     never change ``s`` unless it is ``out``.  Each operation takes the
@@ -237,11 +243,24 @@ class _Scheme:
         self._blocks = (np.empty((2 * d,) + grid._block_shape()), np.empty((nprod,) + grid._block_shape()))
         self._phys = np.empty((d,) + grid.shape)
         # the linear update's scratch on the box: contiguous box arrays at the start of _spec
-        self._box_work = self._spec.reshape(-1)[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
-        # per slab outside the box: its index and views of the factors, of ie and of the scratch
+        spec = self._spec.reshape(-1)
+        self._box_work = spec[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
+        side, rows = grid._outside_box(self.kept)
+        # per slab outside the box propagated as a view (in 2D the rows outside the box):
+        # its index and views of the factors, of ie and of the scratch
         self._outside = [((Ellipsis,) + at, tuple(self._half_factors[(slice(None),) + at]),
                           self.ie[(slice(None),) + at], self._spec[(slice(0, 3),) + at])
-                         for at in grid._outside_box(self.kept)]
+                         for at in (rows if d == 2 else side)]
+        self._side = None
+        if d == 2:
+            # the box rows' columns past K_2, by one flat index: their factors and ie gathered
+            # into arrays of their own, the state and the scratch (m, c, tmp) into the start of _spec
+            self._side = grid._flat_index(side)
+            n = self._side.size
+            self._side_factors = np.empty((4, n))
+            self._side_ie = np.take(self.ie.reshape(d, -1), self._side, axis=1)
+            self._side_state = spec[:(1 + d) * n].reshape(1 + d, n)
+            self._side_work = spec[(1 + d) * n:(4 + d) * n].reshape(3, n)
 
     @cached_property
     def _stage(self) -> np.ndarray:
@@ -258,13 +277,14 @@ class _Scheme:
         a' = p11 a + p12 m and u' = rot u + ie (q21 a + q22 m), where
         q21 = -p21 and q22 = rot - p22 replace the compressible part of
         the damped velocity by the propagated one.  Only the latest step
-        size is kept, with the box parts of the factors.
+        size is kept, with the box parts of the factors and, in 2D, their
+        gathered side parts (see :meth:`_linear_outside`).
         """
-        return self._factor_pair(h)[0]
+        return self._factor_sets(h)[0]
 
-    def _factor_pair(self, h: float):
-        pair = self._factors.get(h)
-        if pair is None:
+    def _factor_sets(self, h: float):
+        sets = self._factors.get(h)
+        if sets is None:
             g, p = self.grid, self.params
             P = propagator(g.half_xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
             rot = math.exp(-p.lam * h)
@@ -279,10 +299,14 @@ class _Scheme:
             fac = (p11, p12, q21, q22, rot)
             for f, b in zip(fac[:4], self._box_factors):
                 g._box_gather(f, self.kept, out=b)
-            pair = (fac, tuple(self._box_factors) + (rot,))
-            self._factors = {h: pair}
+            side = None
+            if self._side is not None:
+                np.take(self._half_factors.reshape(4, -1), self._side, axis=1, out=self._side_factors, mode="clip")
+                side = tuple(self._side_factors) + (rot,)
+            sets = (fac, tuple(self._box_factors) + (rot,), side)
+            self._factors = {h: sets}
             self.builds += 1
-        return pair
+        return sets
 
     def _linear(self, s: np.ndarray, fac: tuple, ie: np.ndarray, work, out: np.ndarray) -> np.ndarray:
         """The linear update with factors ``fac`` on any block of modes; ``work`` is (m, c, tmp)."""
@@ -308,17 +332,31 @@ class _Scheme:
 
     def _linear_box(self, s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
         """:meth:`apply_linear` on box arrays."""
-        return self._linear(s, self._factor_pair(h)[1], self.ie_box, self._box_work, out)
+        return self._linear(s, self._factor_sets(h)[1], self.ie_box, self._box_work, out)
 
     def _linear_outside(self, s: np.ndarray, h: float, out: np.ndarray | None, times: int = 1) -> np.ndarray:
-        """:meth:`apply_linear` ``times`` over outside the box, each slab while it is in cache."""
+        """:meth:`apply_linear` ``times`` over outside the box, each slab while it is in cache.
+
+        In 2D the box rows' columns past K_2 are gathered into contiguous
+        arrays, propagated there and scattered back into ``out``, which must
+        be C-contiguous; as strided slabs they ran at a fraction of the speed.
+        """
         if out is None:
-            out = np.empty_like(s)
-        rot = self.factors(h)[4]
-        for at, fac, ie, work in self._outside:
+            out = np.empty(s.shape, dtype=s.dtype)
+        elif self._side is not None and not out.flags.c_contiguous:
+            raise ValueError("a 2D step writes into a C-contiguous state array only")
+        fac, _, side = self._factor_sets(h)
+        rot = fac[4]
+        for at, f, ie, work in self._outside:
             x = s[at]
             for _ in range(times):
-                x = self._linear(x, fac + (rot,), ie, work, out[at])
+                x = self._linear(x, f + (rot,), ie, work, out[at])
+        if side is not None:
+            x = np.take(s.reshape(len(s), -1), self._side, axis=1, out=self._side_state, mode="clip")
+            for _ in range(times):
+                self._linear(x, side, self._side_ie, self._side_work, x)
+            for o, v in zip(out.reshape(len(out), -1), x):
+                o[self._side] = v
         return out
 
     # -- nonlinear part ------------------------------------------------

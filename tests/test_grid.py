@@ -670,8 +670,13 @@ class TestBoxTransforms:
 
     # (80, 24): more rows than one block, and not a multiple of it
     @pytest.mark.parametrize("modes, fraction", BOX_CASES + [((80, 24), 2.0 / 3.0)])
-    def test_forward_equals_rfftn_on_the_box(self, modes, fraction):
-        """The round trip is rfftn of the products of irfftn of the masked spectra, on the box."""
+    def test_forward_equals_rfftn_on_the_box(self, modes, fraction, fft_calls):
+        """The round trip is rfftn of the products of irfftn of the masked spectra, on the box.
+
+        The workspace starts as NaN, as if an earlier call had left its products
+        there: in 2D each block's irfft reads whole rows of N_2/2 + 1 columns,
+        so their columns past K_2 must be zeroed first.
+        """
         g, kept, at, rng = box_case(modes, fraction)
         axes = tuple(range(-g.dim, 0))
         f = rng.standard_normal((4,) + g.shape)
@@ -688,7 +693,7 @@ class TestBoxTransforms:
                 np.multiply(f[i], f[j], out=o)
 
         box, out = s[(slice(None),) + at], np.empty_like(want)
-        work = np.empty((5,) + g.half_xi_norm.shape, dtype=complex)
+        work = np.full((5,) + g.half_xi_norm.shape, np.nan, dtype=complex)
         blocks = (np.empty((4,) + g._block_shape()), np.empty((5,) + g._block_shape()))
         assert g._box_products(box, kept, form, out, work, blocks) is out
         assert bit_equal(out, want)
@@ -696,6 +701,9 @@ class TestBoxTransforms:
         rows = g.modes[0] if g.dim == 2 else 1
         height = min(grid_module._ROW_BLOCK, rows)
         assert heights == [height] * (rows // height) + [rows % height] * (rows % height > 0)
+        # and one irfft per block, of whole rows in 2D and of the box's K_1 + 1 columns in 1D
+        widths = [shape[-1] for name, shape, _ in fft_calls.log if name == "irfft"]
+        assert widths == [g.modes[-1] // 2 + 1 if g.dim == 2 else kept[0] + 1] * len(heights)
         if g.dim == 2:
             # a sequence of box arrays, into the same workspace
             assert bit_equal(g._box_products(list(box), kept, form, out, work, blocks), want)
@@ -704,12 +712,33 @@ class TestBoxTransforms:
                                              ((16, 24), (8, 7))])
     def test_outside_box_is_the_complement(self, modes, kept):
         g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
-        covered = g._box_scatter(np.ones(g._box_shape(kept), dtype=int), kept,
-                                 np.zeros(g.half_xi_norm.shape, dtype=int))
-        slabs = g._outside_box(kept)
+
+        def box_count():
+            return g._box_scatter(np.ones(g._box_shape(kept), dtype=int), kept,
+                                  np.zeros(g.half_xi_norm.shape, dtype=int))
+
+        side, rows = g._outside_box(kept)
         # in 2D the columns past K_2 of the two slabs of box rows and the other rows whole
         # (the columns past K_2 alone when the box holds every row), in 1D the columns past K_1
-        assert len(slabs) == (1 if g.dim == 1 or 2 * kept[0] >= modes[0] else 3)
-        for at in slabs:
+        whole_rows = g.dim == 1 or 2 * kept[0] >= modes[0]
+        assert (len(side), len(rows)) == ((1, 0) if whole_rows else (2, 1))
+        covered = box_count()
+        for at in side + rows:
             covered[at] += 1
         assert np.all(covered == 1)
+        # the side slabs by one flat index, in memory order, with the other rows and the box
+        index = g._flat_index(side)
+        assert index.dtype == np.intp and np.all(np.diff(index) > 0)
+        covered = box_count()
+        np.add.at(covered.reshape(-1), index, 1)
+        for at in rows:
+            covered[at] += 1
+        assert np.all(covered == 1)
+        if g.dim == 2 and kept == g.dealias_box():
+            # the solver's own: its gathered index, the slabs it propagates as views, its box
+            sc = solver._Scheme(g, None)
+            covered = box_count()
+            np.add.at(covered.reshape(-1), sc._side, 1)
+            for at, *_ in sc._outside:
+                covered[at[1:]] += 1
+            assert np.all(covered == 1)

@@ -764,10 +764,12 @@ class TestTransformCount:
         st = perturbation_presets("smooth-bump", 0.05, g)
         n, kept_cols = 16, 6
         # points of one step: the 1D tendency transforms 2 box spectra of K + 1 modes and
-        # 2 fields; the 2D one 4 box spectra padded to (N, K + 1) twice, 5 fields and
-        # their (N, K + 1) kept columns; the density check one half spectrum per pass
+        # 2 fields; the 2D one 4 box spectra padded to (N, K + 1), then their whole
+        # (N, N/2 + 1) rows (zeroed past K), 5 fields and their (N, K + 1) kept columns;
+        # the density check one half spectrum per pass
         points = {1: 4 * (2 * kept_cols + 2 * n) + (n // 2 + 1),
-                  2: 4 * (2 * 4 * n * kept_cols + 5 * n * n + 5 * n * kept_cols) + 2 * n * (n // 2 + 1)}
+                  2: 4 * (4 * n * kept_cols + 4 * n * (n // 2 + 1) + 5 * n * n + 5 * n * kept_cols)
+                  + 2 * n * (n // 2 + 1)}
         for nsteps in (2, 5):
             before, passes, points_before = dict(fft_calls), fft_calls.passes, fft_calls.points
             integrate(g, st, p, SolverConfig(dt=1.0 / nsteps, t_end=1.0))
@@ -992,6 +994,16 @@ class TestWorkspaceAliasing:
             assert not np.shares_memory(r1, r2)
             assert not np.shares_memory(r1, s) and not np.shares_memory(r2, s)
 
+    def test_a_2d_step_refuses_a_strided_out(self):
+        # the box rows' columns past K_2 are scattered back through a flat view of out
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
+        sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.4))
+        s = random_half_state(g, np.random.default_rng(0))
+        out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=complex)[..., ::2]
+        for step in (sc.step_ifrk4, sc.step_exp_euler):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                step(s, 0.05, out=out)
+
     def test_freed_without_the_cycle_collector(self):
         # a finished run returns its workspace at once, not at the next full collection
         g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
@@ -1013,7 +1025,7 @@ class TestWorkspaceAliasing:
 
         def workspace(sc):
             return [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._box_factors,
-                    sc._half_factors]
+                    sc._half_factors, sc._side_factors, sc._side_ie]
 
         for x in workspace(one):
             assert all(not np.shares_memory(x, y) for y in workspace(two))
@@ -1022,12 +1034,22 @@ class TestWorkspaceAliasing:
         g = make_grid(dim=2, lengths=16 * np.pi, modes=256)
         sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.5))
         sc.step_ifrk4(random_half_state(g, np.random.default_rng(0), amplitude=0.01), 0.05)
-        buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._half_factors, sc._box_factors]
+        buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._half_factors, sc._box_factors,
+                   sc._side_factors, sc._side_ie]
         assert all(b.base is None for b in buffers)
         # the physical stage holds one block of 32 rows of the 4 fields and of the 5 products
         # (589,824 B), where whole fields took 4,718,592 B (12,887,904 B in all)
         assert sum(b.nbytes for b in sc._blocks) == 9 * 32 * 256 * 8
-        assert sum(b.nbytes for b in buffers) == 9_807_712
+        # the box rows' 171 x 43 columns past K_2: their factors and ie are held gathered
+        # (470,592 B), their state and scratch are contiguous views at the start of _spec
+        side = 171 * 43
+        assert sc._side.size == side
+        assert sc._side_factors.nbytes + sc._side_ie.nbytes == 4 * side * 8 + 2 * side * 16 == 470_592
+        flat = sc._spec.reshape(-1)
+        for view, start in ((sc._side_state, 0), (sc._side_work, 3 * side)):
+            assert view.flags.c_contiguous and view.shape == (3, side)
+            assert view.ctypes.data == flat[start:].ctypes.data
+        assert sum(b.nbytes for b in buffers) == 10_278_304
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_snapshots_are_never_overwritten(self, path):
