@@ -338,22 +338,12 @@ class SpectralGrid:
         return [((slice(0, k + 1), slice(None)), (slice(0, k + 1), cols)),
                 ((slice(k + 1, None), slice(None)), (slice(rows - k, rows), cols))]
 
-    def _outside_box(self, kept: tuple[int, ...]) -> tuple[list, list]:
-        """Index tuples of the slabs that, with the box, cover the half lattice once: (side, rows).
-
-        ``side`` holds the columns past K_d of each slab of box rows, ``rows``
-        in 2D the rows outside the box, whole (none when the box holds every
-        row, and none in 1D).
-        """
-        past, n = slice(kept[-1] + 1, None), self.modes[0]
-        side = [h[:-1] + (past,) for _, h in self._box_index(kept, n)]
-        rows = [(slice(kept[0] + 1, n - kept[0]), slice(None))] if self.dim == 2 and 2 * kept[0] + 1 < n else []
-        return side, rows
-
-    def _flat_index(self, slabs: list) -> np.ndarray:
-        """Flat half-lattice positions of the modes of ``slabs`` (index tuples), slab after slab in C order."""
-        flat = np.arange(self.half_xi_norm.size, dtype=np.intp).reshape(self.half_xi_norm.shape)
-        return np.concatenate([flat[at].ravel() for at in slabs])
+    def _outside_index(self, kept: tuple[int, ...]) -> np.ndarray:
+        """The flat half-lattice positions of every mode outside the box, increasing."""
+        outside = np.ones(self.half_xi_norm.shape, dtype=bool)
+        for _, h in self._box_index(kept, self.modes[0]):
+            outside[h] = False
+        return np.flatnonzero(outside)
 
     def _box_gather(self, x: np.ndarray, kept: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
         """The box part of half spectra ``x`` (leading component axes kept)."""

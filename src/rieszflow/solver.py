@@ -130,6 +130,9 @@ class SolverConfig:
             raise ValueError(f"positivity floor must lie in (0, 1), got {self.positivity_floor}")
         if self.snapshot_times is not None:
             times = tuple(float(t) for t in self.snapshot_times)
+            bad = [t for t in times if not math.isfinite(t)]
+            if bad:
+                raise ValueError(f"snapshot times must be finite, got {bad[0]}")
             if any(t < 0 or t > self.t_end + 1e-12 for t in times):
                 raise ValueError("snapshot times must lie in [0, t_end]")
             if any(b - a <= 0 for a, b in zip(times, times[1:])):
@@ -178,25 +181,26 @@ class _Scheme:
     The dealias box is |k_i| <= K_i (``kept``, ``SpectralGrid.dealias_box``),
     held by box arrays in the layout of ``SpectralGrid._box_index``.  Every
     tendency vanishes outside the box and reads only its box part, so a
-    step advances the box through the stages on box arrays and the slabs
-    outside it (``SpectralGrid._outside_box``) by the propagator alone: in
-    2D the rows outside the box as a view, and the box rows' columns past
-    K_2 gathered by one flat index into contiguous arrays (171 x 43 modes
-    at 256^2), since as strided slabs they ran at a fraction of the speed.
+    step advances the box through the stages on box arrays and every mode
+    outside it by the propagator alone, gathered by one increasing flat
+    index (``SpectralGrid._outside_index``, 18,318 modes at 256^2) into
+    contiguous arrays, propagated there and scattered back.
+    :meth:`apply_linear` is the same two parts without the stages.
 
     The workspace is allocated once per scheme, here except for the
     stage buffers, which the first step allocates; with B one box state
-    array (about 4/9 of a state array at fraction 2/3 in 2D, 2/3 in 1D)
-    and P one physical field it holds:
+    array (about 4/9 of a state array at fraction 2/3 in 2D, 2/3 in 1D),
+    n the number of modes outside the box and P one physical field it
+    holds:
 
     - ``_stage``: four box state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
-    - ``_spec``: 3 half spectra in 1D, 5 in 2D: the work spectra of the
-      round trip, the first-axis transforms of :meth:`density` and of a
-      record in ``integrate``, and the scratch (m, c, tmp) of the linear
-      update, on the box and in 2D on the gathered columns past K_2, whose
-      state it holds too;
+    - ``_spec``: 3 half spectra in 1D, 5 in 2D, or (4 + d) n entries if
+      that is more (at small fractions): the work spectra of the round
+      trip, the first-axis transforms of :meth:`density` and of a record
+      in ``integrate``, the scratch (m, c, tmp) of the linear update on
+      the box, and the state and scratch of the update outside it;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
     - ``_blocks``: a block of rows (``SpectralGrid._block_shape``) of the
@@ -204,13 +208,13 @@ class _Scheme:
     - ``_phys``: d fields, the density of :meth:`density` and, between
       steps, the squares of the L^2 norms of :meth:`diagnostics` (d P).
 
-    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers.  The
-    propagator factors are kept on the half lattice, on the box and in 2D
-    on the gathered columns past K_2 (with ie there, 0.45 MiB at 256^2),
-    each set in one buffer that every build overwrites, so c08's 33 builds
-    do not fragment the heap.  ``rhs``, ``apply_linear`` and the steps take
-    an optional ``out``, which may be their input ``s`` and must not be a
-    workspace buffer; without it they return a fresh array, and they
+    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers.  Two sets
+    of propagator factors are held, on the box and on the outside modes
+    (with ie there, 1.1 MiB at 256^2), each in one buffer that every build
+    overwrites, so c08's 33 builds do not fragment the heap.  ``rhs``,
+    ``apply_linear`` and the steps take an optional ``out``, which may be
+    their input ``s`` and must not be a workspace buffer (nor, but for
+    ``rhs``, strided); without it they return a fresh array, and they
     never change ``s`` unless it is ``out``.  Each operation takes the
     operands of the plain array expression it evaluates in that
     expression's order (NumPy's complex multiply is not bit-commutative),
@@ -227,40 +231,31 @@ class _Scheme:
         self.kept = grid.dealias_box(dealias)
         d = grid.dim
         self.minus_grad = tuple(-grid._box_gather(k, self.kept) for k in grid.half_grad)
-        # i xi/|xi| per axis: the compressible scalar is m = sum_k ie_k u_k
-        self.ie = 1j * np.stack(grid.half_xi_unit)
-        self.ie_box = grid._box_gather(self.ie, self.kept)
+        self._outside_index = grid._outside_index(self.kept)
+        n = self._outside_index.size
+        # i xi/|xi| per axis on the box and outside it: the compressible scalar is m = sum_k ie_k u_k
+        ie = 1j * np.stack(grid.half_xi_unit)
+        self.ie_box = grid._box_gather(ie, self.kept)
+        self.ie_outside = np.take(ie.reshape(d, -1), self._outside_index, axis=1)
         self._factors: dict = {}
         self.builds = 0
 
         nprod = 2 if d == 1 else 5
+        half = grid.half_xi_norm.shape
         self._box_shape = grid._box_shape(self.kept)
-        # (p11, p12, q21, q22) on the half lattice and on the box, overwritten by each build
-        self._half_factors = np.empty((4,) + grid.half_xi_norm.shape)
+        # (p11, p12, q21, q22) on the box and outside it, overwritten by each build
         self._box_factors = np.empty((4,) + self._box_shape)
-        self._spec = np.empty((max(3, nprod),) + grid.half_xi_norm.shape, dtype=complex)
+        self._outside_factors = np.empty((4, n))
+        self._spec = np.empty((max(3, nprod, -(-(4 + d) * n // math.prod(half))),) + half, dtype=complex)
         self._boxspec = np.empty((nprod,) + self._box_shape, dtype=complex) if d == 2 else None
         self._blocks = (np.empty((2 * d,) + grid._block_shape()), np.empty((nprod,) + grid._block_shape()))
         self._phys = np.empty((d,) + grid.shape)
-        # the linear update's scratch on the box: contiguous box arrays at the start of _spec
+        # the linear update's scratch on the box, and the state and scratch (m, c, tmp) of the
+        # outside modes: contiguous arrays at the start of _spec
         spec = self._spec.reshape(-1)
         self._box_work = spec[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
-        side, rows = grid._outside_box(self.kept)
-        # per slab outside the box propagated as a view (in 2D the rows outside the box):
-        # its index and views of the factors, of ie and of the scratch
-        self._outside = [((Ellipsis,) + at, tuple(self._half_factors[(slice(None),) + at]),
-                          self.ie[(slice(None),) + at], self._spec[(slice(0, 3),) + at])
-                         for at in (rows if d == 2 else side)]
-        self._side = None
-        if d == 2:
-            # the box rows' columns past K_2, by one flat index: their factors and ie gathered
-            # into arrays of their own, the state and the scratch (m, c, tmp) into the start of _spec
-            self._side = grid._flat_index(side)
-            n = self._side.size
-            self._side_factors = np.empty((4, n))
-            self._side_ie = np.take(self.ie.reshape(d, -1), self._side, axis=1)
-            self._side_state = spec[:(1 + d) * n].reshape(1 + d, n)
-            self._side_work = spec[(1 + d) * n:(4 + d) * n].reshape(3, n)
+        self._outside_state = spec[:(1 + d) * n].reshape(1 + d, n)
+        self._outside_work = spec[(1 + d) * n:(4 + d) * n].reshape(3, n)
 
     @cached_property
     def _stage(self) -> np.ndarray:
@@ -270,19 +265,15 @@ class _Scheme:
 
     # -- linear part ---------------------------------------------------
 
-    def factors(self, h: float):
-        """Precombined linear update (p11, p12, q21, q22, rot) for step h.
+    def _factor_sets(self, h: float):
+        """The precombined linear update (p11, p12, q21, q22, rot) for step h: (box set, outside set).
 
         With m the compressible scalar, the exact step is
         a' = p11 a + p12 m and u' = rot u + ie (q21 a + q22 m), where
         q21 = -p21 and q22 = rot - p22 replace the compressible part of
         the damped velocity by the propagated one.  Only the latest step
-        size is kept, with the box parts of the factors and, in 2D, their
-        gathered side parts (see :meth:`_linear_outside`).
+        size is kept.
         """
-        return self._factor_sets(h)[0]
-
-    def _factor_sets(self, h: float):
         sets = self._factors.get(h)
         if sets is None:
             g, p = self.grid, self.params
@@ -292,18 +283,14 @@ class _Scheme:
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
             P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
-            p11, p12, q21, q22 = self._half_factors
-            np.copyto(self._half_factors[:2], np.moveaxis(P[..., 0, :], -1, 0))
-            np.negative(P[..., 1, 0], out=q21)
-            np.subtract(rot, P[..., 1, 1], out=q22)
-            fac = (p11, p12, q21, q22, rot)
-            for f, b in zip(fac[:4], self._box_factors):
-                g._box_gather(f, self.kept, out=b)
-            side = None
-            if self._side is not None:
-                np.take(self._half_factors.reshape(4, -1), self._side, axis=1, out=self._side_factors, mode="clip")
-                side = tuple(self._side_factors) + (rot,)
-            sets = (fac, tuple(self._box_factors) + (rot,), side)
+            # (p11, p12, p21, p22) as leading axis
+            P = np.moveaxis(P.reshape(P.shape[:-2] + (4,)), -1, 0)
+            g._box_gather(P, self.kept, out=self._box_factors)
+            np.take(P.reshape(4, -1), self._outside_index, axis=1, out=self._outside_factors, mode="clip")
+            for f in (self._box_factors, self._outside_factors):
+                np.negative(f[2], out=f[2])
+                np.subtract(rot, f[3], out=f[3])
+            sets = (tuple(self._box_factors) + (rot,), tuple(self._outside_factors) + (rot,))
             self._factors = {h: sets}
             self.builds += 1
         return sets
@@ -326,37 +313,33 @@ class _Scheme:
         return out
 
     def apply_linear(self, s: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(s)
-        return self._linear(s, self.factors(h), self.ie, self._spec[:3], out)
+        """The exact linear step E_h of half spectra ``s``: the box and, by one flat index, the rest."""
+        box = self.grid._box_gather(s, self.kept)
+        out = self._linear_outside(s, h, out)
+        return self.grid._box_scatter(self._linear_box(box, h, out=box), self.kept, out)
 
     def _linear_box(self, s: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-        """:meth:`apply_linear` on box arrays."""
-        return self._linear(s, self._factor_sets(h)[1], self.ie_box, self._box_work, out)
+        """The linear update of box arrays."""
+        return self._linear(s, self._factor_sets(h)[0], self.ie_box, self._box_work, out)
 
     def _linear_outside(self, s: np.ndarray, h: float, out: np.ndarray | None, times: int = 1) -> np.ndarray:
-        """:meth:`apply_linear` ``times`` over outside the box, each slab while it is in cache.
+        """The linear update ``times`` over of the modes outside the box, written into ``out``.
 
-        In 2D the box rows' columns past K_2 are gathered into contiguous
-        arrays, propagated there and scattered back into ``out``, which must
-        be C-contiguous; as strided slabs they ran at a fraction of the speed.
+        The modes are gathered by one flat index into contiguous arrays,
+        propagated there and scattered back through a flat view of ``out``,
+        which must therefore be C-contiguous.  The box part of ``out`` is
+        left as it is.
         """
         if out is None:
             out = np.empty(s.shape, dtype=s.dtype)
-        elif self._side is not None and not out.flags.c_contiguous:
-            raise ValueError("a 2D step writes into a C-contiguous state array only")
-        fac, _, side = self._factor_sets(h)
-        rot = fac[4]
-        for at, f, ie, work in self._outside:
-            x = s[at]
-            for _ in range(times):
-                x = self._linear(x, f + (rot,), ie, work, out[at])
-        if side is not None:
-            x = np.take(s.reshape(len(s), -1), self._side, axis=1, out=self._side_state, mode="clip")
-            for _ in range(times):
-                self._linear(x, side, self._side_ie, self._side_work, x)
-            for o, v in zip(out.reshape(len(out), -1), x):
-                o[self._side] = v
+        elif not out.flags.c_contiguous:
+            raise ValueError("the solver writes into a C-contiguous state array only")
+        at, fac = self._outside_index, self._factor_sets(h)[1]
+        x = np.take(s.reshape(len(s), -1), at, axis=1, out=self._outside_state, mode="clip")
+        for _ in range(times):
+            self._linear(x, fac, self.ie_outside, self._outside_work, x)
+        for o, v in zip(out.reshape(len(out), -1), x):
+            o[at] = v
         return out
 
     # -- nonlinear part ------------------------------------------------
@@ -508,8 +491,8 @@ def rhs_nonlinear(
 
 def linear_step(grid: SpectralGrid, state: FieldState, params: RieszParams, dt: float) -> FieldState:
     """Advance the state by the exact linear propagator over one step."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
+    if not (0 <= dt < math.inf):
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     fields = grid.irfft(_Scheme(grid, params).apply_linear(_state_spectrum(grid, state), dt))
     return FieldState(a=fields[0], u=fields[1:], t=state.t + dt)
 

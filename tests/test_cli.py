@@ -348,6 +348,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"config error: [solver] {key} must be" in err and "finite" in err
 
+    def test_nan_snapshot_time_is_a_config_error(self, tmp_path, capsys):
+        # a NaN passes the range and order checks, and the run would die on it as a run failure
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("snapshot_times = 0.0,0.5,1.0",
+                                                       "snapshot_times = 0.0,nan,1.0"))
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [solver] snapshot times must be finite, got nan" in err
+
     def test_runtime_error_rolls_back(self, tmp_path, capsys):
         # a single-mode state at amplitude 0.6 starts below the 0.5 floor
         text = (

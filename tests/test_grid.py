@@ -562,10 +562,11 @@ class TestBoxTransforms:
     @pytest.mark.parametrize("modes, fraction", BOX_CASES)
     def test_box_symbols_are_the_box_parts_of_the_whole_symbols(self, modes, fraction):
         g, kept, at, _ = box_case(modes, fraction)
-        pairs = [(g._box_gather(m, kept), m) for m in (*g.half_grad, g.half_xi_norm, 1j * np.stack(g.half_xi_unit))]
+        ie = 1j * np.stack(g.half_xi_unit)
+        pairs = [(g._box_gather(m, kept), m) for m in (*g.half_grad, g.half_xi_norm, ie)]
         if fraction <= 2.0 / 3.0:  # the solver's own, on the box it takes
             sc = solver._Scheme(g, None, fraction)
-            pairs += [(b, -k) for b, k in zip(sc.minus_grad, g.half_grad)] + [(sc.ie_box, sc.ie)]
+            pairs += [(b, -k) for b, k in zip(sc.minus_grad, g.half_grad)] + [(sc.ie_box, ie)]
         for b, m in pairs:
             assert b.base is None and b.flags.c_contiguous
             assert bit_equal(b, m[(Ellipsis,) + at])
@@ -712,33 +713,17 @@ class TestBoxTransforms:
                                              ((16, 24), (8, 7))])
     def test_outside_box_is_the_complement(self, modes, kept):
         g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
-
-        def box_count():
-            return g._box_scatter(np.ones(g._box_shape(kept), dtype=int), kept,
-                                  np.zeros(g.half_xi_norm.shape, dtype=int))
-
-        side, rows = g._outside_box(kept)
-        # in 2D the columns past K_2 of the two slabs of box rows and the other rows whole
-        # (the columns past K_2 alone when the box holds every row), in 1D the columns past K_1
-        whole_rows = g.dim == 1 or 2 * kept[0] >= modes[0]
-        assert (len(side), len(rows)) == ((1, 0) if whole_rows else (2, 1))
-        covered = box_count()
-        for at in side + rows:
-            covered[at] += 1
-        assert np.all(covered == 1)
-        # the side slabs by one flat index, in memory order, with the other rows and the box
-        index = g._flat_index(side)
+        index = g._outside_index(kept)
+        # increasing flat positions that, with the box, cover the half lattice exactly once
+        # (in 2D the rows outside the box too, unless the box holds every row)
         assert index.dtype == np.intp and np.all(np.diff(index) > 0)
-        covered = box_count()
+        covered = g._box_scatter(np.ones(g._box_shape(kept), dtype=int), kept,
+                                 np.zeros(g.half_xi_norm.shape, dtype=int))
         np.add.at(covered.reshape(-1), index, 1)
-        for at in rows:
-            covered[at] += 1
         assert np.all(covered == 1)
-        if g.dim == 2 and kept == g.dealias_box():
-            # the solver's own: its gathered index, the slabs it propagates as views, its box
+        if kept == g.dealias_box():
+            # the solver's own: the same index, and ie there the whole ie's
             sc = solver._Scheme(g, None)
-            covered = box_count()
-            np.add.at(covered.reshape(-1), sc._side, 1)
-            for at, *_ in sc._outside:
-                covered[at[1:]] += 1
-            assert np.all(covered == 1)
+            ie = 1j * np.stack(g.half_xi_unit)
+            assert np.array_equal(sc._outside_index, index)
+            assert bit_equal(sc.ie_outside, ie.reshape(g.dim, -1)[:, index])

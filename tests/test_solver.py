@@ -1,6 +1,7 @@
 """Time integration: exact linear part, dealiased nonlinearity, presets."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -71,6 +72,10 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, t_end=1.0, snapshot_times=(0.5, 0.5))
         with pytest.raises(ValueError, match="0, t_end"):
             SolverConfig(dt=0.1, t_end=1.0, snapshot_times=(0.0, 2.0))
+        # a NaN passes both checks above and would reach math.ceil in integrate
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="snapshot times must be finite"):
+                SolverConfig(dt=0.1, t_end=1.0, snapshot_times=(0.0, bad, 1.0))
 
 
 class TestPresets:
@@ -270,8 +275,9 @@ class TestLinearPropagation:
     def test_rejects_negative_dt(self, grid_1d):
         p = RieszParams.from_s_star(1, 0.5)
         st = FieldState(a=np.zeros(grid_1d.shape), u=np.zeros((1,) + grid_1d.shape), t=0.0)
-        with pytest.raises(ValueError):
-            linear_step(grid_1d, st, p, -0.1)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be nonnegative and finite"):
+                linear_step(grid_1d, st, p, bad)
 
 
 class TestIntegrate:
@@ -839,19 +845,28 @@ class AllocatingScheme:
     Every operation builds its result in a fresh array on the whole half
     lattice; the scheme under test must reproduce these results bit for
     bit.  The tendency is exactly +0 outside the dealias box.  The
-    propagator factors come from a separate ``_Scheme``, the mask from
-    ``truncation`` and the symbols from the grid.
+    propagator factors come from ``propagator`` with the Nyquist rule
+    written here, the mask from ``truncation`` and the symbols from the
+    grid: no code of ``_Scheme`` is shared.
     """
 
     def __init__(self, grid, params, dealias):
-        self.sc = solver._Scheme(grid, params, dealias)
+        self.grid, self.params = grid, params
         self.mask = kept_half(grid, dealias)
+        self.ie = 1j * np.stack(grid.half_xi_unit)
+
+    def factors(self, h):
+        """(p11, p12, q21, q22, rot) on the half lattice; on the Nyquist region a is frozen, u damped."""
+        g, p = self.grid, self.params
+        P = propagator(g.half_xi_norm, p.s_star, h, lam=p.lam, kappa=p.kappa, rho_bar=p.rho_bar)
+        rot = math.exp(-p.lam * h)
+        P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
+        return P[..., 0, 0], P[..., 0, 1], -P[..., 1, 0], rot - P[..., 1, 1], rot
 
     def apply_linear(self, s, h):
-        sc = self.sc
-        p11, p12, q21, q22, rot = sc.factors(h)
-        m = sc.ie[0] * s[1]
-        for e, u in zip(sc.ie[1:], s[2:]):
+        p11, p12, q21, q22, rot = self.factors(h)
+        m = self.ie[0] * s[1]
+        for e, u in zip(self.ie[1:], s[2:]):
             m += e * u
         out = np.empty_like(s)
         np.multiply(p11, s[0], out=out[0])
@@ -859,11 +874,11 @@ class AllocatingScheme:
         c = q21 * s[0]
         c += q22 * m
         np.multiply(s[1:], rot, out=out[1:])
-        out[1:] += sc.ie * c
+        out[1:] += self.ie * c
         return out
 
     def rhs(self, s):
-        g = self.sc.grid
+        g = self.grid
         masked = s * self.mask
         if g.dim == 2:
             k1, k2 = g.half_grad
@@ -903,6 +918,9 @@ WORKSPACE_CASES = [
     # more rows than one block of the physical stage (grid._ROW_BLOCK = 32), and not a multiple
     # of it; the cell of the (16, 24) case, on which TestKeptBox's white noise stays above the floor
     (2, (10.0 * np.pi, 3.0 * np.pi), (80, 24), 2.0 / 3.0),
+    # a small box, K = (1, 3): the outside modes' state and scratch (6 x 260) exceed the five
+    # half spectra (5 x 272) of the workspace's _spec, which is sized to hold them
+    (2, (2.0 * np.pi, 3.0 * np.pi), (16, 32), 0.2),
 ]
 
 #: SolverConfig settings of each advance path and the scheme method it uses
@@ -994,13 +1012,14 @@ class TestWorkspaceAliasing:
             assert not np.shares_memory(r1, r2)
             assert not np.shares_memory(r1, s) and not np.shares_memory(r2, s)
 
-    def test_a_2d_step_refuses_a_strided_out(self):
-        # the box rows' columns past K_2 are scattered back through a flat view of out
-        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=16)
-        sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.4))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_strided_out_is_refused(self, dim):
+        # the modes outside the box are scattered back through a flat view of out
+        g = make_grid(dim=dim, lengths=(2.0 * np.pi,) * dim, modes=(16,) * dim)
+        sc = solver._Scheme(g, RieszParams.from_s_star(dim, 0.4))
         s = random_half_state(g, np.random.default_rng(0))
         out = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=complex)[..., ::2]
-        for step in (sc.step_ifrk4, sc.step_exp_euler):
+        for step in (sc.step_ifrk4, sc.step_exp_euler, sc.apply_linear):
             with pytest.raises(ValueError, match="C-contiguous"):
                 step(s, 0.05, out=out)
 
@@ -1025,7 +1044,7 @@ class TestWorkspaceAliasing:
 
         def workspace(sc):
             return [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._box_factors,
-                    sc._half_factors, sc._side_factors, sc._side_ie]
+                    sc._outside_factors, sc.ie_outside]
 
         for x in workspace(one):
             assert all(not np.shares_memory(x, y) for y in workspace(two))
@@ -1034,22 +1053,22 @@ class TestWorkspaceAliasing:
         g = make_grid(dim=2, lengths=16 * np.pi, modes=256)
         sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.5))
         sc.step_ifrk4(random_half_state(g, np.random.default_rng(0), amplitude=0.01), 0.05)
-        buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._half_factors, sc._box_factors,
-                   sc._side_factors, sc._side_ie]
+        buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._phys, sc._box_factors,
+                   sc._outside_factors, sc.ie_outside]
         assert all(b.base is None for b in buffers)
         # the physical stage holds one block of 32 rows of the 4 fields and of the 5 products
         # (589,824 B), where whole fields took 4,718,592 B (12,887,904 B in all)
         assert sum(b.nbytes for b in sc._blocks) == 9 * 32 * 256 * 8
-        # the box rows' 171 x 43 columns past K_2: their factors and ie are held gathered
-        # (470,592 B), their state and scratch are contiguous views at the start of _spec
-        side = 171 * 43
-        assert sc._side.size == side
-        assert sc._side_factors.nbytes + sc._side_ie.nbytes == 4 * side * 8 + 2 * side * 16 == 470_592
+        # the 256 x 129 - 171 x 86 modes outside the box: their factors and ie are held gathered
+        # (1,172,352 B), their state and scratch are contiguous views at the start of _spec
+        n = 256 * 129 - 171 * 86
+        assert sc._outside_index.size == n == 18_318
+        assert sc._outside_factors.nbytes + sc.ie_outside.nbytes == 4 * n * 8 + 2 * n * 16 == 1_172_352
         flat = sc._spec.reshape(-1)
-        for view, start in ((sc._side_state, 0), (sc._side_work, 3 * side)):
-            assert view.flags.c_contiguous and view.shape == (3, side)
+        for view, start in ((sc._outside_state, 0), (sc._outside_work, 3 * n)):
+            assert view.flags.c_contiguous and view.shape == (3, n)
             assert view.ctypes.data == flat[start:].ctypes.data
-        assert sum(b.nbytes for b in buffers) == 10_278_304
+        assert sum(b.nbytes for b in buffers) == 9_923_296
 
     @pytest.mark.parametrize("path", list(PATHS))
     def test_snapshots_are_never_overwritten(self, path):
@@ -1099,7 +1118,7 @@ class TestKeptBox:
         cfg = SolverConfig(dt=0.05, t_end=0.3, dealias=fraction, **PATHS[path][0])
         assert integrate(g, st, p, cfg).stats.steps == len(states) == 6
         outside = ~kept_half(g, fraction)
-        lin = Scheme(g, p, fraction)
+        lin = AllocatingScheme(g, p, fraction)
         before = solver._state_spectrum(g, st)
         for h, after in states:
             want = before
