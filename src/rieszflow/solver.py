@@ -42,8 +42,11 @@ propagator builds in ``Trajectory.stats``.
 A step runs its stages on the dealias box only, and a tendency's
 physical stage one block of rows at a time, in cache (see ``_Scheme``).
 ``integrate`` advances one state array in place in a workspace allocated
-once, and tests finiteness by the minimum and maximum of the density and
-of the velocity spectra, which any NaN or infinity reaches.
+once.  After each step it tests finiteness by the minimum and maximum of
+the velocity spectra, which any NaN or infinity reaches, and bounds the
+density from below from its half spectrum (``_Scheme.density_bound``);
+only where that bound is not finite or falls below the positivity floor
+is the density transformed and checked by its minimum and maximum.
 
 ``integrate`` hands each snapshot to a sink, ``sink(state, diag, spectrum)``,
 as the run reaches its time, ``spectrum`` a read-only view of its half spectra.
@@ -187,30 +190,35 @@ class _Scheme:
     contiguous arrays, propagated there and scattered back.
     :meth:`apply_linear` is the same two parts without the stages.
 
-    The workspace is allocated once per scheme, here except for the
-    stage buffers, which the first step allocates; with B one box state
-    array (about 4/9 of a state array at fraction 2/3 in 2D, 2/3 in 1D),
-    n the number of modes outside the box and P one physical field it
-    holds:
+    The workspace is allocated once per scheme, ``_spec`` here and the
+    rest on first use, so that a linear update alone (``linear_step``)
+    makes only ``_spec``; with B one box state array (about 4/9 of a
+    state array at fraction 2/3 in 2D, 2/3 in 1D) and n the number of
+    modes outside the box, it holds:
 
     - ``_stage``: four box state arrays, the A, B and n2 of
       :meth:`step_ifrk4` and one working buffer x for the stage inputs,
       n3 and n4 (4 B; :meth:`step_exp_euler` uses A and x);
-    - ``_spec``: 3 half spectra in 1D, 5 in 2D, or (4 + d) n entries if
-      that is more (at small fractions): the work spectra of the round
-      trip, the first-axis transforms of :meth:`density` and of a record
-      in ``integrate``, the scratch (m, c, tmp) of the linear update on
-      the box, and the state and scratch of the update outside it;
+    - ``_spec``: 1 + 2d half spectra (3 in 1D, 5 in 2D), or (4 + d) n
+      entries if that is more (at small fractions): the work spectra of
+      the round trip, the |Re| and |Im| of :meth:`density_bound`, the
+      first-axis transforms of :meth:`density` and of a record in
+      ``integrate``, the scratch (m, c, tmp) of the linear update on the
+      box, and the state and scratch of the update outside it.  A half
+      spectrum also holds one physical field as floats
+      (:meth:`_fields`), so no field is held: the density of
+      :meth:`density` is ``_spec[1]``, and the d squares of the L^2 norms
+      of :meth:`diagnostics` are ``_spec[1 + d:]``, which a record's
+      inverse leaves idle;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
     - ``_blocks``: a block of rows (``SpectralGrid._block_shape``) of the
-      fields and products of :meth:`_rhs` (2 + 2 in 1D, 4 + 5 in 2D);
-    - ``_phys``: d fields, the density of :meth:`density` and, between
-      steps, the squares of the L^2 norms of :meth:`diagnostics` (d P).
+      fields and products of :meth:`_rhs` (2 + 2 in 1D, 4 + 5 in 2D).
 
-    At 2D 256^2 that is 7.9 MiB, 2.7 of them the stage buffers.  Two sets
+    At 2D 256^2 that is 6.9 MiB, 2.7 of them the stage buffers.  Two sets
     of propagator factors are held, on the box and on the outside modes
-    (with ie there, 1.1 MiB at 256^2), each in one buffer that every build
+    (0.9 MiB and, with ie there, 1.7 MiB at 256^2), complex (see
+    :meth:`_factor_sets`), each in one buffer that every build
     overwrites, so c08's 33 builds do not fragment the heap.  ``rhs``,
     ``apply_linear`` and the steps take an optional ``out``, which may be
     their input ``s`` and must not be a workspace buffer (nor, but for
@@ -240,16 +248,13 @@ class _Scheme:
         self._factors: dict = {}
         self.builds = 0
 
-        nprod = 2 if d == 1 else 5
-        half = grid.half_xi_norm.shape
         self._box_shape = grid._box_shape(self.kept)
-        # (p11, p12, q21, q22) on the box and outside it, overwritten by each build
-        self._box_factors = np.empty((4,) + self._box_shape)
-        self._outside_factors = np.empty((4, n))
-        self._spec = np.empty((max(3, nprod, -(-(4 + d) * n // math.prod(half))),) + half, dtype=complex)
-        self._boxspec = np.empty((nprod,) + self._box_shape, dtype=complex) if d == 2 else None
-        self._blocks = (np.empty((2 * d,) + grid._block_shape()), np.empty((nprod,) + grid._block_shape()))
-        self._phys = np.empty((d,) + grid.shape)
+        # (p11, p12, q21, q22) on the box and outside it: complex with +0 imaginary parts, of
+        # which each build overwrites only the real parts
+        self._box_factors = np.zeros((4,) + self._box_shape, dtype=complex)
+        self._outside_factors = np.zeros((4, n), dtype=complex)
+        half = grid.half_xi_norm.shape
+        self._spec = np.empty((max(1 + 2 * d, -(-(4 + d) * n // math.prod(half))),) + half, dtype=complex)
         # the linear update's scratch on the box, and the state and scratch (m, c, tmp) of the
         # outside modes: contiguous arrays at the start of _spec
         spec = self._spec.reshape(-1)
@@ -257,11 +262,30 @@ class _Scheme:
         self._outside_state = spec[:(1 + d) * n].reshape(1 + d, n)
         self._outside_work = spec[(1 + d) * n:(4 + d) * n].reshape(3, n)
 
+    # built on first use, so that one-off tendencies and linear updates (``rhs_nonlinear``,
+    # ``linear_step``) allocate only what they use
+
     @cached_property
     def _stage(self) -> np.ndarray:
-        # built on the first step, so that one-off tendencies and linear
-        # updates (``rhs_nonlinear``, ``linear_step``) do not allocate it
         return np.empty((4, 1 + self.grid.dim) + self._box_shape, dtype=complex)
+
+    @cached_property
+    def _boxspec(self) -> np.ndarray | None:
+        return np.empty((5,) + self._box_shape, dtype=complex) if self.grid.dim == 2 else None
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        d, block = self.grid.dim, self.grid._block_shape()
+        return np.empty((2 * d,) + block), np.empty((2 if d == 1 else 5,) + block)
+
+    def _fields(self, start: int, count: int) -> np.ndarray:
+        """``count`` physical fields, each a float view of the start of a half spectrum of ``_spec``.
+
+        One half spectrum holds one field: N_1 (N_2 + 2) >= N_1 N_2 floats.
+        """
+        g = self.grid
+        flat = self._spec[start:start + count].reshape(count, -1).view(np.float64)
+        return flat[:, :g.npoints].reshape((count,) + g.shape)
 
     # -- linear part ---------------------------------------------------
 
@@ -271,8 +295,10 @@ class _Scheme:
         With m the compressible scalar, the exact step is
         a' = p11 a + p12 m and u' = rot u + ie (q21 a + q22 m), where
         q21 = -p21 and q22 = rot - p22 replace the compressible part of
-        the damped velocity by the propagated one.  Only the latest step
-        size is kept.
+        the damped velocity by the propagated one.  The four factors are
+        held complex with +0 imaginary parts, the values NumPy's cast of
+        the real ones gives, so :meth:`_linear` multiplies complex by
+        complex with no cast per call.  Only the latest step size is kept.
         """
         sets = self._factors.get(h)
         if sets is None:
@@ -283,20 +309,24 @@ class _Scheme:
             # density is frozen and velocity purely damped there (and the
             # zero mode conserves the mean exactly)
             P[g.half_nyquist_region] = [[1.0, 0.0], [0.0, rot]]
-            # (p11, p12, p21, p22) as leading axis
+            # (p11, p12, q21, q22) as leading axis, formed on the real values, so that the
+            # imaginary parts of the held factors stay +0
             P = np.moveaxis(P.reshape(P.shape[:-2] + (4,)), -1, 0)
-            g._box_gather(P, self.kept, out=self._box_factors)
-            np.take(P.reshape(4, -1), self._outside_index, axis=1, out=self._outside_factors, mode="clip")
-            for f in (self._box_factors, self._outside_factors):
-                np.negative(f[2], out=f[2])
-                np.subtract(rot, f[3], out=f[3])
+            np.negative(P[2], out=P[2])
+            np.subtract(rot, P[3], out=P[3])
+            g._box_gather(P, self.kept, out=self._box_factors.real)
+            np.take(P.reshape(4, -1), self._outside_index, axis=1, out=self._outside_factors.real, mode="clip")
             sets = (tuple(self._box_factors) + (rot,), tuple(self._outside_factors) + (rot,))
             self._factors = {h: sets}
             self.builds += 1
         return sets
 
     def _linear(self, s: np.ndarray, fac: tuple, ie: np.ndarray, work, out: np.ndarray) -> np.ndarray:
-        """The linear update with factors ``fac`` on any block of modes; ``work`` is (m, c, tmp)."""
+        """The linear update with factors ``fac`` on any block of modes; ``work`` is (m, c, tmp).
+
+        The factors are complex (see :meth:`_factor_sets`), so each product
+        is one complex multiply into its buffer, with no cast buffer.
+        """
         p11, p12, q21, q22, rot = fac
         m, c, tmp = work
         np.multiply(ie[0], s[1], out=m)
@@ -398,23 +428,51 @@ class _Scheme:
             np.multiply(w, u[0], out=prod[4])
 
     def density(self, s: np.ndarray) -> np.ndarray:
-        """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace."""
-        return self.grid.irfft(s[0], out=self._phys[0], work=self._spec[0])
+        """The physical density of half spectra ``s``, ``irfftn(s[0])`` bit for bit, in the workspace.
+
+        The first-axis transform runs in ``_spec[0]``, the density is a float view of ``_spec[1]``.
+        """
+        return self.grid.irfft(s[0], out=self._fields(1, 1)[0], work=self._spec[0])
+
+    def density_bound(self, s: np.ndarray) -> float:
+        """A lower bound on the physical density of half spectra ``s``, from ``s[0]`` alone.
+
+        On the full lattice, min a >= (Re a_0 - sum_{k != 0} |a_k|) / N.  The
+        sum is taken on the half lattice, weighted 1 on the k_d = 0 and N_d/2
+        columns and 2 between, with |a_k| <= |Re a_k| + |Im a_k| formed in a
+        float view of ``_spec[0]``.  A margin of 1e-9 W / N, with W that sum
+        (the zero mode's part included), exceeds the rounding of the sum and
+        of the inverse transform, so the bound is below the minimum of
+        :meth:`density`.  It is NaN or -inf whenever ``s[0]`` holds a NaN or
+        an infinity.
+        """
+        mags = np.abs(s[0].view(np.float64), out=self._spec[0].view(np.float64))
+        # |Re| and |Im| of the k_d = 0 and N_d/2 columns: the float columns 0, 1, -2 and -1,
+        # in 2D reduced one at a time (NumPy buffers a reduction of a slab of them)
+        if self.grid.dim == 1:
+            edges = float(mags[0] + mags[1] + mags[-2] + mags[-1])
+        else:
+            edges = sum(float(mags[:, j].sum()) for j in (0, 1, -2, -1))
+        total = 2.0 * float(mags.sum()) - edges
+        a0 = float(s[0][self.grid.zero_index].real)
+        return (a0 - (total - abs(a0)) - 1e-9 * total) / self.grid.npoints
 
     def diagnostics(self, state: FieldState) -> dict:
         """``t``, ``l2_a``, ``l2_u``, ``min_density`` and ``mean_a`` of a physical state.
 
         The L^2 norms equal ``lp_norm(grid, ., 2)`` bit for bit: the same
         operations in its order (|a|, or the root of the sum of u_i u_i;
-        the square; the sum), written into ``_phys``, which is idle
-        between steps, so a record allocates no field.
+        the square; the sum), written into the half spectra ``_spec[1 + d:]``
+        that a record's inverse leaves idle, so a record allocates no field.
         """
-        g, w = self.grid, self._phys
+        g, w = self.grid, self._fields(1 + self.grid.dim, self.grid.dim)
         mag = np.abs(state.a, out=w[0])
         sum_a = np.sum(np.square(mag, out=mag))
-        uu = np.multiply(state.u, state.u, out=w)
-        mag = uu[0]
-        for x in uu[1:]:
+        # one square per field: each is contiguous, where NumPy would buffer the stack
+        for x, o in zip(state.u, w):
+            np.multiply(x, x, out=o)
+        mag = w[0]
+        for x in w[1:]:
             mag += x
         sum_u = np.sum(np.square(np.sqrt(mag, out=mag), out=mag))
         return {
@@ -518,6 +576,15 @@ def integrate(
     ``ValueError``.  On a NaN/Inf or a positivity-floor violation during
     the run it stops, the sink has seen the snapshots before the abort,
     and the status reports the failure kind together with the abort time.
+
+    After each step the velocity spectra must have a finite minimum and
+    maximum.  The density passes on its spectral lower bound
+    (``_Scheme.density_bound``) when that is finite and 1 + bound reaches
+    the positivity floor, with no transform; otherwise it is transformed
+    (``_Scheme.density``) and its minimum and maximum decide, exactly.
+    A NaN or an infinity makes the bound non-finite, and the bound lies
+    below the transformed minimum, so the status and abort time are those
+    of the exact check alone.
     """
     a, u = state_fields(grid, initial)
     for name, f in (("density", a), ("velocity", u)):
@@ -579,10 +646,14 @@ def integrate(
             advance(s, h, out=s)
             steps += 1
             t = target if istep == nsteps - 1 else t + h
-            a_phys = scheme.density(s)
             # a NaN makes min and max NaN, an infinity one of them
-            low = float(np.min(a_phys))
-            bounds = (low, float(np.max(a_phys)), float(np.min(u_parts)), float(np.max(u_parts)))
+            bounds = (float(np.min(u_parts)), float(np.max(u_parts)))
+            low = scheme.density_bound(s)
+            if not (math.isfinite(low) and 1.0 + low >= config.positivity_floor):
+                # the bound cannot decide: the exact check, on the density itself
+                a_phys = scheme.density(s)
+                low = float(np.min(a_phys))
+                bounds += (low, float(np.max(a_phys)))
             if not all(map(math.isfinite, bounds)):
                 status, abort_time, aborted = "blowup", t, True
                 break
