@@ -26,6 +26,7 @@ from .grid import (
     _power_grad,
     _real_times,
     _require_mean_zero,
+    _take,
     half_divergence,
     half_grad_frac,
     half_l2,
@@ -256,58 +257,49 @@ def _energy_record(a_shells: ShellNorms, u_hat: np.ndarray, a: np.ndarray, u: np
     return FunctionalRecord(t=t, energy=energy, dissipation=dissipation, components=comp)
 
 
-def _take(buffer: np.ndarray, shape: tuple[int, ...], dtype=None) -> np.ndarray:
-    """The contiguous array of ``shape`` at the start of ``buffer``, its bytes read as ``dtype`` if given."""
-    flat = buffer.reshape(-1) if dtype is None else buffer.reshape(-1).view(dtype)
-    return flat[:math.prod(shape)].reshape(shape)
-
-
 @dataclass(frozen=True)
 class _ShellPlan:
     """Shell j of the Lyapunov functional laid out on the buffers of a :class:`_LyapunovWorkspace`.
 
     The box: ``kept`` is the box of the supports of phi_j and chi_(j-1)
-    (``SpectralGrid._support_box``), ``modes`` the smallest alias-free
+    (``SpectralGrid._support_box``), and ``modes`` the smallest alias-free
     lattice of a product S_(j-1) f g_j h_j of one low-passed and two
-    shell-j fields (``SpectralGrid._product_modes``), and ``whole`` whether
-    the box is the whole half lattice.
+    shell-j fields (``SpectralGrid._product_modes``).
 
     The symbols: ``shell``, ``low``, ``xi_norm`` and ``grad`` are phi_j,
     chi_(j-1), |xi| and the i xi_i on the box, whole box arrays gathered
-    from the half-lattice ones (``SpectralGrid._box_gather``); on a whole
-    box they are the partition's and the grid's own arrays, which must not
-    be written to.
+    from the half-lattice ones (``SpectralGrid._box_gather``); on a box of
+    the whole half lattice they are the partition's and the grid's own
+    arrays, which must not be written to.
 
-    The views, contiguous leading parts of the workspace's buffers: ``a``
-    and ``u`` are the box arrays of a and u, which :func:`_lyapunov`
-    gathers into ``fields`` from the loaded ``hats`` (no shell transforms
-    a or u), or, on a whole box, ``hats`` themselves.  ``a_j`` and ``u_j``
-    in ``fields`` take the shell blocks, ``spectra`` the stack [S_(j-1) a,
-    |nabla| u_j] of the one inverse; ``scratch`` and ``real`` are one
-    complex and one float box array.  The placement follows the order in
-    which :func:`_lyapunov_kernel` spends them: a_j and u_j are read for
-    the last time before the inverse, so it writes its ``samples`` into
-    ``fields``, or, when it needs ``work`` there for the zero-filled
-    coarse spectra, into the spent ``spectra``.  On the whole half lattice
-    the inverse runs in place on ``spectra``; in 1D it takes no ``work``.
+    The views, contiguous leading parts of the workspace's buffers:
+    ``fields`` is the stack of the box arrays of a and u, which
+    :func:`_lyapunov` gathers from the loaded ``hats`` (no shell
+    transforms a or u), and ``a_j`` and ``u_j`` its parts, which the
+    kernel overwrites with the shell blocks; ``spectra`` takes the stack
+    [S_(j-1) a, |nabla| u_j] of the one inverse; ``scratch`` and ``real``
+    are one complex and one float box array.  The placement follows the
+    order in which :func:`_lyapunov_kernel` spends them: a_j and u_j are
+    read for the last time before the inverse, so in 2D its ``work``, the
+    zero-filled kept columns (``SpectralGrid._box_columns``), lies in
+    ``fields`` and its ``samples`` in the spent ``spectra``; in 1D it
+    takes no ``work`` and writes its ``samples`` into ``fields``.
     """
 
     kept: tuple[int, ...]
     modes: tuple[int, ...]
-    whole: bool
     shell: np.ndarray
     low: np.ndarray
     xi_norm: np.ndarray
     grad: tuple[np.ndarray, ...]
-    a: np.ndarray
-    u: np.ndarray
+    fields: np.ndarray
     a_j: np.ndarray
     u_j: np.ndarray
     spectra: np.ndarray
     scratch: np.ndarray
     real: np.ndarray
     samples: np.ndarray
-    work: np.ndarray
+    work: np.ndarray | None
 
 
 class _LyapunovWorkspace:
@@ -315,10 +307,11 @@ class _LyapunovWorkspace:
 
     ``slots`` is one stack of 3 (1 + d) + 1 complex half spectra and
     ``real`` a float one: 5.3 MiB at 2D 256².  The Lyapunov path views
-    ``hats`` (the loaded spectra of a and u), ``fields`` (their box arrays
-    and shell blocks) and ``spectra`` (the stacked spectra of the cubic
-    term's one inverse), 1 + d slots each, and ``scratch``, the last slot.
-    Each shell's :class:`_ShellPlan`, made once, views them, so every shell
+    ``hats`` (the loaded spectra of a and u), ``fields`` (their box arrays,
+    which every shell gathers from ``hats``, and shell blocks) and
+    ``spectra`` (the stacked spectra of the cubic term's one inverse), 1 + d
+    slots each, and ``scratch``, the last slot.  Each shell's
+    :class:`_ShellPlan`, made once, views all but ``hats``, so every shell
     of every state writes to the same pages.  The two equation residuals
     lay their terms out on the slots themselves, a real field or a pair of
     float half spectra in one slot, and take the symbols and the Parseval
@@ -344,23 +337,21 @@ class _LyapunovWorkspace:
             kept = tuple(map(max, shell, low))
             modes = grid._product_modes(low, shell, shell)
             shape = grid._box_shape(kept)
-            whole = shape == grid.half_xi_norm.shape
 
             def symbol(m: np.ndarray) -> np.ndarray:
-                return m if whole else grid._box_gather(m, kept)
+                return m if shape == m.shape else grid._box_gather(m, kept)
 
             nf = len(self.fields)
             fields, spectra = _take(self.fields, (nf,) + shape), _take(self.spectra, (nf,) + shape)
-            boxes = self.hats if whole else fields
-            if whole or grid.dim == 1:
-                work, samples = spectra, _take(self.fields, (nf,) + modes, float)
+            if grid.dim == 1:
+                work, samples = None, _take(self.fields, (nf,) + modes, float)
             else:
                 work = _take(self.fields, (nf, modes[0], kept[-1] + 1))
                 samples = _take(self.spectra, (nf,) + modes, float)
             self._plans[j] = _ShellPlan(
-                kept=kept, modes=modes, whole=whole, shell=symbol(shell_mask), low=symbol(low_mask),
-                xi_norm=symbol(grid.half_xi_norm), grad=tuple(map(symbol, grid.half_grad)), a=boxes[0],
-                u=boxes[1:], a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
+                kept=kept, modes=modes, shell=symbol(shell_mask), low=symbol(low_mask),
+                xi_norm=symbol(grid.half_xi_norm), grad=tuple(map(symbol, grid.half_grad)), fields=fields,
+                a_j=fields[0], u_j=fields[1:], spectra=spectra, scratch=_take(self.scratch, shape),
                 real=_take(self.real, shape), samples=samples, work=work)
         return self._plans[j]
 
@@ -377,8 +368,8 @@ def _lyapunov_kernel(grid: SpectralGrid, plan: _ShellPlan, c_tilde: float,
                      params: RieszParams) -> tuple[float, float]:
     """Quadratic part and L_j^2 of shell j from the box arrays of a and u in ``plan``.
 
-    ``plan`` is shell j's plan on ``grid`` (:meth:`_LyapunovWorkspace.plan`);
-    its views are overwritten, except those of ``hats``.  The quadratic
+    ``plan`` is shell j's plan on ``grid`` (:meth:`_LyapunovWorkspace.plan`),
+    its ``fields`` gathered; its views are overwritten.  The quadratic
     and cross terms are Parseval sums over the box.  The cubic term
     samples S_(j-1) a and |nabla| u_j in one inverse onto the lattice of
     ``plan.modes``, where their triple product does not alias.  Each
@@ -387,9 +378,9 @@ def _lyapunov_kernel(grid: SpectralGrid, plan: _ShellPlan, c_tilde: float,
     apart from the sign of zeros.
     """
     # the stacked spectra of S_(j-1) a and |nabla| u_j, for the one inverse
-    _real_times(plan.low, plan.a, out=plan.spectra[0])
-    a_j = _real_times(plan.shell, plan.a, out=plan.a_j)
-    u_j = _real_times(plan.shell, plan.u, out=plan.u_j)
+    _real_times(plan.low, plan.a_j, out=plan.spectra[0])
+    a_j = _real_times(plan.shell, plan.a_j, out=plan.a_j)
+    u_j = _real_times(plan.shell, plan.u_j, out=plan.u_j)
     lam_u = _real_times(plan.xi_norm, u_j, out=plan.spectra[1:])
     power = plan.real
     np.copyto(power, plan.xi_norm)
@@ -414,10 +405,9 @@ def _lyapunov(grid: SpectralGrid, state: FieldState, js, c_tilde: float, partiti
     Everything is checked before a and u are loaded, once each, into the
     workspace's ``hats``; in 2D the first-axis pass runs on the K_d + 1
     columns of the union box of the shells only.  Each shell gathers its
-    box from ``hats`` (a whole box reads them in place), so a value does
-    not depend on which shells share a call.  The values are collected in
-    a list, not yielded: a generator's frame would stay allocated through
-    each kernel.
+    box from ``hats``, so a value does not depend on which shells share a
+    call.  The values are collected in a list, not yielded: a generator's
+    frame would stay allocated through each kernel.
     """
     if not (0 < c_tilde < 0.5):
         raise ValueError(f"c_tilde must lie in (0, 0.5), got {c_tilde}")
@@ -437,9 +427,7 @@ def _lyapunov(grid: SpectralGrid, state: FieldState, js, c_tilde: float, partiti
     blocks = []
     for j in js:
         plan = work.plan(partition, j)
-        if not plan.whole:
-            g._box_gather(work.hats[0], plan.kept, out=plan.a)
-            g._box_gather(work.hats[1:], plan.kept, out=plan.u)
+        g._box_gather(work.hats, plan.kept, out=plan.fields)
         blocks.append(_lyapunov_kernel(g, plan, c_tilde, params))
     return blocks
 

@@ -215,8 +215,8 @@ class SpectralGrid:
         if len(self.lengths) != self.dim or len(self.modes) != self.dim:
             raise ValueError("lengths and modes must have one entry per axis")
         for L in self.lengths:
-            if not (L > 0):
-                raise ValueError(f"box length must be positive, got {L}")
+            if not (0 < L < math.inf):
+                raise ValueError(f"box length must be positive and finite, got {L}")
         for n in self.modes:
             check_mode_count(n)
 
@@ -372,8 +372,8 @@ class SpectralGrid:
                    work: np.ndarray | None = None, modes: tuple[int, ...] | None = None) -> np.ndarray:
         """:meth:`irfft` of the half spectra that equal ``box`` on the box and vanish outside it.
 
-        In 2D the kept columns are transformed in place in ``work`` (complex;
-        allocated when not given), which may be ``box`` on a whole box.  With
+        In 2D the kept columns are scattered into ``work`` (complex; allocated
+        when not given) and transformed there in place (:meth:`_box_columns`).  With
         ``modes`` = (M_1, ..., M_d) the result is sampled on the coarse
         lattice (see the box section); each M_i must exceed 2 K_i, or equal N_i.
         """
@@ -386,7 +386,7 @@ class SpectralGrid:
         else:
             if work is None:
                 work = np.empty((len(box), modes[0], kept[1] + 1), dtype=complex)
-            cols = box if work is box else self._box_columns(box, kept, work[:, :modes[0]])
+            cols = self._box_columns(box, kept, work[:, :modes[0]])
             f = self._irfft(cols, modes[1], out=out, work=cols)
         if modes != self.modes:
             f *= math.prod(modes) / self.npoints
@@ -513,8 +513,9 @@ class RieszParams:
                 f"alpha must satisfy d-2 < alpha < d; got alpha={self.alpha} for d={self.dim}"
             )
         for name in ("lam", "kappa", "rho_bar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def s_star(self) -> float:
@@ -720,23 +721,41 @@ def hodge_reconstruct(grid: SpectralGrid, m: np.ndarray, omega: np.ndarray) -> n
     return grid.irfft(np.stack(comps))
 
 
-def _pointwise_magnitude(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+def _take(buffer: np.ndarray, shape: tuple[int, ...], dtype=None) -> np.ndarray:
+    """The contiguous array of ``shape`` at the start of ``buffer``, its bytes read as ``dtype`` if given."""
+    flat = buffer.reshape(-1) if dtype is None else buffer.reshape(-1).view(dtype)
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _pointwise_magnitude(grid: SpectralGrid, f: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """|f|, or a vector field's root of its squares summed left to right, formed in ``work`` if given."""
     f = np.asarray(f, dtype=float)
     if f.shape == grid.shape:
-        return np.abs(f)
-    if f.shape == (grid.dim,) + grid.shape:
-        return np.sqrt(np.sum(f * f, axis=0))
-    raise ValueError(f"unexpected field shape {f.shape}")
+        return np.abs(f, out=work)
+    if f.shape != (grid.dim,) + grid.shape:
+        raise ValueError(f"unexpected field shape {f.shape}")
+    squares = np.empty(f.shape) if work is None else work
+    for x, o in zip(f, squares):
+        np.multiply(x, x, out=o)
+    mag = squares[0]
+    for x in squares[1:]:
+        mag += x
+    return np.sqrt(mag, out=mag)
 
 
-def lp_norm(grid: SpectralGrid, f: np.ndarray, p: float) -> float:
-    """Discrete L^p norm; vector fields use the pointwise Euclidean magnitude."""
-    mag = _pointwise_magnitude(grid, f)
+def lp_norm(grid: SpectralGrid, f: np.ndarray, p: float, work: np.ndarray | None = None) -> float:
+    """Discrete L^p norm; vector fields use the pointwise Euclidean magnitude.
+
+    The magnitude and its p-th power are formed in ``work``, an array of
+    f's shape, if given, so that the norm then allocates no field.
+    """
+    mag = _pointwise_magnitude(grid, f, work)
     if p == np.inf:
         return float(np.max(mag))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    mag **= p
+    return float((grid.cell_volume * np.sum(mag)) ** (1.0 / p))
 
 
 def _real_times(m: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -70,7 +70,8 @@ from .grid import (
     RieszParams,
     SpectralGrid,
     _negate_lattice,
-    lp_norm,  # noqa: F401  (kept importable here; bench/spans.py wraps it)
+    _take,
+    lp_norm,
     state_fields,
 )
 from .spectrum import propagator
@@ -204,12 +205,13 @@ class _Scheme:
       the round trip, the |Re| and |Im| of :meth:`density_bound`, the
       first-axis transforms of :meth:`density` and of a record in
       ``integrate``, the scratch (m, c, tmp) of the linear update on the
-      box, and the state and scratch of the update outside it.  A half
-      spectrum also holds one physical field as floats
-      (:meth:`_fields`), so no field is held: the density of
-      :meth:`density` is ``_spec[1]``, and the d squares of the L^2 norms
-      of :meth:`diagnostics` are ``_spec[1 + d:]``, which a record's
-      inverse leaves idle;
+      box, and the state and scratch of the update outside it, each a
+      contiguous view at the start of a part of ``_spec``
+      (``grid._take``).  A half spectrum also holds one physical field as
+      floats, so no field is held: the density of :meth:`density` is a
+      float view of ``_spec[1]``, and the L^2 norms of :meth:`diagnostics`
+      form their magnitudes in float views of ``_spec[1 + d:]``, which a
+      record's inverse leaves idle;
     - ``_boxspec``: in 2D, the vorticity and the forward transforms of
       the products (5 box spectra); none in 1D;
     - ``_blocks``: a block of rows (``SpectralGrid._block_shape``) of the
@@ -257,10 +259,9 @@ class _Scheme:
         self._spec = np.empty((max(1 + 2 * d, -(-(4 + d) * n // math.prod(half))),) + half, dtype=complex)
         # the linear update's scratch on the box, and the state and scratch (m, c, tmp) of the
         # outside modes: contiguous arrays at the start of _spec
-        spec = self._spec.reshape(-1)
-        self._box_work = spec[:3 * math.prod(self._box_shape)].reshape((3,) + self._box_shape)
-        self._outside_state = spec[:(1 + d) * n].reshape(1 + d, n)
-        self._outside_work = spec[(1 + d) * n:(4 + d) * n].reshape(3, n)
+        self._box_work = _take(self._spec, (3,) + self._box_shape)
+        self._outside_state = _take(self._spec, (1 + d, n))
+        self._outside_work = _take(self._spec.reshape(-1)[(1 + d) * n:], (3, n))
 
     # built on first use, so that one-off tendencies and linear updates (``rhs_nonlinear``,
     # ``linear_step``) allocate only what they use
@@ -277,15 +278,6 @@ class _Scheme:
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         d, block = self.grid.dim, self.grid._block_shape()
         return np.empty((2 * d,) + block), np.empty((2 if d == 1 else 5,) + block)
-
-    def _fields(self, start: int, count: int) -> np.ndarray:
-        """``count`` physical fields, each a float view of the start of a half spectrum of ``_spec``.
-
-        One half spectrum holds one field: N_1 (N_2 + 2) >= N_1 N_2 floats.
-        """
-        g = self.grid
-        flat = self._spec[start:start + count].reshape(count, -1).view(np.float64)
-        return flat[:, :g.npoints].reshape((count,) + g.shape)
 
     # -- linear part ---------------------------------------------------
 
@@ -432,53 +424,43 @@ class _Scheme:
 
         The first-axis transform runs in ``_spec[0]``, the density is a float view of ``_spec[1]``.
         """
-        return self.grid.irfft(s[0], out=self._fields(1, 1)[0], work=self._spec[0])
+        return self.grid.irfft(s[0], out=_take(self._spec[1], self.grid.shape, float), work=self._spec[0])
 
     def density_bound(self, s: np.ndarray) -> float:
         """A lower bound on the physical density of half spectra ``s``, from ``s[0]`` alone.
 
         On the full lattice, min a >= (Re a_0 - sum_{k != 0} |a_k|) / N.  The
-        sum is taken on the half lattice, weighted 1 on the k_d = 0 and N_d/2
-        columns and 2 between, with |a_k| <= |Re a_k| + |Im a_k| formed in a
-        float view of ``_spec[0]``.  A margin of 1e-9 W / N, with W that sum
-        (the zero mode's part included), exceeds the rounding of the sum and
-        of the inverse transform, so the bound is below the minimum of
-        :meth:`density`.  It is NaN or -inf whenever ``s[0]`` holds a NaN or
-        an infinity.
+        sum is taken on the half lattice with the Parseval column weights of
+        ``SpectralGrid.half_parseval`` (1 on the k_d = 0 and N_d/2 columns,
+        2 between), with |a_k| <= |Re a_k| + |Im a_k|: |Re| and |Im| are
+        formed in the two float halves of ``_spec[0]``.  A margin of
+        1e-9 W / N, with W that sum (the zero mode's part included), exceeds
+        the rounding of the sum and of the inverse transform, so the bound is
+        below the minimum of :meth:`density`.  It is NaN or -inf whenever
+        ``s[0]`` holds a NaN or an infinity.
         """
-        mags = np.abs(s[0].view(np.float64), out=self._spec[0].view(np.float64))
-        # |Re| and |Im| of the k_d = 0 and N_d/2 columns: the float columns 0, 1, -2 and -1,
-        # in 2D reduced one at a time (NumPy buffers a reduction of a slab of them)
-        if self.grid.dim == 1:
-            edges = float(mags[0] + mags[1] + mags[-2] + mags[-1])
-        else:
-            edges = sum(float(mags[:, j].sum()) for j in (0, 1, -2, -1))
-        total = 2.0 * float(mags.sum()) - edges
-        a0 = float(s[0][self.grid.zero_index].real)
-        return (a0 - (total - abs(a0)) - 1e-9 * total) / self.grid.npoints
+        g, n = self.grid, self.grid.npoints
+        weights = g.half_parseval
+        parts = _take(self._spec[0], (2,) + weights.shape, float)
+        np.abs(s[0].real, out=parts[0])
+        np.abs(s[0].imag, out=parts[1])
+        total = float(np.vdot(parts[0], weights) + np.vdot(parts[1], weights)) * (n / g.cell_volume)
+        a0 = float(s[0][g.zero_index].real)
+        return (a0 - (total - abs(a0)) - 1e-9 * total) / n
 
     def diagnostics(self, state: FieldState) -> dict:
         """``t``, ``l2_a``, ``l2_u``, ``min_density`` and ``mean_a`` of a physical state.
 
-        The L^2 norms equal ``lp_norm(grid, ., 2)`` bit for bit: the same
-        operations in its order (|a|, or the root of the sum of u_i u_i;
-        the square; the sum), written into the half spectra ``_spec[1 + d:]``
-        that a record's inverse leaves idle, so a record allocates no field.
+        The L^2 norms are ``lp_norm``'s, formed in d float fields at the start
+        of the half spectra ``_spec[1 + d:]``, which a record's inverse leaves
+        idle, so a record allocates no field.
         """
-        g, w = self.grid, self._fields(1 + self.grid.dim, self.grid.dim)
-        mag = np.abs(state.a, out=w[0])
-        sum_a = np.sum(np.square(mag, out=mag))
-        # one square per field: each is contiguous, where NumPy would buffer the stack
-        for x, o in zip(state.u, w):
-            np.multiply(x, x, out=o)
-        mag = w[0]
-        for x in w[1:]:
-            mag += x
-        sum_u = np.sum(np.square(np.sqrt(mag, out=mag), out=mag))
+        g = self.grid
+        w = _take(self._spec[1 + g.dim:], (g.dim,) + g.shape, float)
         return {
             "t": state.t,
-            "l2_a": float((g.cell_volume * sum_a) ** 0.5),
-            "l2_u": float((g.cell_volume * sum_u) ** 0.5),
+            "l2_a": lp_norm(g, state.a, 2, work=w[0]),
+            "l2_u": lp_norm(g, state.u, 2, work=w),
             "min_density": float(1.0 + np.min(state.a)),
             "mean_a": float(np.mean(state.a)),
         }
@@ -719,6 +701,9 @@ def perturbation_presets(
         a = amplitude * g / float(np.max(np.abs(g)))
     else:
         sigma1, cutoff = keys["sigma1"], keys["cutoff"]
+        for name, value in (("sigma1", sigma1), ("cutoff", cutoff)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if cutoff <= grid.min_nonzero_wavenumber():
             raise ValueError(f"cutoff excludes every nonzero lattice wavenumber, got {cutoff}")
         rng = np.random.default_rng(seed)

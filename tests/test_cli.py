@@ -834,7 +834,12 @@ class TestOutOfRangeValues:
          "[spectrum]\ns_star = 0.5\npoints = 8\ndecades = 0\n", "[spectrum] decades must be >= 1"),
         ("decay-verify", "[experiment]\nkind = decay-verify\n"
          "[decay]\ns_star = 0.5\ndim = 3\ntimes = 1,2,3\n", "[decay] dim must be 1 or 2"),
-    ], ids=["linear-analyze", "lp-inspect", "simulate", "spectrum-decades", "decay-dim"])
+        ("simulate", SIMULATE_CFG.replace("s_star = 0.5", "s_star = 0.5\nlam = nan"),
+         "[params] lam must be positive and finite, got nan"),
+        ("simulate", SIMULATE_CFG.replace("s_star = 0.5", "s_star = 0.5\nkappa = inf"),
+         "[params] kappa must be positive and finite, got inf"),
+    ], ids=["linear-analyze", "lp-inspect", "simulate", "spectrum-decades", "decay-dim", "params-lam-nan",
+            "params-kappa-inf"])
     def test_config_error(self, tmp_path, capsys, monkeypatch, kind, text, key):
         drawn = []
         draw = cli._smooth_sample
@@ -848,11 +853,23 @@ class TestOutOfRangeValues:
         # lp-inspect refuses alpha_w before it draws a sample
         assert drawn == []
 
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_box_length(self, tmp_path, capsys, length):
+        # the grid is refused before the output directory is made
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("length = 12.566370614359172", f"length = {length}"))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [grid] box length must be positive and finite, got {length}"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, line, refusal", [
         ("smooth-bump", "width = 2", "[preset] width must lie in (0, 1], got 2.0"),
         ("single-mode", "mode = 200", "[preset] mode must stay below the dealias cutoff"),
         ("low-frequency-powerlaw", "cutoff = 0.1", "[preset] cutoff excludes every nonzero"),
-    ], ids=["width", "mode", "cutoff"])
+        ("low-frequency-powerlaw", "sigma1 = nan", "[preset] sigma1 must be finite, got nan"),
+        ("low-frequency-powerlaw", "cutoff = nan", "[preset] cutoff must be finite, got nan"),
+    ], ids=["width", "mode", "cutoff", "sigma1-nan", "cutoff-nan"])
     def test_preset_value_refused_by_the_library(self, tmp_path, capsys, monkeypatch, kind, line,
                                                  refusal):
         calls = []

@@ -83,6 +83,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             make_grid(dim=1, lengths=2.0 * np.pi, modes=4)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_rejects_a_box_length_that_is_not_positive_and_finite(self, length):
+        with pytest.raises(ValueError, match="box length must be positive and finite"):
+            make_grid(dim=1, lengths=length, modes=8)
+        with pytest.raises(ValueError, match="box length must be positive and finite"):
+            make_grid(dim=2, lengths=(2.0 * np.pi, length), modes=8)
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             make_grid(dim=3, lengths=(1.0, 1.0, 1.0), modes=(8, 8, 8))
@@ -220,6 +227,12 @@ class TestRieszParams:
     def test_coefficients_positive(self):
         with pytest.raises(ValueError):
             RieszParams(dim=1, alpha=0.0, lam=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["lam", "kappa", "rho_bar"])
+    def test_coefficients_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            RieszParams(dim=1, alpha=0.0, **{name: value})
 
 
 class TestMultipliers:
@@ -412,6 +425,43 @@ class TestNorms:
     def test_p_below_one_rejected(self, grid_1d):
         with pytest.raises(ValueError):
             lp_norm(grid_1d, np.ones(grid_1d.shape), 0.5)
+
+    P_VALUES = (1, 2, 2.5, 3, 4, np.inf)
+
+    @pytest.mark.parametrize("modes", [(4096,), (64, 64), (48, 40)])
+    def test_work_buffer_changes_no_bit(self, modes):
+        # with work, without it, and the plain expression: |f| or the root of the sum of the
+        # squares over the components, its p-th power, the sum
+        g = make_grid(dim=len(modes), lengths=(2.0 * np.pi, 3.0 * np.pi)[:len(modes)], modes=modes)
+        rng = np.random.default_rng(17)
+        for lead in ((), (g.dim,)):
+            for _ in range(4):
+                f = rng.standard_normal(lead + g.shape) * rng.uniform(0.1, 10.0)
+                mag = np.abs(f) if not lead else np.sqrt(np.sum(f * f, axis=0))
+                work = np.full(f.shape, np.nan)
+                for p in self.P_VALUES:
+                    plain = float(np.max(mag)) if p == np.inf else \
+                        float((g.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+                    assert lp_norm(g, f, p).hex() == lp_norm(g, f, p, work=work).hex() == plain.hex()
+
+    def test_work_buffer_allocates_no_field(self):
+        g = make_grid(dim=2, lengths=2.0 * np.pi, modes=64)
+        rng = np.random.default_rng(18)
+        peaks = []
+        for lead in ((), (2,)):
+            f = rng.standard_normal(lead + g.shape)
+            work = np.empty_like(f)
+            for p in self.P_VALUES:
+                lp_norm(g, f, p, work=work)
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    lp_norm(g, f, p, work=work)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                finally:
+                    tracemalloc.stop()
+        # about 1 KiB of NumPy's per-call objects; one field here is 32 KiB
+        assert max(peaks) <= 2048
 
 
 #: (lengths, modes) of the spectral_inner tests: 1D, 2D square and 2D rectangular

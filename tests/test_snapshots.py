@@ -135,6 +135,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="even and >= 8, got 63"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_non_finite_box_length(self, tmp_path, dim, length):
+        grid = make_grid(dim=dim, lengths=2.0 * np.pi, modes=16)
+        st = FieldState(a=np.zeros(grid.shape), u=np.zeros((dim,) + grid.shape), t=0.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, grid, st)
+        data = bytearray(path.read_bytes())
+        # the last box length, after the magic, dim, nfields, time and the mode counts
+        struct.pack_into("<d", data, 24 + 8 * dim + 8 * (dim - 1), length)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"box length must be positive and finite, got {length}"):
+            read_snapshot(path)
+
     def test_magic_constant(self):
         assert MAGIC == b"SPECFLD1"
 

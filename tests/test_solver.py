@@ -24,6 +24,7 @@ from rieszflow import (
 )
 
 from rieszflow import solver
+from rieszflow.grid import _take
 
 from conftest import FFT_NAMES, smooth_field, smooth_vector
 
@@ -137,6 +138,13 @@ class TestPresets:
             perturbation_presets("smooth-bump", 0.1, g, width=2.0)
         with pytest.raises(ValueError, match="^cutoff excludes"):
             perturbation_presets("low-frequency-powerlaw", 0.1, g, sigma1=-0.5, cutoff=0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["sigma1", "cutoff"])
+    def test_powerlaw_keys_must_be_finite(self, key, value):
+        g = make_grid(dim=1, lengths=8.0 * np.pi, modes=64)
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            perturbation_presets("low-frequency-powerlaw", 0.1, g, **{key: value})
 
     @pytest.mark.parametrize("kind, key", [
         ("smooth-bump", "mode"), ("smooth-bump", "sigma1"), ("single-mode", "width"),
@@ -1183,7 +1191,7 @@ class TestWorkspaceAliasing:
     def test_workspace_bytes_at_256_squared(self):
         g = make_grid(dim=2, lengths=16 * np.pi, modes=256)
         sc = solver._Scheme(g, RieszParams.from_s_star(2, 0.5))
-        sc.step_ifrk4(random_half_state(g, np.random.default_rng(0), amplitude=0.01), 0.05)
+        s = sc.step_ifrk4(random_half_state(g, np.random.default_rng(0), amplitude=0.01), 0.05)
         buffers = [sc._stage, sc._spec, sc._boxspec, *sc._blocks, sc._box_factors,
                    sc._outside_factors, sc.ie_outside]
         assert all(b.base is None for b in buffers)
@@ -1197,10 +1205,11 @@ class TestWorkspaceAliasing:
         assert sc._outside_index.size == n == 18_318
         assert sc._outside_factors.nbytes + sc.ie_outside.nbytes == 4 * n * 16 + 2 * n * 16 == 1_758_528
         assert sc._box_factors.nbytes == 4 * 171 * 86 * 16
-        # no physical field is held: the exact density check and a record's squares are float
-        # views of the half spectra of _spec
-        for field in (sc._fields(1, 1), sc._fields(3, 2)):
-            assert field.shape[1:] == g.shape and np.shares_memory(field, sc._spec)
+        # no physical field is held: the exact density check and a record's norms write into
+        # float views of the half spectra of _spec, _spec[1] and the two of _spec[3:]
+        density, squares = _take(sc._spec[1], g.shape, float), _take(sc._spec[3:], (2,) + g.shape, float)
+        assert sc.density(s).ctypes.data == density.ctypes.data
+        assert not np.shares_memory(squares, sc._spec[:3])
         flat = sc._spec.reshape(-1)
         for view, start in ((sc._outside_state, 0), (sc._outside_work, 3 * n)):
             assert view.flags.c_contiguous and view.shape == (3, n)
